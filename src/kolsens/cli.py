@@ -154,20 +154,30 @@ def _build_unc(raw: dict) -> UncertaintySpec:
                            epsilon=float(spec.get("epsilon", 0.05)))
 
 
+def _count(spec: dict, key: str, default: int) -> int:
+    v = spec.get(key, default)
+    if isinstance(v, float) and v.is_integer():
+        v = int(v)
+    if isinstance(v, bool) or not isinstance(v, int):
+        raise ValidationError(f"mc.{key} must be an integer, got {v!r}")
+    return v
+
+
 def _build_mc(raw: dict, args) -> McConfig:
+    """The estimator config; McConfig itself checks every value's type and range."""
     spec = raw.get("mc", {})
     _expect_keys(spec, {"n_steps", "m0", "m1", "h", "independent_inner",
                         "kernel", "fd_scheme", "force_fd"}, "mc")
     cfg = McConfig(
-        n_steps=int(spec.get("n_steps", 100)),
-        m0=int(spec.get("m0", 3_000_000)),
-        m1=int(spec.get("m1", 30_000)),
-        h=float(spec["h"]) if spec.get("h") is not None else None,
+        n_steps=_count(spec, "n_steps", 100),
+        m0=_count(spec, "m0", 3_000_000),
+        m1=_count(spec, "m1", 30_000),
+        h=spec.get("h"),
         sampling="scaled",
-        force_fd=bool(spec.get("force_fd", False)),
-        fd_scheme=str(spec.get("fd_scheme", "forward")),
-        independent_inner=bool(spec.get("independent_inner", False)),
-        kernel=str(spec.get("kernel", "auto")))
+        force_fd=spec.get("force_fd", False),
+        fd_scheme=spec.get("fd_scheme", "forward"),
+        independent_inner=spec.get("independent_inner", False),
+        kernel=spec.get("kernel", "auto"))
     overrides = {}
     if args.h is not None:
         overrides["h"] = args.h
@@ -227,6 +237,8 @@ def _repeated_reports(model, boundary, point, mc: McConfig, unc, runs: int,
         try:
             reports.append(compute_report(model, boundary, point,
                                           replace(mc, seed=seed), unc=unc))
+        except ValidationError:
+            raise
         except Exception as exc:
             raise NumericError(f"estimator run with seed {seed} failed: {exc}") from exc
     return reports

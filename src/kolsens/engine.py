@@ -21,7 +21,13 @@ Determinism contract: given a fixed seed, results are bit-identical for any
 worker count (KOLSENS_WORKERS or the `workers` argument). Per-node partial
 results are combined in index order with compensated summation, inner/outer
 reductions use numpy's pairwise sums over fixed block shapes, and matrix
-mixes avoid BLAS (see sampling module).
+mixes avoid BLAS (see sampling module). The inner means of a block are
+computed in cache-sized row tiles; a row's inner mean depends on that row
+alone, so the tile size never changes a bit.
+
+Nodes are checked for finiteness in index order as they complete, so a
+failure stops the run at the first bad node and names the same time index
+at every worker count.
 """
 
 import math
@@ -40,7 +46,13 @@ from .sampling import SampleGrid, build_time_grid, draw_samples
 
 Array = np.ndarray
 
-_PAIR_BUDGET = 1 << 23   # doubles per pairwise work buffer (~64 MB); fixed for determinism
+# Outer rows per reduction block: _PAIR_BUDGET // (doubles per row of the
+# largest pairwise temporary). The block grouping fixes the summation order,
+# so this constant is part of the determinism contract. The pairwise
+# temporaries themselves hold at most about _PAIR_TILE doubles (1 MB) per
+# thread, or one row when a row is larger; the tile never changes a bit.
+_PAIR_BUDGET = 1 << 23
+_PAIR_TILE = 1 << 17
 _V0_BLOCK = 1 << 16
 
 WORKERS_ENV = "KOLSENS_WORKERS"
@@ -116,40 +128,74 @@ def _norm_rows(a: Array) -> Array:
     return np.sqrt(np.sum(a * a, axis=-1))
 
 
+def _tiled_node_sums(pairs, m1, row_elems, grad, hess, shifts, need_drift, h,
+                     fd_scheme, reduce):
+    """Sum one node's (drift, vol) terms over the outer pool, inner means tiled.
+
+    `pairs(lo, hi)` builds the pairwise array of outer rows lo..hi-1 against
+    the whole inner pool (inner samples on axis 1). Outer rows are grouped in
+    blocks of _PAIR_BUDGET // row_elems rows, which fix the reduction order.
+    Within a block, the inner means of `grad` (when the drift or a forward
+    difference needs it), of `hess` (unless None) and of `grad` at each FD
+    shift are computed one tile of _PAIR_TILE // row_elems rows at a time.
+    `reduce(w, jac)` turns a block's means into its (drift, vol) partial
+    sums; jac is the mean Hessian, or the list of FD slopes, one per shift.
+    """
+    means = {}
+    if need_drift or (len(shifts) and fd_scheme == "forward"):
+        means["w"] = grad
+    if hess is not None:
+        means["jw"] = hess
+    for k, shift in enumerate(shifts):
+        means["+", k] = lambda p, shift=shift: grad(p + shift)
+        if fd_scheme == "central":
+            means["-", k] = lambda p, shift=shift: grad(p - shift)
+    block = max(1, _PAIR_BUDGET // row_elems)
+    tile = max(1, _PAIR_TILE // row_elems)
+    drift_parts, vol_parts = [], []
+    for lo in range(0, m1, block):
+        hi = min(lo + block, m1)
+        m = {}
+        for t_lo in range(lo, hi, tile):
+            t_hi = min(t_lo + tile, hi)
+            p = pairs(t_lo, t_hi)
+            for name, fn in means.items():
+                mean = fn(p).mean(axis=1)
+                if name not in m:
+                    m[name] = np.empty((hi - lo,) + mean.shape[1:])
+                m[name][t_lo - lo:t_hi - lo] = mean
+        if fd_scheme == "central":
+            jac = [(m["+", k] - m["-", k]) / (2.0 * h) for k in range(len(shifts))]
+        else:
+            jac = [(m["+", k] - m["w"]) / h for k in range(len(shifts))]
+        dp, vp = reduce(m.get("w"), m.get("jw", jac))
+        drift_parts.append(dp)
+        vol_parts.append(vp)
+    return math.fsum(drift_parts), math.fsum(vol_parts)
+
+
 def _generic_node_terms(boundary, x, out_disp, in_disp, vol_mat, need_drift,
                         need_vol, use_hessian, h, fd_scheme):
     """One grid node of the nested estimator, black-box boundary evaluators.
 
-    Returns (sum_j |w_hat(j)|, sum_j ||Jw_hat(j) vol||_F) over the outer pool,
-    blocked so the pairwise tensor stays within the fixed memory budget.
+    Returns (sum_j |w_hat(j)|, sum_j ||Jw_hat(j) vol||_F) over the outer pool.
     """
     m1, d = out_disp.shape
-    per_row = m1 * d * (d if (need_vol and use_hessian) else 1)
-    bj = max(1, _PAIR_BUDGET // per_row)
-    want_w = need_drift or (need_vol and not use_hessian and fd_scheme == "forward")
-    drift_parts, vol_parts = [], []
-    for lo in range(0, m1, bj):
-        q = x + out_disp[lo:lo + bj, None, :] + in_disp[None, :, :]
-        w = boundary.gradient(q).mean(axis=1) if want_w else None
-        if need_drift:
-            drift_parts.append(float(np.sum(_norm_rows(w))))
-        if need_vol:
-            if use_hessian:
-                jw = boundary.hessian(q).mean(axis=1)
-            else:
-                jw = np.empty((q.shape[0], d, d))
-                for l in range(d):
-                    shift = np.zeros(d)
-                    shift[l] = h
-                    wp = boundary.gradient(q + shift).mean(axis=1)
-                    if fd_scheme == "central":
-                        wm = boundary.gradient(q - shift).mean(axis=1)
-                        jw[:, :, l] = (wp - wm) / (2.0 * h)
-                    else:
-                        jw[:, :, l] = (wp - w) / h
-            js = np.einsum("bkl,lm->bkm", jw, vol_mat, optimize=False)
-            vol_parts.append(float(np.sum(np.sqrt(np.sum(js * js, axis=(-2, -1))))))
-    return math.fsum(drift_parts), math.fsum(vol_parts)
+    hess = boundary.hessian if (need_vol and use_hessian) else None
+    shifts = np.eye(d) * h if (need_vol and not use_hessian) else ()
+
+    def reduce(w, jac):
+        drift = float(np.sum(_norm_rows(w))) if need_drift else 0.0
+        if not need_vol:
+            return drift, 0.0
+        jw = jac if use_hessian else np.stack(jac, axis=-1)
+        js = np.einsum("bkl,lm->bkm", jw, vol_mat, optimize=False)
+        return drift, float(np.sum(np.sqrt(np.sum(js * js, axis=(-2, -1)))))
+
+    return _tiled_node_sums(
+        lambda lo, hi: x + out_disp[lo:hi, None, :] + in_disp[None, :, :], m1,
+        m1 * d * (d if hess is not None else 1), boundary.gradient, hess, shifts,
+        need_drift, h, fd_scheme, reduce)
 
 
 def _ridge_node_terms(ridge, x, out_disp, in_disp, vol_mat, need_drift,
@@ -159,7 +205,8 @@ def _ridge_node_terms(ridge, x, out_disp, in_disp, vol_mat, need_drift,
     Everything factors through the scalar projection s = a.(x + X_i(j) +
     X_{N-i}(m)): w_hat = mean(phi'(s)) a, Jw_hat = mean(phi''(s)) a a^T, so
     |w_hat| = |mean phi'| |a| and ||Jw_hat vol||_F = |mean phi''| |a| |vol^T a|.
-    The pairwise work is then independent of the dimension.
+    The pairwise work is then independent of the dimension. The FD branch
+    makes one shifted pass per *distinct* direction entry, then expands.
     """
     a = ridge.direction
     m1 = out_disp.shape[0]
@@ -168,33 +215,23 @@ def _ridge_node_terms(ridge, x, out_disp, in_disp, vol_mat, need_drift,
     signorm = math.sqrt(float(sig_a @ sig_a))
     s_out = float(x @ a) + np.einsum("jd,d->j", out_disp, a, optimize=False)
     s_in = np.einsum("jd,d->j", in_disp, a, optimize=False)
-    bj = max(1, _PAIR_BUDGET // m1)
-    want_u = need_drift or (need_vol and not use_hessian and fd_scheme == "forward")
-    shifts = np.unique(a) if (need_vol and not use_hessian) else None
-    drift_parts, vol_parts = [], []
-    for lo in range(0, m1, bj):
-        s = s_out[lo:lo + bj, None] + s_in[None, :]
-        u = ridge.d1(s).mean(axis=1) if want_u else None
-        if need_drift:
-            drift_parts.append(anorm * float(np.sum(np.abs(u))))
-        if need_vol:
-            if use_hessian:
-                v = ridge.d2(s).mean(axis=1)
-                vol_parts.append(anorm * signorm * float(np.sum(np.abs(v))))
-            else:
-                # one shifted pass per *distinct* direction entry, then expand
-                per_shift = {}
-                for hv in shifts:
-                    up = ridge.d1(s + h * hv).mean(axis=1)
-                    if fd_scheme == "central":
-                        um = ridge.d1(s - h * hv).mean(axis=1)
-                        per_shift[hv] = (up - um) / (2.0 * h)
-                    else:
-                        per_shift[hv] = (up - u) / h
-                g = np.stack([per_shift[hv] for hv in a], axis=1)   # (b, d)
-                gs = np.einsum("bl,lm->bm", g, vol_mat, optimize=False)
-                vol_parts.append(anorm * float(np.sum(_norm_rows(gs))))
-    return math.fsum(drift_parts), math.fsum(vol_parts)
+    fd = need_vol and not use_hessian
+    distinct, entry = np.unique(a, return_inverse=True) if fd else ((), None)
+
+    def reduce(u, jac):
+        drift = anorm * float(np.sum(np.abs(u))) if need_drift else 0.0
+        if not need_vol:
+            return drift, 0.0
+        if use_hessian:
+            return drift, anorm * signorm * float(np.sum(np.abs(jac)))
+        g = np.stack([jac[k] for k in entry], axis=1)   # (b, d)
+        gs = np.einsum("bl,lm->bm", g, vol_mat, optimize=False)
+        return drift, anorm * float(np.sum(_norm_rows(gs)))
+
+    return _tiled_node_sums(
+        lambda lo, hi: s_out[lo:hi, None] + s_in[None, :], m1, m1, ridge.d1,
+        ridge.d2 if (need_vol and use_hessian) else None, [h * v for v in distinct],
+        need_drift, h, fd_scheme, reduce)
 
 
 def sensitivity_mc(model: BaselineModel, boundary: BoundaryFunction, point: EvalPoint,
@@ -249,15 +286,21 @@ def sensitivity_mc(model: BaselineModel, boundary: BoundaryFunction, point: Eval
                           need_vol, use_hessian, h, fd_scheme)
 
     n_workers = _resolve_workers(workers)
-    if n_workers > 1:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            node_vals = list(pool.map(per_node, range(n)))
-    else:
-        node_vals = [per_node(i) for i in range(n)]
-
-    for i, (dv, vv) in enumerate(node_vals):
-        if not (math.isfinite(dv) and math.isfinite(vv)):
-            raise NumericError(f"non-finite sensitivity contribution at time index {i}")
+    pool = ThreadPoolExecutor(max_workers=n_workers) if n_workers > 1 else None
+    try:
+        if pool is None:
+            results = map(per_node, range(n))
+        else:
+            futures = [pool.submit(per_node, i) for i in range(n)]
+            results = (f.result() for f in futures)
+        node_vals = []
+        for i, (dv, vv) in enumerate(results):
+            if not (math.isfinite(dv) and math.isfinite(vv)):
+                raise NumericError(f"non-finite sensitivity contribution at time index {i}")
+            node_vals.append((dv, vv))
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
     sens_drift = dt * math.fsum(dv for dv, _ in node_vals) / m1 if need_drift else 0.0
     sens_vol = dt * math.fsum(vv for _, vv in node_vals) / m1 if need_vol else 0.0
     return sens_drift, sens_vol, bool(use_hessian and need_vol)
@@ -281,7 +324,7 @@ class SensitivityReport:
     n_steps: int
     m0: int
     m1: int
-    h: float
+    h: float | None        # the FD bump; None when the Hessian branch ran
     seed: int
 
     def sens_total(self, gamma: float, eta: float) -> float:
@@ -337,7 +380,8 @@ class EstimatorStats:
 def repeated_runs(job, runs: int, base_seed: int) -> EstimatorStats:
     """Run `job(seed)` for seeds base_seed..base_seed+runs-1 and aggregate.
 
-    Any single-run failure aborts with the offending seed in the message.
+    Any single-run failure aborts with the offending seed in the message;
+    a ValidationError passes through unchanged (it is a configuration fault).
     std_dev uses ddof=1 and is NaN for a single run.
     """
     if int(runs) != runs or runs < 1:
@@ -347,6 +391,8 @@ def repeated_runs(job, runs: int, base_seed: int) -> EstimatorStats:
         seed = base_seed + r
         try:
             vals.append(float(job(seed)))
+        except ValidationError:
+            raise
         except Exception as exc:
             raise NumericError(f"estimator run with seed {seed} failed: {exc}") from exc
     arr = np.asarray(vals)
@@ -370,8 +416,26 @@ class McConfig:
     kernel: str = "auto"
 
     def __post_init__(self):
+        for name, low in (("n_steps", 1), ("m0", 1), ("m1", 1), ("seed", 0)):
+            v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or v < low:
+                raise ValidationError(f"{name} must be an integer >= {low}, got {v!r}")
         if self.m0 < self.m1:
             raise ValidationError(f"need m0 >= m1, got m0={self.m0}, m1={self.m1}")
+        if self.h is not None and not (isinstance(self.h, (int, float)) and
+                                       math.isfinite(self.h) and self.h > 0):
+            raise ValidationError(f"FD bump h must be > 0, got {self.h!r}")
+        for name, allowed in (("sampling", ("scaled", "path")),
+                              ("fd_scheme", ("forward", "central")),
+                              ("kernel", ("auto", "generic", "ridge"))):
+            if getattr(self, name) not in allowed:
+                raise ValidationError(f"{name} must be one of {allowed}, "
+                                      f"got {getattr(self, name)!r}")
+        for name in ("force_fd", "independent_inner"):
+            if not isinstance(getattr(self, name), bool):
+                raise ValidationError(f"{name} must be a bool, got {getattr(self, name)!r}")
+        if self.independent_inner and self.sampling != "scaled":
+            raise ValidationError("independent inner pool is scaled-mode only")
 
 
 def compute_report(model: BaselineModel, boundary: BoundaryFunction, point: EvalPoint,
@@ -399,4 +463,5 @@ def compute_report(model: BaselineModel, boundary: BoundaryFunction, point: Eval
         used_hessian_path=used_hessian, runtime_seconds=runtime,
         predicted_ops=predicted_complexity(model.dim, cfg.n_steps, cfg.m0, cfg.m1),
         d=model.dim, n_steps=cfg.n_steps, m0=cfg.m0, m1=cfg.m1,
-        h=cfg.h if cfg.h is not None else default_bump(point), seed=cfg.seed)
+        h=None if used_hessian else cfg.h if cfg.h is not None else default_bump(point),
+        seed=cfg.seed)

@@ -59,6 +59,7 @@ def test_sensitivity_report_shape(tmp_path):
     assert code == 0
     assert set(doc["report"]) == REPORT_KEYS
     assert doc["report"]["used_hessian_path"] is True
+    assert doc["report"]["h"] is None
     assert set(doc["stats"]) == {"v0", "sens_drift", "sens_vol", "approx"}
     for block in doc["stats"].values():
         assert set(block) == {"runs", "mean", "std_dev"}
@@ -295,6 +296,26 @@ def test_rejected_external_boundary(tmp_path, monkeypatch, capsys):
     cfg = _write_config(tmp_path, doc)
     assert main(["--config", cfg, "--command", "value"]) == 2
     assert "consistency probes" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mc", [{"kernel": "bogus"}, {"fd_scheme": "bogus"},
+                                {"n_steps": 0}, {"n_steps": 2.5}, {"m1": "many"},
+                                {"h": "small"}, {"force_fd": "false"}])
+def test_invalid_mc_section_exits_2(tmp_path, capsys, mc):
+    doc = _quartic_config()
+    doc["mc"].update(mc)
+    cfg = _write_config(tmp_path, doc)
+    assert main(["--config", cfg, "--command", "sensitivity"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and next(iter(mc)) in err
+
+
+@pytest.mark.parametrize("command", ["value", "sensitivity"])
+def test_validation_inside_a_run_exits_2(tmp_path, capsys, command):
+    # the point sits at the horizon; the run itself finds that out
+    cfg = _write_config(tmp_path, _quartic_config(point={"t": 1.0, "x": [0.0]}))
+    assert main(["--config", cfg, "--command", command]) == 2
+    assert capsys.readouterr().err.startswith("error:")
 
 
 def test_numeric_failure_exit_code(tmp_path, monkeypatch, capsys):

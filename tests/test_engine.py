@@ -1,5 +1,6 @@
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from kolsens import (BaselineModel, BoundaryFunction, EstimatorStats, EvalPoint,
                      McConfig, NumericError, SensitivityReport, UncertaintySpec,
                      ValidationError, build_time_grid, compute_report, draw_samples,
                      first_order_approx, predicted_complexity, quartic_boundary,
-                     repeated_runs, sensitivity_mc, sine_boundary, v0_mc)
+                     repeated_runs, ridge_boundary, sensitivity_mc, sine_boundary, v0_mc)
 from kolsens.engine import WORKERS_ENV
 
 
@@ -266,6 +267,81 @@ def test_sensitivity_nonfinite_names_time_index(quartic_setup):
         sensitivity_mc(model, bad, pt, s)
 
 
+def test_sensitivity_fails_at_first_bad_node(quartic_setup):
+    model, _, pt = quartic_setup
+    s = _samples(model, 6, 50, 20, seed=0)
+    calls = []
+
+    def gradient(p):
+        calls.append(np.size(p))
+        return np.full(np.asarray(p).shape, np.nan)
+
+    bnd = BoundaryFunction(dim=1, value=lambda p: np.zeros(np.asarray(p).shape[:-1]),
+                           gradient=gradient)
+    with pytest.raises(NumericError, match="time index 0"):
+        sensitivity_mc(model, bnd, pt, s, parts=("drift",), workers=1)
+    assert len(calls) == 1     # one tile of node 0; nodes 1..5 never ran
+    for workers in (2, 3):
+        with pytest.raises(NumericError, match="time index 0$"):
+            sensitivity_mc(model, bnd, pt, s, parts=("drift",), workers=workers)
+
+
+def _tile_cases(wrap=lambda fn: fn):
+    model = BaselineModel(drift=np.array([0.2, -0.1, 0.3]),
+                          vol=np.array([[1.0, 0.0, 0.0], [0.2, 0.8, 0.0], [0.1, 0.1, 0.9]]))
+    bnd = ridge_boundary(np.array([1.0, -0.5, 1.0]), wrap(np.sin), wrap(np.cos),
+                         wrap(lambda s: -np.sin(s)))
+    pt = EvalPoint(t=0.0, x=np.array([0.1, 0.0, -0.2]))
+    return model, bnd, pt, _samples(model, 3, 60, 47, seed=11)
+
+
+def _all_branches(model, bnd, pt, s):
+    out = {}
+    for kernel in ("ridge", "generic"):
+        for force_fd, scheme in ((False, "forward"), (True, "forward"), (True, "central")):
+            for parts in (("drift", "vol"), ("drift",), ("vol",)):
+                out[kernel, force_fd, scheme, parts] = sensitivity_mc(
+                    model, bnd, pt, s, kernel=kernel, force_fd=force_fd, h=1e-3,
+                    fd_scheme=scheme, parts=parts)
+    return out
+
+
+@pytest.mark.parametrize("budget", [None, 2000])
+def test_tile_size_never_changes_bits(monkeypatch, budget):
+    # m1 = 47 is prime, so no multi-row tile divides it; budget 2000 splits
+    # every kernel's outer pool into several blocks (ridge 42, generic 4/14 rows)
+    import kolsens.engine as eng
+    if budget is not None:
+        monkeypatch.setattr(eng, "_PAIR_BUDGET", budget)
+    case = _tile_cases()
+    results = []
+    for tile in (1, 1000, 1 << 30):
+        monkeypatch.setattr(eng, "_PAIR_TILE", tile)
+        results.append(_all_branches(*case))
+    assert results[0] == results[1] == results[2]
+
+
+@pytest.mark.parametrize("tile", [1, 100, 500])
+def test_boundary_calls_stay_within_one_tile(monkeypatch, tile):
+    import kolsens.engine as eng
+    monkeypatch.setattr(eng, "_PAIR_TILE", tile)
+    scalar_sizes, point_sizes = [], []
+
+    def rec(fn, sizes):
+        def wrapped(p):
+            sizes.append(np.size(p))
+            return fn(p)
+        return wrapped
+
+    model, bnd, pt, s = _tile_cases(lambda fn: rec(fn, scalar_sizes))
+    bnd = replace(bnd, gradient=rec(bnd.gradient, point_sizes),
+                  hessian=rec(bnd.hessian, point_sizes))
+    _all_branches(model, bnd, pt, s)
+    m1, d = s.m1, model.dim
+    assert point_sizes and max(point_sizes) <= max(tile, m1 * d)
+    assert max(scalar_sizes) <= max(tile, m1)
+
+
 def test_worker_count_is_bit_invariant(quartic_setup, monkeypatch):
     model, bnd, pt = quartic_setup
     s = _samples(model, 7, 300, 150, seed=6)
@@ -376,6 +452,34 @@ def test_repeated_runs_identifies_failing_seed():
 def test_mcconfig_validates_sample_counts():
     with pytest.raises(ValidationError):
         McConfig(m0=10, m1=20)
+
+
+@pytest.mark.parametrize("field", [
+    {"n_steps": 0}, {"m0": 0, "m1": 0}, {"m1": 0}, {"n_steps": 2.5}, {"seed": -1},
+    {"h": 0.0}, {"h": float("nan")}, {"h": "0.01"}, {"sampling": "bogus"}, {"fd_scheme": "bogus"},
+    {"kernel": "bogus"}, {"force_fd": "yes"}, {"independent_inner": 1},
+    {"independent_inner": True, "sampling": "path"},
+])
+def test_mcconfig_validates_every_field(field):
+    with pytest.raises(ValidationError):
+        McConfig(**{"m0": 100, "m1": 10, **field})
+
+
+def test_repeated_runs_passes_validation_errors_through():
+    def bad(seed):
+        raise ValidationError("bad config")
+
+    with pytest.raises(ValidationError, match="^bad config$"):
+        repeated_runs(bad, runs=2, base_seed=0)
+
+
+def test_report_bump_is_null_on_the_hessian_branch(quartic_setup):
+    model, bnd, pt = quartic_setup
+    cfg = McConfig(n_steps=3, m0=100, m1=50, seed=1)
+    assert compute_report(model, bnd, pt, cfg).h is None
+    fd = compute_report(model, bnd, pt, replace(cfg, force_fd=True))
+    assert fd.h == 1e-3 and not fd.used_hessian_path
+    assert compute_report(model, bnd, pt, replace(cfg, force_fd=True, h=0.01)).h == 0.01
 
 
 def test_compute_report_respects_eval_time():
