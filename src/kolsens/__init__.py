@@ -17,7 +17,7 @@ from .analytic import (QuadratureConfig, gauss_abs_expectation, quartic_sensitiv
                        quartic_v0, sine_sensitivity_quadrature, sine_v0)
 from .engine import (EstimatorStats, McConfig, SensitivityReport, compute_report,
                      default_bump, first_order_approx, predicted_complexity, repeated_runs,
-                     sensitivity_mc, v0_mc)
+                     seeded_runs, sensitivity_mc, v0_mc)
 from .errors import GenerationError, NumericError, StabilityError, ValidationError
 from .fd1d import (EpsSweepResult, FdProblem1d, FdSolution1d, epsilon_sweep,
                    fd_problem_from_model, fit_loglog_slope, solve)
@@ -41,6 +41,6 @@ __all__ = [
     "gauss_abs_expectation", "generate_normalized_model", "lambda_min", "load_normals",
     "predicted_complexity", "quartic_boundary", "quartic_sensitivity_quadrature",
     "quartic_v0", "repeated_runs", "ridge_boundary", "samples_from_normals",
-    "sensitivity_mc", "sine_boundary", "sine_sensitivity_quadrature", "sine_v0",
-    "solve", "v0_mc", "validate_expansion_regime",
+    "seeded_runs", "sensitivity_mc", "sine_boundary", "sine_sensitivity_quadrature",
+    "sine_v0", "solve", "v0_mc", "validate_expansion_regime",
 ]

@@ -20,7 +20,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -28,8 +28,8 @@ import numpy as np
 from . import __version__
 from .analytic import (quartic_sensitivity_quadrature, quartic_v0, sine_sensitivity_quadrature,
                        sine_v0)
-from .engine import (McConfig, SensitivityReport, compute_report, predicted_complexity,
-                     repeated_runs, v0_mc)
+from .engine import (EstimatorStats, McConfig, compute_report, predicted_complexity,
+                     repeated_runs, seeded_runs, v0_mc)
 from .errors import NumericError, ValidationError
 from .fd1d import FdProblem1d, epsilon_sweep, fd_problem_from_model, solve
 from .model import (BaselineModel, BoundaryFunction, EvalPoint, UncertaintySpec,
@@ -49,6 +49,8 @@ _TOP_KEYS = {"model", "boundary", "point", "uncertainty", "mc", "fd", "sweep",
 
 
 def _expect_keys(section: dict, allowed: set, where: str) -> None:
+    if not isinstance(section, dict):
+        raise ValidationError(f"{where} must be a JSON object, got {section!r}")
     extra = set(section) - allowed
     if extra:
         raise ValidationError(f"unknown key(s) {sorted(extra)} in {where} "
@@ -69,24 +71,48 @@ def load_config(path: str) -> dict:
     return raw
 
 
+def _count(v, name: str) -> int:
+    """An integer config value; integral floats are accepted, nothing else."""
+    if isinstance(v, float) and v.is_integer():
+        v = int(v)
+    if isinstance(v, bool) or not isinstance(v, int):
+        raise ValidationError(f"{name} must be an integer, got {v!r}")
+    return v
+
+
+def _real(v, name: str) -> float:
+    """A real config value: a JSON number, never a string or a bool."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        raise ValidationError(f"{name} must be a number, got {v!r}")
+    return float(v)
+
+
+def _array(v, name: str) -> np.ndarray:
+    """A (nested) list of numbers as a float array."""
+    try:
+        return np.asarray(v, dtype=float)
+    except (TypeError, ValueError):
+        raise ValidationError(f"{name} must be an array of numbers, got {v!r}") from None
+
+
 def _build_model(raw: dict):
     spec = raw.get("model")
     if spec is None:
         raise ValidationError("config needs a 'model' section")
     _expect_keys(spec, {"kind", "drift", "vol", "horizon", "dim", "seed"}, "model")
     kind = spec.get("kind", "normalized" if "dim" in spec else "explicit")
-    horizon = float(spec.get("horizon", 1.0))
+    horizon = _real(spec.get("horizon", 1.0), "model.horizon")
     if kind == "explicit":
         for key in ("drift", "vol"):
             if key not in spec:
                 raise ValidationError(f"explicit model needs '{key}'")
-        model = BaselineModel(drift=np.asarray(spec["drift"], dtype=float),
-                              vol=np.asarray(spec["vol"], dtype=float),
-                              horizon=horizon)
+        model = BaselineModel(drift=_array(spec["drift"], "model.drift"),
+                              vol=_array(spec["vol"], "model.vol"), horizon=horizon)
     elif kind == "normalized":
         if "dim" not in spec:
             raise ValidationError("normalized model needs 'dim'")
-        model = generate_normalized_model(int(spec["dim"]), int(spec.get("seed", 0)),
+        model = generate_normalized_model(_count(spec["dim"], "model.dim"),
+                                          _count(spec.get("seed", 0), "model.seed"),
                                           horizon=horizon)
     else:
         raise ValidationError(f"model kind must be 'explicit' or 'normalized', got {kind!r}")
@@ -141,26 +167,16 @@ def _make_boundary(kind: str, ref, dim: int) -> BoundaryFunction:
 def _build_point(raw: dict, dim: int) -> EvalPoint:
     spec = raw.get("point", {})
     _expect_keys(spec, {"t", "x"}, "point")
-    t = float(spec.get("t", 0.0))
-    x = np.asarray(spec.get("x", np.zeros(dim)), dtype=float)
-    return EvalPoint(t=t, x=x)
+    return EvalPoint(t=_real(spec.get("t", 0.0), "point.t"),
+                     x=_array(spec.get("x", np.zeros(dim)), "point.x"))
 
 
 def _build_unc(raw: dict) -> UncertaintySpec:
     spec = raw.get("uncertainty", {})
     _expect_keys(spec, {"gamma", "eta", "epsilon"}, "uncertainty")
-    return UncertaintySpec(gamma=float(spec.get("gamma", 1.0)),
-                           eta=float(spec.get("eta", 1.0)),
-                           epsilon=float(spec.get("epsilon", 0.05)))
-
-
-def _count(spec: dict, key: str, default: int) -> int:
-    v = spec.get(key, default)
-    if isinstance(v, float) and v.is_integer():
-        v = int(v)
-    if isinstance(v, bool) or not isinstance(v, int):
-        raise ValidationError(f"mc.{key} must be an integer, got {v!r}")
-    return v
+    return UncertaintySpec(gamma=_real(spec.get("gamma", 1.0), "uncertainty.gamma"),
+                           eta=_real(spec.get("eta", 1.0), "uncertainty.eta"),
+                           epsilon=_real(spec.get("epsilon", 0.05), "uncertainty.epsilon"))
 
 
 def _build_mc(raw: dict, args) -> McConfig:
@@ -168,12 +184,12 @@ def _build_mc(raw: dict, args) -> McConfig:
     spec = raw.get("mc", {})
     _expect_keys(spec, {"n_steps", "m0", "m1", "h", "independent_inner",
                         "kernel", "fd_scheme", "force_fd"}, "mc")
+    h = spec.get("h")
     cfg = McConfig(
-        n_steps=_count(spec, "n_steps", 100),
-        m0=_count(spec, "m0", 3_000_000),
-        m1=_count(spec, "m1", 30_000),
-        h=spec.get("h"),
-        sampling="scaled",
+        n_steps=_count(spec.get("n_steps", 100), "mc.n_steps"),
+        m0=_count(spec.get("m0", 3_000_000), "mc.m0"),
+        m1=_count(spec.get("m1", 30_000), "mc.m1"),
+        h=None if h is None else _real(h, "mc.h"),
         force_fd=spec.get("force_fd", False),
         fd_scheme=spec.get("fd_scheme", "forward"),
         independent_inner=spec.get("independent_inner", False),
@@ -181,8 +197,6 @@ def _build_mc(raw: dict, args) -> McConfig:
     overrides = {}
     if args.h is not None:
         overrides["h"] = args.h
-    if args.sampling is not None:
-        overrides["sampling"] = args.sampling
     if args.force_fd:
         overrides["force_fd"] = True
     return replace(cfg, **overrides) if overrides else cfg
@@ -193,15 +207,18 @@ def _fd_params(raw: dict) -> dict:
     _expect_keys(spec, {"half_width", "nx", "nt", "safety", "allow_nonconvex"}, "fd")
     out = {}
     if spec.get("half_width") is not None:
-        out["half_width"] = float(spec["half_width"])
+        out["half_width"] = _real(spec["half_width"], "fd.half_width")
     if "nx" in spec:
-        out["nx"] = int(spec["nx"])
+        out["nx"] = _count(spec["nx"], "fd.nx")
     if spec.get("nt") is not None:
-        out["nt"] = int(spec["nt"])
+        out["nt"] = _count(spec["nt"], "fd.nt")
     if "safety" in spec:
-        out["safety"] = float(spec["safety"])
+        out["safety"] = _real(spec["safety"], "fd.safety")
     if "allow_nonconvex" in spec:
-        out["allow_nonconvex"] = bool(spec["allow_nonconvex"])
+        if not isinstance(spec["allow_nonconvex"], bool):
+            raise ValidationError(f"fd.allow_nonconvex must be a bool, "
+                                  f"got {spec['allow_nonconvex']!r}")
+        out["allow_nonconvex"] = spec["allow_nonconvex"]
     return out
 
 
@@ -210,7 +227,7 @@ def config_hash(raw: dict, command: str, seed: int, runs: int, mc: McConfig) -> 
     semantic = {k: v for k, v in raw.items() if k != "output"}
     semantic["_effective"] = {
         "command": command, "seed": seed, "runs": runs,
-        "h": mc.h, "sampling": mc.sampling, "force_fd": mc.force_fd,
+        "h": mc.h, "force_fd": mc.force_fd,
         "fd_scheme": mc.fd_scheme, "kernel": mc.kernel,
         "independent_inner": mc.independent_inner,
         "n_steps": mc.n_steps, "m0": mc.m0, "m1": mc.m1,
@@ -223,35 +240,9 @@ def config_hash(raw: dict, command: str, seed: int, runs: int, mc: McConfig) -> 
 # per-command runners
 # --------------------------------------------------------------------------
 
-def _stats_doc(values) -> dict:
-    arr = np.asarray(values, dtype=float)
-    std = float(np.std(arr, ddof=1)) if arr.size > 1 else float("nan")
-    return {"runs": int(arr.size), "mean": float(np.mean(arr)), "std_dev": std}
-
-
-def _repeated_reports(model, boundary, point, mc: McConfig, unc, runs: int,
-                      base_seed: int) -> list:
-    reports = []
-    for r in range(runs):
-        seed = base_seed + r
-        try:
-            reports.append(compute_report(model, boundary, point,
-                                          replace(mc, seed=seed), unc=unc))
-        except ValidationError:
-            raise
-        except Exception as exc:
-            raise NumericError(f"estimator run with seed {seed} failed: {exc}") from exc
-    return reports
-
-
-def _mean_report(reports: list, base_seed: int) -> SensitivityReport:
-    first = reports[0]
-    return replace(first,
-                   v0=float(np.mean([r.v0 for r in reports])),
-                   sens_drift=float(np.mean([r.sens_drift for r in reports])),
-                   sens_vol=float(np.mean([r.sens_vol for r in reports])),
-                   runtime_seconds=math.fsum(r.runtime_seconds for r in reports),
-                   seed=base_seed)
+def _report_stats(reports: list) -> dict:
+    return {name: EstimatorStats.of([getattr(r, name) for r in reports])
+            for name in ("v0", "sens_drift", "sens_vol")}
 
 
 def _run_value(ctx) -> dict:
@@ -265,21 +256,25 @@ def _run_value(ctx) -> dict:
     stats = repeated_runs(one, ctx["runs"], ctx["seed"])
     return {"seed": ctx["seed"], "d": ctx["model"].dim, "N": ctx["mc"].n_steps,
             "M0": ctx["mc"].m0,
-            "stats": {"runs": stats.runs, "mean": stats.mean, "std_dev": stats.std_dev},
+            "stats": asdict(stats),
             "runtime_seconds": time.perf_counter() - t0}
 
 
 def _run_sensitivity(ctx, with_regime: bool) -> dict:
     model, unc = ctx["model"], ctx["unc"]
-    reports = _repeated_reports(model, ctx["boundary"], ctx["point"], ctx["mc"],
-                                unc, ctx["runs"], ctx["seed"])
-    mean = _mean_report(reports, ctx["seed"])
+    reports = seeded_runs(
+        lambda seed: compute_report(model, ctx["boundary"], ctx["point"],
+                                    replace(ctx["mc"], seed=seed), unc=unc),
+        ctx["runs"], ctx["seed"])
+    stats = _report_stats(reports)
+    stats["approx"] = EstimatorStats.of([r.approx(unc.gamma, unc.eta, unc.epsilon)
+                                         for r in reports])
+    mean = replace(reports[0], v0=stats["v0"].mean, sens_drift=stats["sens_drift"].mean,
+                   sens_vol=stats["sens_vol"].mean,
+                   runtime_seconds=math.fsum(r.runtime_seconds for r in reports),
+                   seed=ctx["seed"])
     doc = {"report": mean.to_document(unc),
-           "stats": {"v0": _stats_doc([r.v0 for r in reports]),
-                     "sens_drift": _stats_doc([r.sens_drift for r in reports]),
-                     "sens_vol": _stats_doc([r.sens_vol for r in reports]),
-                     "approx": _stats_doc([r.approx(unc.gamma, unc.eta, unc.epsilon)
-                                           for r in reports])}}
+           "stats": {name: asdict(st) for name, st in stats.items()}}
     if with_regime:
         regime = validate_expansion_regime(model, unc)
         doc["regime"] = {"ok": regime.ok, "epsilon": regime.epsilon,
@@ -322,9 +317,9 @@ def _run_eps_sweep(ctx) -> dict:
     raw = ctx["raw"]
     spec = raw.get("sweep", {})
     _expect_keys(spec, {"epsilons", "approx_source", "anchor"}, "sweep")
-    if "epsilons" not in spec:
-        raise ValidationError("eps-sweep needs sweep.epsilons in the config")
-    epsilons = [float(e) for e in spec["epsilons"]]
+    if not isinstance(spec.get("epsilons"), list):
+        raise ValidationError("eps-sweep needs a sweep.epsilons list in the config")
+    epsilons = [_real(e, "sweep.epsilons") for e in spec["epsilons"]]
     anchor = spec.get("anchor", "fd")
     source = spec.get("approx_source",
                       "analytic" if ctx["boundary_kind"] in ("quartic", "sine")
@@ -357,36 +352,30 @@ def _run_eps_sweep(ctx) -> dict:
 def _run_dim_sweep(ctx) -> dict:
     raw = ctx["raw"]
     dims = raw.get("dims")
-    if not dims:
+    if not (isinstance(dims, list) and dims):
         raise ValidationError("dim-sweep needs a nonempty 'dims' list in the config")
-    dims = [int(d) for d in dims]
+    dims = [_count(d, "dims") for d in dims]
     if ctx["boundary_kind"] == "quartic":
         raise ValidationError("dim-sweep needs a dimension-parametric boundary "
                               "(sine or external factory)")
     model_spec = raw.get("model", {})
-    model_seed = int(model_spec.get("seed", 0))
-    horizon = float(model_spec.get("horizon", 1.0))
+    model_seed = _count(model_spec.get("seed", 0), "model.seed")
+    horizon = _real(model_spec.get("horizon", 1.0), "model.horizon")
     rows = []
     for d in dims:
         model = generate_normalized_model(d, model_seed + d, horizon=horizon)
         boundary = _make_boundary(ctx["boundary_kind"], ctx["boundary_ref"], d)
         point = EvalPoint(t=0.0, x=np.zeros(d))
-        reports = _repeated_reports(model, boundary, point, ctx["mc"], ctx["unc"],
-                                    ctx["runs"], ctx["seed"])
-        v0s = [r.v0 for r in reports]
-        sds = [r.sens_drift for r in reports]
-        svs = [r.sens_vol for r in reports]
-        rows.append({
-            "d": d,
-            "v0_mean": float(np.mean(v0s)),
-            "v0_std": float(np.std(v0s, ddof=1)) if len(v0s) > 1 else float("nan"),
-            "sens_drift_mean": float(np.mean(sds)),
-            "sens_drift_std": float(np.std(sds, ddof=1)) if len(sds) > 1 else float("nan"),
-            "sens_vol_mean": float(np.mean(svs)),
-            "sens_vol_std": float(np.std(svs, ddof=1)) if len(svs) > 1 else float("nan"),
-            "lambda_min": lambda_min(model),
-            "runtime_mean_seconds": float(np.mean([r.runtime_seconds for r in reports])),
-        })
+        reports = seeded_runs(
+            lambda seed: compute_report(model, boundary, point,
+                                        replace(ctx["mc"], seed=seed), unc=ctx["unc"]),
+            ctx["runs"], ctx["seed"])
+        row = {"d": d, "lambda_min": lambda_min(model)}
+        for name, st in _report_stats(reports).items():
+            row[f"{name}_mean"], row[f"{name}_std"] = st.mean, st.std_dev
+        row["runtime_mean_seconds"] = EstimatorStats.of([r.runtime_seconds
+                                                         for r in reports]).mean
+        rows.append(row)
     return {"seed": ctx["seed"], "runs": ctx["runs"], "rows": rows}
 
 
@@ -480,8 +469,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "when a Hessian is available")
     parser.add_argument("--h", type=float, default=None,
                         help="finite-difference bump for the Jacobian branch")
-    parser.add_argument("--sampling", choices=("scaled", "path"), default=None,
-                        help="displacement sampling mode")
     return parser
 
 
@@ -493,8 +480,8 @@ def _build_context(args) -> dict:
                 else _make_boundary(boundary_kind, boundary_ref, model.dim))
     point = _build_point(raw, model.dim)
     mc = _build_mc(raw, args)
-    seed = args.seed if args.seed is not None else int(raw.get("seed", 0))
-    runs = args.runs if args.runs is not None else int(raw.get("runs", 10))
+    seed = args.seed if args.seed is not None else _count(raw.get("seed", 0), "seed")
+    runs = args.runs if args.runs is not None else _count(raw.get("runs", 10), "runs")
     if runs < 1:
         raise ValidationError(f"runs must be >= 1, got {runs}")
     mc = replace(mc, seed=seed)

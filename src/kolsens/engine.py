@@ -324,7 +324,7 @@ class SensitivityReport:
     n_steps: int
     m0: int
     m1: int
-    h: float | None        # the FD bump; None when the Hessian branch ran
+    h: float | None        # the FD bump; None when no FD branch ran
     seed: int
 
     def sens_total(self, gamma: float, eta: float) -> float:
@@ -376,40 +376,47 @@ class EstimatorStats:
     mean: float
     std_dev: float
 
+    @classmethod
+    def of(cls, values) -> "EstimatorStats":
+        """Statistics of per-run values; std_dev uses ddof=1 and is NaN for one run."""
+        arr = np.asarray(values, dtype=float)
+        std = float(np.std(arr, ddof=1)) if arr.size > 1 else float("nan")
+        return cls(runs=int(arr.size), mean=float(np.mean(arr)), std_dev=std)
 
-def repeated_runs(job, runs: int, base_seed: int) -> EstimatorStats:
-    """Run `job(seed)` for seeds base_seed..base_seed+runs-1 and aggregate.
+
+def seeded_runs(job, runs: int, base_seed: int) -> list:
+    """Results of `job(seed)` for seeds base_seed..base_seed+runs-1, in seed order.
 
     Any single-run failure aborts with the offending seed in the message;
     a ValidationError passes through unchanged (it is a configuration fault).
-    std_dev uses ddof=1 and is NaN for a single run.
     """
     if int(runs) != runs or runs < 1:
         raise ValidationError(f"runs must be an integer >= 1, got {runs}")
-    vals = []
-    for r in range(int(runs)):
-        seed = base_seed + r
+    results = []
+    for seed in range(base_seed, base_seed + int(runs)):
         try:
-            vals.append(float(job(seed)))
+            results.append(job(seed))
         except ValidationError:
             raise
         except Exception as exc:
             raise NumericError(f"estimator run with seed {seed} failed: {exc}") from exc
-    arr = np.asarray(vals)
-    std = float(np.std(arr, ddof=1)) if len(vals) > 1 else float("nan")
-    return EstimatorStats(runs=int(runs), mean=float(np.mean(arr)), std_dev=std)
+    return results
+
+
+def repeated_runs(job, runs: int, base_seed: int) -> EstimatorStats:
+    """EstimatorStats of the float results of `seeded_runs(job, runs, base_seed)`."""
+    return EstimatorStats.of([float(v) for v in seeded_runs(job, runs, base_seed)])
 
 
 @dataclass(frozen=True)
 class McConfig:
-    """Estimator parameters: grid size, sample counts, bump, seed, mode flags."""
+    """Estimator parameters: grid size, sample counts, bump, seed, branch flags."""
 
     n_steps: int = 100
     m0: int = 3_000_000
     m1: int = 30_000
     h: float | None = None
     seed: int = 0
-    sampling: str = "scaled"
     force_fd: bool = False
     fd_scheme: str = "forward"
     independent_inner: bool = False
@@ -425,8 +432,7 @@ class McConfig:
         if self.h is not None and not (isinstance(self.h, (int, float)) and
                                        math.isfinite(self.h) and self.h > 0):
             raise ValidationError(f"FD bump h must be > 0, got {self.h!r}")
-        for name, allowed in (("sampling", ("scaled", "path")),
-                              ("fd_scheme", ("forward", "central")),
+        for name, allowed in (("fd_scheme", ("forward", "central")),
                               ("kernel", ("auto", "generic", "ridge"))):
             if getattr(self, name) not in allowed:
                 raise ValidationError(f"{name} must be one of {allowed}, "
@@ -434,8 +440,6 @@ class McConfig:
         for name in ("force_fd", "independent_inner"):
             if not isinstance(getattr(self, name), bool):
                 raise ValidationError(f"{name} must be a bool, got {getattr(self, name)!r}")
-        if self.independent_inner and self.sampling != "scaled":
-            raise ValidationError("independent inner pool is scaled-mode only")
 
 
 def compute_report(model: BaselineModel, boundary: BoundaryFunction, point: EvalPoint,
@@ -444,11 +448,12 @@ def compute_report(model: BaselineModel, boundary: BoundaryFunction, point: Eval
     """Draw samples and run both estimators once, timed, as a SensitivityReport.
 
     When `unc` is given with gamma = eta = 0 the sensitivity stage is skipped
-    entirely (the sensitivity is identically zero at radius zero weights).
+    entirely (the sensitivity is identically zero at zero weights) and the
+    report's `h` is None, as it is whenever no FD branch ran.
     """
     t0 = time.perf_counter()
     grid = build_time_grid(point.t, model.horizon, cfg.n_steps)
-    samples = draw_samples(model, grid, cfg.m0, cfg.m1, cfg.seed, mode=cfg.sampling,
+    samples = draw_samples(model, grid, cfg.m0, cfg.m1, cfg.seed,
                            independent_inner=cfg.independent_inner)
     v0 = v0_mc(model, boundary, point, samples)
     parts = ("drift", "vol")
@@ -458,10 +463,11 @@ def compute_report(model: BaselineModel, boundary: BoundaryFunction, point: Eval
         model, boundary, point, samples, h=cfg.h, force_fd=cfg.force_fd,
         fd_scheme=cfg.fd_scheme, kernel=cfg.kernel, workers=workers, parts=parts)
     runtime = time.perf_counter() - t0
+    fd_ran = "vol" in parts and not used_hessian
     return SensitivityReport(
         v0=v0, sens_drift=sens_drift, sens_vol=sens_vol,
         used_hessian_path=used_hessian, runtime_seconds=runtime,
         predicted_ops=predicted_complexity(model.dim, cfg.n_steps, cfg.m0, cfg.m1),
         d=model.dim, n_steps=cfg.n_steps, m0=cfg.m0, m1=cfg.m1,
-        h=None if used_hessian else cfg.h if cfg.h is not None else default_bump(point),
+        h=(default_bump(point) if cfg.h is None else cfg.h) if fd_ran else None,
         seed=cfg.seed)

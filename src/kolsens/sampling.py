@@ -2,20 +2,19 @@
 
 Sampling is built on numpy's counter-based Philox generator. The master seed
 is the Philox key; 2^14-sample blocks are indexed through counter word 1 and
-a stream tag (outer pool / independent inner pool / path increments) through
-counter word 2. Blocks are always generated in full and sliced, which gives
-two properties the estimators rely on:
+a stream tag (outer pool / independent inner pool) through counter word 2.
+Blocks are always generated in full and sliced, which gives two properties
+the estimators rely on:
 
 * prefix reuse — the first M1 samples of an M0-sample grid are bit-identical
   to an M1-sample grid drawn with the same seed, for any M1 <= M0;
 * scheduling independence — a sample's values depend only on (seed, index,
   tag), never on how many samples are drawn or in what order.
 
-In the default "scaled" mode each sample j owns a single standard normal
-vector W(j) and the displacement at elapsed time tau is b*tau + sqrt(tau) *
-sigma W(j) (all time points comonotone, as in the estimator's derivation).
-The "path" mode draws independent increments per step instead and is meant
-for variance comparisons at moderate sample counts.
+Each sample j owns a single standard normal vector W(j), and its
+displacement at elapsed time tau is b*tau + sqrt(tau) * sigma W(j): all time
+points are comonotone, as in the estimator's derivation, and a grid holds
+m0*d doubles whatever the number of time steps.
 """
 
 import struct
@@ -31,7 +30,6 @@ Array = np.ndarray
 BLOCK = 1 << 14          # samples per Philox block; fixed, part of the stream contract
 _TAG_OUTER = 0
 _TAG_INNER = 1
-_TAG_PATH = 2
 
 _MAGIC = b"KSGN"
 _HEADER = struct.Struct("<4sIQQQ")   # magic, version, d, m0, seed
@@ -74,13 +72,13 @@ def _block(seed: int, index: int, tag: int, shape: tuple) -> Array:
     return gen.standard_normal(shape)
 
 
-def _draw(seed: int, m: int, tag: int, inner_shape: tuple) -> Array:
-    """Draw m samples of the given per-sample shape, block by block."""
-    out = np.empty((m, *inner_shape))
+def _draw(seed: int, m: int, tag: int, d: int) -> Array:
+    """Draw m standard normal d-vectors, block by block."""
+    out = np.empty((m, d))
     for b in range(-(-m // BLOCK)):
         lo = b * BLOCK
         take = min(BLOCK, m - lo)
-        out[lo:lo + take] = _block(seed, b, tag, (BLOCK, *inner_shape))[:take]
+        out[lo:lo + take] = _block(seed, b, tag, (BLOCK, d))[:take]
     return out
 
 
@@ -88,10 +86,9 @@ def _draw(seed: int, m: int, tag: int, inner_shape: tuple) -> Array:
 class SampleGrid:
     """Normal draws plus the model/grid needed to turn them into displacements.
 
-    In scaled mode `normals` has shape (m0, d): one standard normal vector per
-    sample. In path mode it has shape (m0, n_steps, d): per-step increments.
-    `inner_normals` holds the optional independent inner pool (shape (m1, d),
-    scaled layout); when absent the inner estimator reuses the outer pool.
+    `normals` has shape (m0, d): one standard normal vector per sample.
+    `inner_normals` holds the optional independent inner pool (shape (m1, d));
+    when absent the inner estimator reuses the outer pool.
     """
 
     model: BaselineModel
@@ -99,7 +96,6 @@ class SampleGrid:
     m0: int
     m1: int
     seed: int
-    mode: str
     normals: Array
     inner_normals: Array | None = None
     _mixed: Array | None = field(default=None, repr=False)
@@ -112,60 +108,46 @@ class SampleGrid:
     def _mix(self, w: Array) -> Array:
         # sigma W(j) for each row; einsum with optimize=False stays off BLAS,
         # whose threaded reductions are not bit-stable across worker counts.
-        if w.ndim == 2:
-            return np.einsum("jk,lk->jl", w, self.model.vol, optimize=False)
-        return np.einsum("jik,lk->jil", w, self.model.vol, optimize=False)
+        return np.einsum("jk,lk->jl", w, self.model.vol, optimize=False)
 
     def ensure_mixed(self) -> None:
         """Materialize the sigma-mixed normals (idempotent; call before threading)."""
         if self._mixed is not None:
             return
-        if self.mode == "scaled":
-            self._mixed = self._mix(self.normals)
-        else:
-            # cumulative Brownian path at the grid nodes, then sigma-mixed
-            dt = self.grid.dt
-            bm = np.concatenate(
-                [np.zeros((self.m0, 1, self.dim)),
-                 np.cumsum(np.sqrt(dt) * self.normals, axis=1)], axis=1)
-            self._mixed = self._mix(bm)
+        self._mixed = self._mix(self.normals)
         if self.inner_normals is not None:
             self._inner_mixed = self._mix(self.inner_normals)
 
     def displacement(self, i: int, *, start: int = 0, stop: int | None = None,
                      pool: str = "outer") -> Array:
-        """Displacement samples b*t_i + sigma*(Brownian part) at grid node i.
+        """Displacement samples b*tau_i + sqrt(tau_i) sigma W at grid node i.
 
         Rows [start, stop) of the requested pool. The inner pool falls back to
         the outer one unless an independent pool was drawn.
         """
         if not 0 <= i <= self.grid.n_steps:
             raise ValidationError(f"node index {i} outside 0..{self.grid.n_steps}")
-        self.ensure_mixed()
-        tau = self.grid.elapsed[i]
-        if pool == "inner" and self._inner_mixed is not None:
-            if self.mode != "scaled":
-                raise ValidationError("independent inner pool is scaled-mode only")
-            mixed = self._inner_mixed[start:stop]
-            return tau * self.model.drift + np.sqrt(tau) * mixed
         if pool not in ("outer", "inner"):
             raise ValidationError(f"unknown pool {pool!r}")
-        if self.mode == "scaled":
-            return tau * self.model.drift + np.sqrt(tau) * self._mixed[start:stop]
-        return tau * self.model.drift + self._mixed[start:stop, i, :]
+        self.ensure_mixed()
+        tau = self.grid.elapsed[i]
+        mixed = self._mixed
+        if pool == "inner" and self._inner_mixed is not None:
+            mixed = self._inner_mixed
+        return tau * self.model.drift + np.sqrt(tau) * mixed[start:stop]
 
 
 def draw_samples(model: BaselineModel, grid: TimeGrid, m0: int, m1: int, seed: int,
-                 mode: str = "scaled", independent_inner: bool = False,
-                 path_budget_bytes: int = 4 << 30) -> SampleGrid:
+                 independent_inner: bool = False) -> SampleGrid:
     """Draw a reproducible sample grid for the nested estimators.
+
+    One standard normal d-vector per outer sample; the grid only fixes the
+    elapsed times at which `SampleGrid.displacement` scales it.
 
     Parameters
     ----------
     m0, m1 : outer/inner sample counts, m0 >= m1 >= 1.
     seed : nonnegative master seed (the Philox key).
-    mode : "scaled" (default, one normal vector per sample) or "path"
-        (independent increments; materializes (m0, n_steps, d) doubles).
     independent_inner : draw the inner pool from its own stream instead of
         reusing the first m1 outer samples.
     """
@@ -173,46 +155,31 @@ def draw_samples(model: BaselineModel, grid: TimeGrid, m0: int, m1: int, seed: i
         raise ValidationError(f"need integer m0 >= m1 >= 1, got m0={m0}, m1={m1}")
     if int(seed) != seed or seed < 0:
         raise ValidationError(f"seed must be a nonnegative integer, got {seed}")
-    if mode not in ("scaled", "path"):
-        raise ValidationError(f"mode must be 'scaled' or 'path', got {mode!r}")
     m0, m1, seed = int(m0), int(m1), int(seed)
-    d = model.dim
-    if mode == "path":
-        if independent_inner:
-            raise ValidationError("independent inner pool is scaled-mode only")
-        need = m0 * grid.n_steps * d * 8
-        if need > path_budget_bytes:
-            raise ValidationError(
-                f"path mode would materialize {need:.2e} bytes of increments "
-                f"(budget {path_budget_bytes:.2e}); lower m0 or use scaled mode")
-        normals = _draw(seed, m0, _TAG_PATH, (grid.n_steps, d))
-    else:
-        normals = _draw(seed, m0, _TAG_OUTER, (d,))
-    inner = _draw(seed, m1, _TAG_INNER, (d,)) if independent_inner else None
-    return SampleGrid(model=model, grid=grid, m0=m0, m1=m1, seed=seed, mode=mode,
+    normals = _draw(seed, m0, _TAG_OUTER, model.dim)
+    inner = _draw(seed, m1, _TAG_INNER, model.dim) if independent_inner else None
+    return SampleGrid(model=model, grid=grid, m0=m0, m1=m1, seed=seed,
                       normals=normals, inner_normals=inner)
 
 
 def samples_from_normals(model: BaselineModel, grid: TimeGrid, normals: Array,
                          m1: int, seed: int) -> SampleGrid:
-    """Rebuild a scaled-mode SampleGrid around an externally supplied normal block."""
+    """Rebuild a SampleGrid around an externally supplied normal block."""
     normals = np.asarray(normals, dtype=np.float64)
     if normals.ndim != 2 or normals.shape[1] != model.dim:
         raise ValidationError(f"normals must have shape (m0, {model.dim})")
     if not 1 <= m1 <= normals.shape[0]:
         raise ValidationError("need 1 <= m1 <= m0")
     return SampleGrid(model=model, grid=grid, m0=normals.shape[0], m1=int(m1),
-                      seed=int(seed), mode="scaled", normals=normals)
+                      seed=int(seed), normals=normals)
 
 
 def dump_normals(samples: SampleGrid, path) -> None:
-    """Write the scaled-mode normal block for reproducibility audits.
+    """Write the normal block for reproducibility audits.
 
     Layout: header (magic 'KSGN', u32 version, u64 d, u64 m0, u64 seed),
     then m0*d little-endian float64 in row-major order.
     """
-    if samples.mode != "scaled":
-        raise ValidationError("dump_normals supports scaled-mode grids only")
     with open(path, "wb") as fh:
         fh.write(_HEADER.pack(_MAGIC, _DUMP_VERSION, samples.dim, samples.m0, samples.seed))
         fh.write(np.ascontiguousarray(samples.normals, dtype="<f8").tobytes())

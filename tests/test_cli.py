@@ -1,11 +1,14 @@
 import json
 import textwrap
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
 
 import kolsens
-from kolsens import predicted_complexity
+from kolsens import (BaselineModel, EstimatorStats, EvalPoint, McConfig, UncertaintySpec,
+                     compute_report, generate_normalized_model, predicted_complexity,
+                     quartic_boundary, sine_boundary)
 from kolsens.cli import DIM_SWEEP_HEADER, EPS_SWEEP_HEADER, main
 
 REPORT_KEYS = {"v0", "sens_drift", "sens_vol", "gamma", "eta", "epsilon", "approx",
@@ -205,6 +208,40 @@ def test_dim_sweep_json_format(tmp_path):
         assert set(row) == set(DIM_SWEEP_HEADER.split(","))
 
 
+def test_statistics_are_those_of_the_per_seed_reports(tmp_path):
+    cfg = _write_config(tmp_path, _quartic_config(seed=7))
+    code, doc = _run_json(tmp_path, cfg, "sensitivity", "--runs", "3")
+    assert code == 0
+    model = BaselineModel(drift=np.array([1.0]), vol=np.array([[1.0]]), horizon=1.0)
+    unc = UncertaintySpec(gamma=1.0, eta=1.0, epsilon=0.05)
+    reports = [compute_report(model, quartic_boundary(), EvalPoint(t=0.0, x=np.zeros(1)),
+                              McConfig(n_steps=3, m0=400, m1=100, seed=s), unc=unc)
+               for s in (7, 8, 9)]
+    stats = {name: EstimatorStats.of([getattr(r, name) for r in reports])
+             for name in ("v0", "sens_drift", "sens_vol")}
+    stats["approx"] = EstimatorStats.of([r.approx(1.0, 1.0, 0.05) for r in reports])
+    assert doc["stats"] == {name: asdict(st) for name, st in stats.items()}
+    mean = replace(reports[0], v0=stats["v0"].mean, sens_drift=stats["sens_drift"].mean,
+                   sens_vol=stats["sens_vol"].mean)
+    for key in ("v0", "sens_drift", "sens_vol"):
+        assert doc["report"][key] == getattr(mean, key)
+    assert doc["report"]["approx"] == mean.approx(1.0, 1.0, 0.05)
+    assert doc["report"]["seed"] == 7
+
+    code, sweep = _run_json(tmp_path, _dim_sweep_config(tmp_path), "dim-sweep",
+                            "--runs", "2", name="dims_out.json")
+    assert code == 0
+    for row in sweep["rows"]:
+        d = row["d"]
+        reports = [compute_report(generate_normalized_model(d, 100 + d), sine_boundary(d),
+                                  EvalPoint(t=0.0, x=np.zeros(d)),
+                                  McConfig(n_steps=4, m0=400, m1=100, seed=s), unc=unc)
+                   for s in (3, 4)]
+        for name in ("v0", "sens_drift", "sens_vol"):
+            st = EstimatorStats.of([getattr(r, name) for r in reports])
+            assert (row[f"{name}_mean"], row[f"{name}_std"]) == (st.mean, st.std_dev)
+
+
 # --------------------------------------------------------------------------
 # hashing and overrides
 # --------------------------------------------------------------------------
@@ -298,16 +335,27 @@ def test_rejected_external_boundary(tmp_path, monkeypatch, capsys):
     assert "consistency probes" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("mc", [{"kernel": "bogus"}, {"fd_scheme": "bogus"},
-                                {"n_steps": 0}, {"n_steps": 2.5}, {"m1": "many"},
-                                {"h": "small"}, {"force_fd": "false"}])
+@pytest.mark.parametrize("mc", [
+    {"mc": {"kernel": "bogus"}}, {"mc": {"fd_scheme": "bogus"}}, {"mc": {"n_steps": 0}},
+    {"mc": {"n_steps": 2.5}}, {"mc": {"m1": "many"}}, {"mc": {"h": "small"}},
+    {"mc": {"force_fd": "false"}}, {"seed": "abc"}, {"runs": 2.5},
+    {"uncertainty": {"gamma": "x"}}, {"model": {"kind": "normalized", "dim": "two"}},
+    {"fd": {"nx": "many"}}, {"fd": {"allow_nonconvex": "false"}},
+    {"point": {"x": ["zero"]}}])
 def test_invalid_mc_section_exits_2(tmp_path, capsys, mc):
+    # mc: one malformed value, patched into a section or the root of the config
     doc = _quartic_config()
-    doc["mc"].update(mc)
+    (section, value), = mc.items()
+    key = section
+    if isinstance(value, dict):
+        doc[section] = {**doc.get(section, {}), **value}
+        key = list(value)[-1]
+    else:
+        doc[section] = value
     cfg = _write_config(tmp_path, doc)
     assert main(["--config", cfg, "--command", "sensitivity"]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error:") and next(iter(mc)) in err
+    assert err.startswith("error:") and key in err
 
 
 @pytest.mark.parametrize("command", ["value", "sensitivity"])

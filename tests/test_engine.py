@@ -456,9 +456,8 @@ def test_mcconfig_validates_sample_counts():
 
 @pytest.mark.parametrize("field", [
     {"n_steps": 0}, {"m0": 0, "m1": 0}, {"m1": 0}, {"n_steps": 2.5}, {"seed": -1},
-    {"h": 0.0}, {"h": float("nan")}, {"h": "0.01"}, {"sampling": "bogus"}, {"fd_scheme": "bogus"},
+    {"h": 0.0}, {"h": float("nan")}, {"h": "0.01"}, {"fd_scheme": "bogus"},
     {"kernel": "bogus"}, {"force_fd": "yes"}, {"independent_inner": 1},
-    {"independent_inner": True, "sampling": "path"},
 ])
 def test_mcconfig_validates_every_field(field):
     with pytest.raises(ValidationError):
@@ -480,6 +479,9 @@ def test_report_bump_is_null_on_the_hessian_branch(quartic_setup):
     fd = compute_report(model, bnd, pt, replace(cfg, force_fd=True))
     assert fd.h == 1e-3 and not fd.used_hessian_path
     assert compute_report(model, bnd, pt, replace(cfg, force_fd=True, h=0.01)).h == 0.01
+    # zero weights skip the sensitivity stage, so no bump was used either
+    zero = UncertaintySpec(gamma=0.0, eta=0.0, epsilon=0.1)
+    assert compute_report(model, bnd, pt, replace(cfg, force_fd=True), unc=zero).h is None
 
 
 def test_compute_report_respects_eval_time():

@@ -37,10 +37,6 @@ def test_draw_samples_validation(model2):
         draw_samples(model2, g, 10, 0, 0)         # m1 < 1
     with pytest.raises(ValidationError):
         draw_samples(model2, g, 10, 5, -1)        # negative seed
-    with pytest.raises(ValidationError):
-        draw_samples(model2, g, 10, 5, 0, mode="antithetic")
-    with pytest.raises(ValidationError):
-        draw_samples(model2, g, 10, 5, 0, mode="path", independent_inner=True)
 
 
 def test_same_seed_reproduces_bitwise(model2):
@@ -98,28 +94,6 @@ def test_displacement_moments(model2):
         assert np.allclose(disp.mean(axis=0), tau * model2.drift, atol=4e-3)
         cov = np.cov(disp.T)
         assert np.allclose(cov, tau * model2.vol @ model2.vol.T, atol=6e-3)
-
-
-def test_path_mode_has_independent_increments(model2):
-    g = build_time_grid(0.0, 1.0, 10)
-    s = draw_samples(model2, g, 200_000, 1, seed=4, mode="path")
-    inc1 = s.displacement(3) - s.displacement(2)
-    inc2 = s.displacement(7) - s.displacement(6)
-    # independent increments: cross-covariance vanishes, each has dt-scaled law
-    cross = (inc1[:, 0] - inc1[:, 0].mean()) @ (inc2[:, 0] - inc2[:, 0].mean()) / len(inc1)
-    assert abs(cross) < 5e-4
-    assert np.allclose(inc1.mean(axis=0), g.dt * model2.drift, atol=2e-3)
-    assert np.allclose(np.cov(inc1.T), g.dt * model2.vol @ model2.vol.T, atol=2e-3)
-    assert np.array_equal(s.displacement(0), np.zeros((200_000, 2)))
-
-
-def test_path_and_scaled_terminal_laws_agree(model2):
-    g = build_time_grid(0.0, 1.0, 5)
-    sc = draw_samples(model2, g, 300_000, 1, seed=6)
-    pa = draw_samples(model2, g, 300_000, 1, seed=6, mode="path")
-    a, b = sc.displacement(5), pa.displacement(5)
-    assert np.allclose(a.mean(axis=0), b.mean(axis=0), atol=5e-3)
-    assert np.allclose(np.cov(a.T), np.cov(b.T), atol=8e-3)
 
 
 def test_independent_inner_pool_differs_and_is_seeded(model2):
