@@ -25,8 +25,7 @@ from .model import (BaselineModel, BoundaryCheck, BoundaryFunction, EvalPoint, R
                     RidgeProfile, UncertaintySpec, check_boundary, generate_normalized_model,
                     lambda_min, quartic_boundary, ridge_boundary, sine_boundary,
                     validate_expansion_regime)
-from .sampling import (SampleGrid, TimeGrid, build_time_grid, draw_samples, dump_normals,
-                       load_normals, samples_from_normals)
+from .sampling import SampleGrid, TimeGrid, build_time_grid, draw_samples
 
 __version__ = "0.1.0"
 
@@ -36,11 +35,10 @@ __all__ = [
     "McConfig", "NumericError", "QuadratureConfig", "RegimeReport", "RidgeProfile",
     "SampleGrid", "SensitivityReport", "StabilityError", "TimeGrid", "UncertaintySpec",
     "ValidationError", "build_time_grid", "check_boundary", "compute_report",
-    "default_bump", "draw_samples", "dump_normals", "epsilon_sweep",
-    "fd_problem_from_model", "first_order_approx", "fit_loglog_slope",
-    "gauss_abs_expectation", "generate_normalized_model", "lambda_min", "load_normals",
-    "predicted_complexity", "quartic_boundary", "quartic_sensitivity_quadrature",
-    "quartic_v0", "repeated_runs", "ridge_boundary", "samples_from_normals",
+    "default_bump", "draw_samples", "epsilon_sweep", "fd_problem_from_model",
+    "first_order_approx", "fit_loglog_slope", "gauss_abs_expectation",
+    "generate_normalized_model", "lambda_min", "predicted_complexity", "quartic_boundary",
+    "quartic_sensitivity_quadrature", "quartic_v0", "repeated_runs", "ridge_boundary",
     "seeded_runs", "sensitivity_mc", "sine_boundary", "sine_sensitivity_quadrature",
     "sine_v0", "solve", "v0_mc", "validate_expansion_regime",
 ]

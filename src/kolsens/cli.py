@@ -182,8 +182,8 @@ def _build_unc(raw: dict) -> UncertaintySpec:
 def _build_mc(raw: dict, args) -> McConfig:
     """The estimator config; McConfig itself checks every value's type and range."""
     spec = raw.get("mc", {})
-    _expect_keys(spec, {"n_steps", "m0", "m1", "h", "independent_inner",
-                        "kernel", "fd_scheme", "force_fd"}, "mc")
+    _expect_keys(spec, {"n_steps", "m0", "m1", "h", "kernel", "fd_scheme", "force_fd"},
+                 "mc")
     h = spec.get("h")
     cfg = McConfig(
         n_steps=_count(spec.get("n_steps", 100), "mc.n_steps"),
@@ -192,7 +192,6 @@ def _build_mc(raw: dict, args) -> McConfig:
         h=None if h is None else _real(h, "mc.h"),
         force_fd=spec.get("force_fd", False),
         fd_scheme=spec.get("fd_scheme", "forward"),
-        independent_inner=spec.get("independent_inner", False),
         kernel=spec.get("kernel", "auto"))
     overrides = {}
     if args.h is not None:
@@ -229,7 +228,6 @@ def config_hash(raw: dict, command: str, seed: int, runs: int, mc: McConfig) -> 
         "command": command, "seed": seed, "runs": runs,
         "h": mc.h, "force_fd": mc.force_fd,
         "fd_scheme": mc.fd_scheme, "kernel": mc.kernel,
-        "independent_inner": mc.independent_inner,
         "n_steps": mc.n_steps, "m0": mc.m0, "m1": mc.m1,
     }
     blob = json.dumps(semantic, sort_keys=True, separators=(",", ":"))
@@ -358,6 +356,9 @@ def _run_dim_sweep(ctx) -> dict:
     if ctx["boundary_kind"] == "quartic":
         raise ValidationError("dim-sweep needs a dimension-parametric boundary "
                               "(sine or external factory)")
+    if ctx["model_kind"] != "normalized":
+        raise ValidationError("dim-sweep generates a normalized model per entry of 'dims'; "
+                              f"model.kind must be 'normalized', got {ctx['model_kind']!r}")
     model_spec = raw.get("model", {})
     model_seed = _count(model_spec.get("seed", 0), "model.seed")
     horizon = _real(model_spec.get("horizon", 1.0), "model.horizon")

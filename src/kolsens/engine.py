@@ -281,7 +281,7 @@ def sensitivity_mc(model: BaselineModel, boundary: BoundaryFunction, point: Eval
 
     def per_node(i: int):
         out_disp = samples.displacement(i, stop=m1)
-        in_disp = samples.displacement(n - i, stop=m1, pool="inner")
+        in_disp = samples.displacement(n - i, stop=m1)
         return node_terms(first_arg, x, out_disp, in_disp, vol_mat, need_drift,
                           need_vol, use_hessian, h, fd_scheme)
 
@@ -419,7 +419,6 @@ class McConfig:
     seed: int = 0
     force_fd: bool = False
     fd_scheme: str = "forward"
-    independent_inner: bool = False
     kernel: str = "auto"
 
     def __post_init__(self):
@@ -437,9 +436,8 @@ class McConfig:
             if getattr(self, name) not in allowed:
                 raise ValidationError(f"{name} must be one of {allowed}, "
                                       f"got {getattr(self, name)!r}")
-        for name in ("force_fd", "independent_inner"):
-            if not isinstance(getattr(self, name), bool):
-                raise ValidationError(f"{name} must be a bool, got {getattr(self, name)!r}")
+        if not isinstance(self.force_fd, bool):
+            raise ValidationError(f"force_fd must be a bool, got {self.force_fd!r}")
 
 
 def compute_report(model: BaselineModel, boundary: BoundaryFunction, point: EvalPoint,
@@ -453,8 +451,7 @@ def compute_report(model: BaselineModel, boundary: BoundaryFunction, point: Eval
     """
     t0 = time.perf_counter()
     grid = build_time_grid(point.t, model.horizon, cfg.n_steps)
-    samples = draw_samples(model, grid, cfg.m0, cfg.m1, cfg.seed,
-                           independent_inner=cfg.independent_inner)
+    samples = draw_samples(model, grid, cfg.m0, cfg.m1, cfg.seed)
     v0 = v0_mc(model, boundary, point, samples)
     parts = ("drift", "vol")
     if unc is not None and unc.gamma == 0.0 and unc.eta == 0.0:

@@ -341,19 +341,23 @@ def test_rejected_external_boundary(tmp_path, monkeypatch, capsys):
     {"mc": {"force_fd": "false"}}, {"seed": "abc"}, {"runs": 2.5},
     {"uncertainty": {"gamma": "x"}}, {"model": {"kind": "normalized", "dim": "two"}},
     {"fd": {"nx": "many"}}, {"fd": {"allow_nonconvex": "false"}},
-    {"point": {"x": ["zero"]}}])
+    {"point": {"x": ["zero"]}},
+    ({"boundary": "sine", "dims": [1, 2], "model": {"kind": "explicit"}}, "dim-sweep")])
 def test_invalid_mc_section_exits_2(tmp_path, capsys, mc):
-    # mc: one malformed value, patched into a section or the root of the config
+    # mc: a malformed value patched into sections or the root of the config,
+    # optionally paired with the command to run (default: sensitivity); the
+    # error must name the last patched key
+    patch, command = mc if isinstance(mc, tuple) else (mc, "sensitivity")
     doc = _quartic_config()
-    (section, value), = mc.items()
-    key = section
-    if isinstance(value, dict):
-        doc[section] = {**doc.get(section, {}), **value}
-        key = list(value)[-1]
-    else:
-        doc[section] = value
+    for section, value in patch.items():
+        key = section
+        if isinstance(value, dict):
+            doc[section] = {**doc.get(section, {}), **value}
+            key = list(value)[-1]
+        else:
+            doc[section] = value
     cfg = _write_config(tmp_path, doc)
-    assert main(["--config", cfg, "--command", "sensitivity"]) == 2
+    assert main(["--config", cfg, "--command", command]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and key in err
 

@@ -19,9 +19,9 @@ def quartic_setup():
     return model, quartic_boundary(), EvalPoint(t=0.0, x=np.zeros(1))
 
 
-def _samples(model, n_steps, m0, m1, seed, t0=0.0, **kw):
+def _samples(model, n_steps, m0, m1, seed, t0=0.0):
     grid = build_time_grid(t0, model.horizon, n_steps)
-    return draw_samples(model, grid, m0, m1, seed, **kw)
+    return draw_samples(model, grid, m0, m1, seed)
 
 
 # --------------------------------------------------------------------------
@@ -355,17 +355,6 @@ def test_worker_count_is_bit_invariant(quartic_setup, monkeypatch):
         sensitivity_mc(model, bnd, pt, s, workers=0)
 
 
-def test_independent_inner_pool_changes_estimate(quartic_setup):
-    model, bnd, pt = quartic_setup
-    pooled = sensitivity_mc(model, bnd, pt, _samples(model, 4, 300, 150, seed=8))
-    split_a = sensitivity_mc(model, bnd, pt,
-                             _samples(model, 4, 300, 150, seed=8, independent_inner=True))
-    split_b = sensitivity_mc(model, bnd, pt,
-                             _samples(model, 4, 300, 150, seed=8, independent_inner=True))
-    assert split_a == split_b
-    assert split_a != pooled
-
-
 def test_sine_sensitivities_near_quadrature_small_scale():
     from kolsens import sine_sensitivity_quadrature
     model = BaselineModel(drift=np.array([1.0]), vol=np.array([[1.0]]), horizon=1.0)
@@ -457,7 +446,7 @@ def test_mcconfig_validates_sample_counts():
 @pytest.mark.parametrize("field", [
     {"n_steps": 0}, {"m0": 0, "m1": 0}, {"m1": 0}, {"n_steps": 2.5}, {"seed": -1},
     {"h": 0.0}, {"h": float("nan")}, {"h": "0.01"}, {"fd_scheme": "bogus"},
-    {"kernel": "bogus"}, {"force_fd": "yes"}, {"independent_inner": 1},
+    {"kernel": "bogus"}, {"force_fd": "yes"},
 ])
 def test_mcconfig_validates_every_field(field):
     with pytest.raises(ValidationError):

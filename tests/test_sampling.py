@@ -1,8 +1,23 @@
+import threading
+
 import numpy as np
 import pytest
 
-from kolsens import (BaselineModel, ValidationError, build_time_grid, draw_samples,
-                     dump_normals, load_normals, samples_from_normals)
+from kolsens import BaselineModel, ValidationError, build_time_grid, draw_samples
+from kolsens.sampling import BLOCK
+
+
+def _philox_normals(seed, m, d):
+    """The documented stream: block b of BLOCK rows is Philox(key=seed, counter word 1 = b)."""
+    blocks = [np.random.Generator(np.random.Philox(key=seed, counter=[0, b, 0, 0]))
+              .standard_normal((BLOCK, d)) for b in range(-(-m // BLOCK))]
+    return np.concatenate(blocks)[:m]
+
+
+def _centered_model(d, seed):
+    # zero drift and horizon 1: displacement at the last node is sigma W exactly
+    vol = np.eye(d) + 0.3 * np.random.default_rng(seed).standard_normal((d, d))
+    return BaselineModel(drift=np.zeros(d), vol=vol, horizon=1.0)
 
 
 @pytest.fixture
@@ -43,10 +58,10 @@ def test_same_seed_reproduces_bitwise(model2):
     g = build_time_grid(0.0, 1.0, 5)
     a = draw_samples(model2, g, 2048, 256, seed=9)
     b = draw_samples(model2, g, 2048, 256, seed=9)
-    assert np.array_equal(a.normals, b.normals)
-    assert np.array_equal(a.displacement(3), b.displacement(3))
+    for i in (1, 3, 5):
+        assert np.array_equal(a.displacement(i), b.displacement(i))
     c = draw_samples(model2, g, 2048, 256, seed=10)
-    assert not np.array_equal(a.normals, c.normals)
+    assert not np.array_equal(a.displacement(5), c.displacement(5))
 
 
 def test_prefix_property_across_sample_counts(model2):
@@ -54,8 +69,8 @@ def test_prefix_property_across_sample_counts(model2):
     g = build_time_grid(0.0, 1.0, 4)
     small = draw_samples(model2, g, 1000, 100, seed=3)
     large = draw_samples(model2, g, 50_000, 100, seed=3)
-    assert np.array_equal(small.normals, large.normals[:1000])
-    assert np.array_equal(small.displacement(2), large.displacement(2, stop=1000))
+    for i in (1, 2, 4):
+        assert np.array_equal(small.displacement(i), large.displacement(i, stop=1000))
 
 
 def test_displacement_slices_match_full(model2):
@@ -68,9 +83,10 @@ def test_displacement_slices_match_full(model2):
 def test_scaled_displacement_closed_form(model2):
     g = build_time_grid(0.0, 1.0, 4)
     s = draw_samples(model2, g, 4000, 400, seed=1)
+    mixed = _philox_normals(1, 4000, 2) @ model2.vol.T
     for i in (0, 1, 4):
         tau = g.elapsed[i]
-        expect = tau * model2.drift + np.sqrt(tau) * (s.normals @ model2.vol.T)
+        expect = tau * model2.drift + np.sqrt(tau) * mixed
         assert np.allclose(s.displacement(i), expect, atol=1e-12)
     assert np.array_equal(s.displacement(0), np.zeros((4000, 2)))
 
@@ -96,20 +112,6 @@ def test_displacement_moments(model2):
         assert np.allclose(cov, tau * model2.vol @ model2.vol.T, atol=6e-3)
 
 
-def test_independent_inner_pool_differs_and_is_seeded(model2):
-    g = build_time_grid(0.0, 1.0, 3)
-    s = draw_samples(model2, g, 1000, 200, seed=11, independent_inner=True)
-    outer = s.displacement(2, stop=200)
-    inner = s.displacement(2, stop=200, pool="inner")
-    assert not np.array_equal(outer, inner)
-    s2 = draw_samples(model2, g, 1000, 200, seed=11, independent_inner=True)
-    assert np.array_equal(inner, s2.displacement(2, stop=200, pool="inner"))
-    # without the flag the inner pool is the outer prefix
-    s3 = draw_samples(model2, g, 1000, 200, seed=11)
-    assert np.array_equal(s3.displacement(2, stop=200, pool="inner"),
-                          s3.displacement(2, stop=200))
-
-
 def test_node_index_bounds(model2):
     g = build_time_grid(0.0, 1.0, 3)
     s = draw_samples(model2, g, 100, 10, seed=0)
@@ -119,33 +121,57 @@ def test_node_index_bounds(model2):
         s.displacement(-1)
 
 
-def test_dump_load_roundtrip(tmp_path, model2):
-    g = build_time_grid(0.0, 1.0, 4)
-    s = draw_samples(model2, g, 3000, 300, seed=13)
-    path = tmp_path / "normals.bin"
-    dump_normals(s, path)
-    arr, header = load_normals(path)
-    assert header == {"version": 1, "d": 2, "m0": 3000, "seed": 13}
-    assert np.array_equal(arr, s.normals)
-    rebuilt = samples_from_normals(model2, g, arr, 300, seed=13)
-    assert np.array_equal(rebuilt.displacement(3), s.displacement(3))
-
-
-def test_load_normals_rejects_corrupt_files(tmp_path):
-    bad = tmp_path / "bad.bin"
-    bad.write_bytes(b"NOPE" + b"\x00" * 64)
-    with pytest.raises(ValidationError):
-        load_normals(bad)
-    short = tmp_path / "short.bin"
-    short.write_bytes(b"KS")
-    with pytest.raises(ValidationError):
-        load_normals(short)
-
-
 def test_scheduling_independence_of_block_layout(model2):
     # drawing a pool dwarfing one internal block and a pool inside one block
     # must agree on the shared prefix, whatever the block boundaries are
     g = build_time_grid(0.0, 1.0, 2)
     tiny = draw_samples(model2, g, 17, 3, seed=21)
-    big = draw_samples(model2, g, (1 << 14) * 2 + 5, 3, seed=21)
-    assert np.array_equal(tiny.normals, big.normals[:17])
+    big = draw_samples(model2, g, BLOCK * 2 + 5, 3, seed=21)
+    for i in (1, 2):
+        assert np.array_equal(tiny.displacement(i), big.displacement(i, stop=17))
+
+
+def test_grid_holds_one_sample_array():
+    d, m0 = 7, BLOCK * 2 + 11
+    s = draw_samples(_centered_model(d, 0), build_time_grid(0.0, 1.0, 3), m0, 50, seed=4)
+    s.ensure_mixed()
+    s.displacement(2)
+    held = sum(v.nbytes for v in vars(s).values() if isinstance(v, np.ndarray))
+    assert held == m0 * d * 8
+
+
+@pytest.mark.parametrize("d", [1, 50])
+def test_in_place_mix_equals_whole_array_einsum(d):
+    # the block-by-block in-place mix gives every row the bits of one einsum
+    # over the whole raw draw, across several Philox blocks
+    model = _centered_model(d, d)
+    m0 = BLOCK * 2 + 123
+    g = build_time_grid(0.0, 1.0, 2)
+    s = draw_samples(model, g, m0, 10, seed=6)
+    expect = np.einsum("jk,lk->jl", _philox_normals(6, m0, d), model.vol, optimize=False)
+    assert g.elapsed[-1] == 1.0
+    assert (s.displacement(2) == expect).all()
+
+
+def test_concurrent_first_use_mixes_once():
+    # threads racing into the first displacement call must all see the
+    # serial result: a second mix of any row would change its bits
+    model, g = _centered_model(10, 3), build_time_grid(0.0, 1.0, 4)
+    m0, n_threads = BLOCK * 4, 8
+    serial = draw_samples(model, g, m0, 100, seed=12).displacement(3)
+    for _ in range(3):
+        s = draw_samples(model, g, m0, 100, seed=12)
+        start = threading.Barrier(n_threads)
+        got = [None] * n_threads
+
+        def first_use(k):
+            start.wait()
+            got[k] = s.displacement(3)
+
+        threads = [threading.Thread(target=first_use, args=(k,)) for k in range(n_threads)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        for out in got:
+            assert np.array_equal(out, serial)
