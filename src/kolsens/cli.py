@@ -167,8 +167,11 @@ def _make_boundary(kind: str, ref, dim: int) -> BoundaryFunction:
 def _build_point(raw: dict, dim: int) -> EvalPoint:
     spec = raw.get("point", {})
     _expect_keys(spec, {"t", "x"}, "point")
-    return EvalPoint(t=_real(spec.get("t", 0.0), "point.t"),
-                     x=_array(spec.get("x", np.zeros(dim)), "point.x"))
+    x = np.atleast_1d(_array(spec.get("x", np.zeros(dim)), "point.x"))
+    if x.shape != (dim,):
+        raise ValidationError(f"point.x must be a list of {dim} numbers (the model dim), "
+                              f"got {spec['x']!r}")
+    return EvalPoint(t=_real(spec.get("t", 0.0), "point.t"), x=x)
 
 
 def _build_unc(raw: dict) -> UncertaintySpec:
@@ -179,26 +182,19 @@ def _build_unc(raw: dict) -> UncertaintySpec:
                            epsilon=_real(spec.get("epsilon", 0.05), "uncertainty.epsilon"))
 
 
-def _build_mc(raw: dict, args) -> McConfig:
+def _build_mc(raw: dict, seed: int) -> McConfig:
     """The estimator config; McConfig itself checks every value's type and range."""
     spec = raw.get("mc", {})
-    _expect_keys(spec, {"n_steps", "m0", "m1", "h", "kernel", "fd_scheme", "force_fd"},
-                 "mc")
+    _expect_keys(spec, {"n_steps", "m0", "m1", "h", "kernel", "force_fd"}, "mc")
     h = spec.get("h")
-    cfg = McConfig(
+    return McConfig(
         n_steps=_count(spec.get("n_steps", 100), "mc.n_steps"),
         m0=_count(spec.get("m0", 3_000_000), "mc.m0"),
         m1=_count(spec.get("m1", 30_000), "mc.m1"),
         h=None if h is None else _real(h, "mc.h"),
+        seed=seed,
         force_fd=spec.get("force_fd", False),
-        fd_scheme=spec.get("fd_scheme", "forward"),
         kernel=spec.get("kernel", "auto"))
-    overrides = {}
-    if args.h is not None:
-        overrides["h"] = args.h
-    if args.force_fd:
-        overrides["force_fd"] = True
-    return replace(cfg, **overrides) if overrides else cfg
 
 
 def _fd_params(raw: dict) -> dict:
@@ -226,8 +222,7 @@ def config_hash(raw: dict, command: str, seed: int, runs: int, mc: McConfig) -> 
     semantic = {k: v for k, v in raw.items() if k != "output"}
     semantic["_effective"] = {
         "command": command, "seed": seed, "runs": runs,
-        "h": mc.h, "force_fd": mc.force_fd,
-        "fd_scheme": mc.fd_scheme, "kernel": mc.kernel,
+        "h": mc.h, "force_fd": mc.force_fd, "kernel": mc.kernel,
         "n_steps": mc.n_steps, "m0": mc.m0, "m1": mc.m1,
     }
     blob = json.dumps(semantic, sort_keys=True, separators=(",", ":"))
@@ -322,6 +317,11 @@ def _run_eps_sweep(ctx) -> dict:
     source = spec.get("approx_source",
                       "analytic" if ctx["boundary_kind"] in ("quartic", "sine")
                       else "engine")
+    if ctx["point"].t != 0.0:
+        raise ValidationError("eps-sweep evaluates at t = 0; set point.t to 0")
+    template = replace(fd_problem_from_model(ctx["model"], ctx["boundary"], ctx["unc"],
+                                             **ctx["fd"]),
+                       x_center=float(ctx["point"].x[0]))
     if source == "analytic":
         v0, total = _analytic_first_order(ctx)
     elif source == "engine":
@@ -331,12 +331,6 @@ def _run_eps_sweep(ctx) -> dict:
         total = report.sens_total(ctx["unc"].gamma, ctx["unc"].eta)
     else:
         raise ValidationError(f"approx_source must be 'analytic' or 'engine', got {source!r}")
-
-    template = fd_problem_from_model(ctx["model"], ctx["boundary"], ctx["unc"],
-                                     **ctx["fd"])
-    if ctx["point"].t != 0.0:
-        raise ValidationError("eps-sweep evaluates at t = 0; set point.t to 0")
-    template = replace(template, x_center=float(ctx["point"].x[0]))
     result = epsilon_sweep(template, epsilons, v0=float(v0),
                            sensitivity=float(total), anchor=anchor)
     return {"seed": ctx["seed"], "approx_source": source, "anchor": anchor,
@@ -359,6 +353,9 @@ def _run_dim_sweep(ctx) -> dict:
     if ctx["model_kind"] != "normalized":
         raise ValidationError("dim-sweep generates a normalized model per entry of 'dims'; "
                               f"model.kind must be 'normalized', got {ctx['model_kind']!r}")
+    if ctx["point"].t != 0.0 or np.any(ctx["point"].x != 0.0):
+        raise ValidationError("dim-sweep evaluates every dimension at (t, x) = (0, 0); "
+                              "drop the point section or set point.t and point.x to 0")
     model_spec = raw.get("model", {})
     model_seed = _count(model_spec.get("seed", 0), "model.seed")
     horizon = _real(model_spec.get("horizon", 1.0), "model.horizon")
@@ -386,7 +383,7 @@ def _run_fd_solve(ctx) -> dict:
     problem = fd_problem_from_model(ctx["model"], ctx["boundary"], ctx["unc"],
                                     **ctx["fd"])
     problem = replace(problem, x_center=float(ctx["point"].x[0]))
-    solution = solve(problem, store="ends")
+    solution = solve(problem)
     return {"seed": ctx["seed"], "v_fd": solution.at(0.0, problem.x_center),
             "x": problem.x_center, "half_width": problem.resolved_half_width(),
             "nx": problem.nx, "nt": solution.nt, "epsilon": problem.epsilon,
@@ -465,11 +462,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="output format (csv for sweep commands only)")
     parser.add_argument("--strict", action="store_true",
                         help="exit 4 when the expansion regime is violated")
-    parser.add_argument("--force-fd", action="store_true",
-                        help="use the finite-difference Jacobian branch even "
-                             "when a Hessian is available")
-    parser.add_argument("--h", type=float, default=None,
-                        help="finite-difference bump for the Jacobian branch")
     return parser
 
 
@@ -480,12 +472,11 @@ def _build_context(args) -> dict:
     boundary = (None if args.command == "dim-sweep"
                 else _make_boundary(boundary_kind, boundary_ref, model.dim))
     point = _build_point(raw, model.dim)
-    mc = _build_mc(raw, args)
     seed = args.seed if args.seed is not None else _count(raw.get("seed", 0), "seed")
+    mc = _build_mc(raw, seed)
     runs = args.runs if args.runs is not None else _count(raw.get("runs", 10), "runs")
     if runs < 1:
         raise ValidationError(f"runs must be >= 1, got {runs}")
-    mc = replace(mc, seed=seed)
     return {"raw": raw, "model": model, "model_kind": model_kind,
             "boundary": boundary, "boundary_kind": boundary_kind,
             "boundary_ref": boundary_ref, "point": point,

@@ -59,10 +59,18 @@ WORKERS_ENV = "KOLSENS_WORKERS"
 
 
 def _resolve_workers(workers: int | None) -> int:
-    if workers is None:
-        workers = int(os.environ.get(WORKERS_ENV, "1"))
+    """The worker count: the argument, else KOLSENS_WORKERS, else 1."""
+    if workers is not None:
+        if workers < 1:
+            raise ValidationError(f"worker count must be >= 1, got {workers}")
+        return workers
+    raw = os.environ.get(WORKERS_ENV, "1")
+    try:
+        workers = int(raw)
+    except ValueError:
+        workers = 0
     if workers < 1:
-        raise ValidationError(f"worker count must be >= 1, got {workers}")
+        raise ValidationError(f"{WORKERS_ENV} must be an integer >= 1, got {raw!r}")
     return workers
 
 
@@ -129,7 +137,7 @@ def _norm_rows(a: Array) -> Array:
 
 
 def _tiled_node_sums(pairs, m1, row_elems, grad, hess, shifts, need_drift, h,
-                     fd_scheme, reduce):
+                     reduce):
     """Sum one node's (drift, vol) terms over the outer pool, inner means tiled.
 
     `pairs(lo, hi)` builds the pairwise array of outer rows lo..hi-1 against
@@ -139,17 +147,16 @@ def _tiled_node_sums(pairs, m1, row_elems, grad, hess, shifts, need_drift, h,
     difference needs it), of `hess` (unless None) and of `grad` at each FD
     shift are computed one tile of _PAIR_TILE // row_elems rows at a time.
     `reduce(w, jac)` turns a block's means into its (drift, vol) partial
-    sums; jac is the mean Hessian, or the list of FD slopes, one per shift.
+    sums; jac is the mean Hessian, or the list of forward-difference slopes
+    (mean(grad(p + shift)) - mean(grad(p))) / h, one per shift.
     """
     means = {}
-    if need_drift or (len(shifts) and fd_scheme == "forward"):
+    if need_drift or len(shifts):
         means["w"] = grad
     if hess is not None:
         means["jw"] = hess
     for k, shift in enumerate(shifts):
-        means["+", k] = lambda p, shift=shift: grad(p + shift)
-        if fd_scheme == "central":
-            means["-", k] = lambda p, shift=shift: grad(p - shift)
+        means[k] = lambda p, shift=shift: grad(p + shift)
     block = max(1, _PAIR_BUDGET // row_elems)
     tile = max(1, _PAIR_TILE // row_elems)
     drift_parts, vol_parts = [], []
@@ -164,10 +171,7 @@ def _tiled_node_sums(pairs, m1, row_elems, grad, hess, shifts, need_drift, h,
                 if name not in m:
                     m[name] = np.empty((hi - lo,) + mean.shape[1:])
                 m[name][t_lo - lo:t_hi - lo] = mean
-        if fd_scheme == "central":
-            jac = [(m["+", k] - m["-", k]) / (2.0 * h) for k in range(len(shifts))]
-        else:
-            jac = [(m["+", k] - m["w"]) / h for k in range(len(shifts))]
+        jac = [(m[k] - m["w"]) / h for k in range(len(shifts))]
         dp, vp = reduce(m.get("w"), m.get("jw", jac))
         drift_parts.append(dp)
         vol_parts.append(vp)
@@ -175,7 +179,7 @@ def _tiled_node_sums(pairs, m1, row_elems, grad, hess, shifts, need_drift, h,
 
 
 def _generic_node_terms(boundary, x, out_disp, in_disp, vol_mat, need_drift,
-                        need_vol, use_hessian, h, fd_scheme):
+                        need_vol, use_hessian, h):
     """One grid node of the nested estimator, black-box boundary evaluators.
 
     Returns (sum_j |w_hat(j)|, sum_j ||Jw_hat(j) vol||_F) over the outer pool.
@@ -195,11 +199,11 @@ def _generic_node_terms(boundary, x, out_disp, in_disp, vol_mat, need_drift,
     return _tiled_node_sums(
         lambda lo, hi: x + out_disp[lo:hi, None, :] + in_disp[None, :, :], m1,
         m1 * d * (d if hess is not None else 1), boundary.gradient, hess, shifts,
-        need_drift, h, fd_scheme, reduce)
+        need_drift, h, reduce)
 
 
 def _ridge_node_terms(ridge, x, out_disp, in_disp, vol_mat, need_drift,
-                      need_vol, use_hessian, h, fd_scheme):
+                      need_vol, use_hessian, h):
     """Same sums as the generic kernel for ridge boundaries f(x) = phi(a.x).
 
     Everything factors through the scalar projection s = a.(x + X_i(j) +
@@ -231,23 +235,21 @@ def _ridge_node_terms(ridge, x, out_disp, in_disp, vol_mat, need_drift,
     return _tiled_node_sums(
         lambda lo, hi: s_out[lo:hi, None] + s_in[None, :], m1, m1, ridge.d1,
         ridge.d2 if (need_vol and use_hessian) else None, [h * v for v in distinct],
-        need_drift, h, fd_scheme, reduce)
+        need_drift, h, reduce)
 
 
 def sensitivity_mc(model: BaselineModel, boundary: BoundaryFunction, point: EvalPoint,
                    samples: SampleGrid, h: float | None = None, force_fd: bool = False,
-                   fd_scheme: str = "forward", kernel: str = "auto",
-                   workers: int | None = None,
+                   kernel: str = "auto", workers: int | None = None,
                    parts: tuple = ("drift", "vol")) -> tuple[float, float, bool]:
     """Nested MC estimate of (sens_drift, sens_vol); returns the branch taken.
 
     Parameters
     ----------
     h : FD bump for the Jacobian fallback; default 1e-3 * max(1, |x|_inf).
-    force_fd : take the finite-difference branch even when a Hessian exists.
-    fd_scheme : "forward" (as in the derivation) or "central".
+    force_fd : take the forward-difference branch even when a Hessian exists.
     kernel : "auto" uses the ridge shortcut when the boundary declares one,
-        "generic"/"ridge" force a kernel (ridge requires the declaration).
+        "generic" forces the black-box kernel.
     parts : which factors to compute; skipped parts come back as 0.0.
 
     Returns (sens_drift, sens_vol, used_hessian_path).
@@ -257,12 +259,8 @@ def sensitivity_mc(model: BaselineModel, boundary: BoundaryFunction, point: Eval
     need_vol = "vol" in parts
     if not (need_drift or need_vol):
         return 0.0, 0.0, False
-    if fd_scheme not in ("forward", "central"):
-        raise ValidationError(f"fd_scheme must be 'forward' or 'central', got {fd_scheme!r}")
-    if kernel not in ("auto", "generic", "ridge"):
-        raise ValidationError(f"unknown kernel {kernel!r}")
-    if kernel == "ridge" and boundary.ridge is None:
-        raise ValidationError("kernel='ridge' requires a boundary with a ridge declaration")
+    if kernel not in ("auto", "generic"):
+        raise ValidationError(f"kernel must be 'auto' or 'generic', got {kernel!r}")
 
     use_hessian = boundary.hessian is not None and not force_fd
     if need_vol and not use_hessian:
@@ -271,7 +269,7 @@ def sensitivity_mc(model: BaselineModel, boundary: BoundaryFunction, point: Eval
         if not (np.isfinite(h) and h > 0):
             raise ValidationError(f"FD bump h must be > 0, got {h}")
 
-    use_ridge = boundary.ridge is not None and kernel in ("auto", "ridge")
+    use_ridge = boundary.ridge is not None and kernel == "auto"
     node_terms = _ridge_node_terms if use_ridge else _generic_node_terms
     first_arg = boundary.ridge if use_ridge else boundary
 
@@ -283,7 +281,7 @@ def sensitivity_mc(model: BaselineModel, boundary: BoundaryFunction, point: Eval
         out_disp = samples.displacement(i, stop=m1)
         in_disp = samples.displacement(n - i, stop=m1)
         return node_terms(first_arg, x, out_disp, in_disp, vol_mat, need_drift,
-                          need_vol, use_hessian, h, fd_scheme)
+                          need_vol, use_hessian, h)
 
     n_workers = _resolve_workers(workers)
     pool = ThreadPoolExecutor(max_workers=n_workers) if n_workers > 1 else None
@@ -418,7 +416,6 @@ class McConfig:
     h: float | None = None
     seed: int = 0
     force_fd: bool = False
-    fd_scheme: str = "forward"
     kernel: str = "auto"
 
     def __post_init__(self):
@@ -431,11 +428,9 @@ class McConfig:
         if self.h is not None and not (isinstance(self.h, (int, float)) and
                                        math.isfinite(self.h) and self.h > 0):
             raise ValidationError(f"FD bump h must be > 0, got {self.h!r}")
-        for name, allowed in (("fd_scheme", ("forward", "central")),
-                              ("kernel", ("auto", "generic", "ridge"))):
-            if getattr(self, name) not in allowed:
-                raise ValidationError(f"{name} must be one of {allowed}, "
-                                      f"got {getattr(self, name)!r}")
+        if self.kernel not in ("auto", "generic"):
+            raise ValidationError(f"kernel must be one of ('auto', 'generic'), "
+                                  f"got {self.kernel!r}")
         if not isinstance(self.force_fd, bool):
             raise ValidationError(f"force_fd must be a bool, got {self.force_fd!r}")
 
@@ -447,9 +442,11 @@ def compute_report(model: BaselineModel, boundary: BoundaryFunction, point: Eval
 
     When `unc` is given with gamma = eta = 0 the sensitivity stage is skipped
     entirely (the sensitivity is identically zero at zero weights) and the
-    report's `h` is None, as it is whenever no FD branch ran.
+    report's `h` is None, as it is whenever no FD branch ran. The worker
+    count is resolved first, so a bad KOLSENS_WORKERS fails before sampling.
     """
     t0 = time.perf_counter()
+    workers = _resolve_workers(workers)
     grid = build_time_grid(point.t, model.horizon, cfg.n_steps)
     samples = draw_samples(model, grid, cfg.m0, cfg.m1, cfg.seed)
     v0 = v0_mc(model, boundary, point, samples)
@@ -458,7 +455,7 @@ def compute_report(model: BaselineModel, boundary: BoundaryFunction, point: Eval
         parts = ()
     sens_drift, sens_vol, used_hessian = sensitivity_mc(
         model, boundary, point, samples, h=cfg.h, force_fd=cfg.force_fd,
-        fd_scheme=cfg.fd_scheme, kernel=cfg.kernel, workers=workers, parts=parts)
+        kernel=cfg.kernel, workers=workers, parts=parts)
     runtime = time.perf_counter() - t0
     fd_ran = "vol" in parts and not used_hessian
     return SensitivityReport(

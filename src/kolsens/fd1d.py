@@ -25,7 +25,7 @@ measured against.
 """
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -110,40 +110,43 @@ class FdProblem1d:
 
 def fd_problem_from_model(model: BaselineModel, boundary: BoundaryFunction,
                           unc: UncertaintySpec, **kwargs) -> FdProblem1d:
-    """Build the 1-D FD problem matching a (necessarily 1-D) baseline model."""
+    """Build the 1-D FD problem matching a (necessarily 1-D) baseline model.
+
+    Only |vol| enters the law of the model, so a negative 1-D volatility
+    gives the problem with vol = |vol| (worst case |vol| + eta*eps).
+    """
     if model.dim != 1:
         raise ValidationError(f"FD oracle is 1-D only, model has dim {model.dim}")
-    return FdProblem1d(drift=float(model.drift[0]), vol=float(model.vol[0, 0]),
+    return FdProblem1d(drift=float(model.drift[0]), vol=abs(float(model.vol[0, 0])),
                        gamma=unc.gamma, eta=unc.eta, epsilon=unc.epsilon,
                        boundary=boundary, horizon=model.horizon, **kwargs)
 
 
 @dataclass(frozen=True)
 class FdSolution1d:
-    """Grid solution; values[k] is the spatial row at time grid_t[k]."""
+    """End rows of a march: values[0] at t = 0 and values[1] at t = T = grid_t[1].
+
+    nt is the number of time steps taken between them.
+    """
 
     grid_x: Array
     grid_t: Array
     values: Array
-    store: str = "all"
-    nt: int = 0
-    problem: FdProblem1d = field(default=None, repr=False)
+    nt: int
 
     def at(self, t: float, x: float) -> float:
-        """Bilinear interpolation of the stored solution at (t, x)."""
+        """Linear interpolation in x of the row at t, which must be 0 or T."""
         t0, t1 = float(self.grid_t[0]), float(self.grid_t[-1])
         if not (t0 <= t <= t1):
             raise ValidationError(f"t={t} outside the solved range [{t0}, {t1}]")
         if not (self.grid_x[0] <= x <= self.grid_x[-1]):
             raise ValidationError(f"x={x} outside the grid [{self.grid_x[0]}, {self.grid_x[-1]}]")
-        if self.store == "ends" and not (math.isclose(t, t0, abs_tol=1e-12)
-                                         or math.isclose(t, t1, abs_tol=1e-12)):
+        if math.isclose(t, t0, abs_tol=1e-12):
+            row = self.values[0]
+        elif math.isclose(t, t1, abs_tol=1e-12):
+            row = self.values[1]
+        else:
             raise ValidationError("solution stored end rows only; query t=0 or t=T")
-        k = int(np.searchsorted(self.grid_t, t, side="right")) - 1
-        k = min(max(k, 0), len(self.grid_t) - 2)
-        span = float(self.grid_t[k + 1] - self.grid_t[k])
-        w = (t - float(self.grid_t[k])) / span if span > 0 else 0.0
-        row = (1.0 - w) * self.values[k] + w * self.values[k + 1]
         return float(np.interp(x, self.grid_x, row))
 
 
@@ -159,15 +162,12 @@ def _check_discrete_convexity(problem: FdProblem1d, terminal: Array) -> None:
             "(pass allow_nonconvex=True to override)")
 
 
-def solve(problem: FdProblem1d, store: str = "all") -> FdSolution1d:
+def solve(problem: FdProblem1d) -> FdSolution1d:
     """Explicit monotone march of the robust PDE from the terminal condition.
 
-    store="all" keeps every time row (shape (nt+1, nx)); store="ends" keeps
-    only the t=0 and t=T rows, which is what sweeps need and avoids ~GB
-    arrays when the stability bound forces nt into the tens of thousands.
+    Only the t=0 and t=T rows are kept, so memory is O(nx) however large
+    the stability bound makes nt.
     """
-    if store not in ("all", "ends"):
-        raise ValidationError(f"store must be 'all' or 'ends', got {store!r}")
     half = problem.resolved_half_width()
     grid_x = np.linspace(problem.x_center - half, problem.x_center + half, problem.nx)
     dx = float(grid_x[1] - grid_x[0])
@@ -184,7 +184,6 @@ def solve(problem: FdProblem1d, store: str = "all") -> FdSolution1d:
                 f"{math.ceil(problem.horizon / (problem.safety * max_dt))} needed)",
                 max_dt=max_dt)
     dt = problem.horizon / nt
-    grid_t = np.linspace(0.0, problem.horizon, nt + 1)
 
     terminal = np.asarray(problem.boundary.value(grid_x[:, None]), dtype=float)
     if terminal.shape != grid_x.shape:
@@ -200,10 +199,6 @@ def solve(problem: FdProblem1d, store: str = "all") -> FdSolution1d:
     central = problem.uses_central_advection(dx)
     hi_p, hi_m = max(c_hi, 0.0), min(c_hi, 0.0)
     lo_p, lo_m = max(c_lo, 0.0), min(c_lo, 0.0)
-
-    rows = np.empty((nt + 1, problem.nx)) if store == "all" else None
-    if rows is not None:
-        rows[nt] = terminal
 
     u = terminal.copy()
     f_lo, f_hi = terminal[0], terminal[-1]
@@ -222,18 +217,11 @@ def solve(problem: FdProblem1d, store: str = "all") -> FdSolution1d:
         new[0], new[-1] = f_lo, f_hi
         if not np.isfinite(new).all():
             raise NumericError(f"FD march produced non-finite values at time step {k} "
-                               f"(t={grid_t[k]:.6g})")
+                               f"(t={k * dt:.6g})")
         u, new = new, u
-        if rows is not None:
-            rows[k] = u
 
-    if rows is None:
-        rows = np.stack([u, terminal])
-        grid_out = np.asarray([0.0, problem.horizon])
-    else:
-        grid_out = grid_t
-    return FdSolution1d(grid_x=grid_x, grid_t=grid_out, values=rows,
-                        store=store, nt=nt, problem=problem)
+    return FdSolution1d(grid_x=grid_x, grid_t=np.asarray([0.0, problem.horizon]),
+                        values=np.stack([u, terminal]), nt=nt)
 
 
 def fit_loglog_slope(xs, ys) -> float:
@@ -299,8 +287,7 @@ def epsilon_sweep(problem: FdProblem1d, epsilons, *, v0: float,
                  for e in eps)
 
     def _value_at(e: float) -> float:
-        sol = solve(replace(problem, epsilon=e, half_width=half, nt=nt),
-                    store="ends")
+        sol = solve(replace(problem, epsilon=e, half_width=half, nt=nt))
         return sol.at(0.0, problem.x_center)
 
     anchor_value = _value_at(0.0) if anchor == "fd" else float(v0)

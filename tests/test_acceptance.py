@@ -282,7 +282,7 @@ def test_criterion_10_property_suite(quartic_setup):
                        boundary=quartic_boundary(), nx=401, half_width=4.0)
     sol = solve(prob)
     assert np.array_equal(sol.values[-1], quartic_boundary().value(sol.grid_x[:, None]))
-    vals = [solve(replace(prob, epsilon=e), store="ends").at(0.0, 0.0)
+    vals = [solve(replace(prob, epsilon=e)).at(0.0, 0.0)
             for e in (0.0, 0.05, 0.1)]
     assert vals[0] < vals[1] < vals[2]
 

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 import kolsens
+import kolsens.cli as cli
+import kolsens.engine as engine
 from kolsens import (BaselineModel, EstimatorStats, EvalPoint, McConfig, UncertaintySpec,
                      compute_report, generate_normalized_model, predicted_complexity,
                      quartic_boundary, sine_boundary)
@@ -253,7 +255,10 @@ def test_seed_and_bump_overrides_change_hash(tmp_path):
     assert base["config_hash"] == again["config_hash"]
     _, reseeded = _run_json(tmp_path, cfg, "value", "--seed", "5", name="s.json")
     assert reseeded["config_hash"] != base["config_hash"]
-    _, bumped = _run_json(tmp_path, cfg, "sensitivity", "--h", "0.01", name="h.json")
+    bump_cfg = _write_config(tmp_path, _quartic_config(mc={"n_steps": 3, "m0": 400,
+                                                            "m1": 100, "h": 0.01}),
+                             name="bump.json")
+    _, bumped = _run_json(tmp_path, bump_cfg, "sensitivity", name="h.json")
     _, plain = _run_json(tmp_path, cfg, "sensitivity", name="p.json")
     assert bumped["config_hash"] != plain["config_hash"]
 
@@ -336,13 +341,15 @@ def test_rejected_external_boundary(tmp_path, monkeypatch, capsys):
 
 
 @pytest.mark.parametrize("mc", [
-    {"mc": {"kernel": "bogus"}}, {"mc": {"fd_scheme": "bogus"}}, {"mc": {"n_steps": 0}},
+    {"mc": {"kernel": "bogus"}}, {"mc": {"kernel": "ridge"}}, {"mc": {"n_steps": 0}},
     {"mc": {"n_steps": 2.5}}, {"mc": {"m1": "many"}}, {"mc": {"h": "small"}},
     {"mc": {"force_fd": "false"}}, {"seed": "abc"}, {"runs": 2.5},
     {"uncertainty": {"gamma": "x"}}, {"model": {"kind": "normalized", "dim": "two"}},
     {"fd": {"nx": "many"}}, {"fd": {"allow_nonconvex": "false"}},
     {"point": {"x": ["zero"]}},
-    ({"boundary": "sine", "dims": [1, 2], "model": {"kind": "explicit"}}, "dim-sweep")])
+    ({"boundary": "sine", "dims": [1, 2], "model": {"kind": "explicit"}}, "dim-sweep"),
+    ({"boundary": "sine", "dims": [1, 2], "model": {"kind": "normalized", "dim": 1},
+      "point": {"t": 0.5, "x": [3.0]}}, "dim-sweep")])
 def test_invalid_mc_section_exits_2(tmp_path, capsys, mc):
     # mc: a malformed value patched into sections or the root of the config,
     # optionally paired with the command to run (default: sensitivity); the
@@ -360,6 +367,58 @@ def test_invalid_mc_section_exits_2(tmp_path, capsys, mc):
     assert main(["--config", cfg, "--command", command]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and key in err
+
+
+def _fail_if_called(name):
+    def fail(*args, **kwargs):
+        raise AssertionError(f"{name} ran before the config fault was reported")
+    return fail
+
+
+_SWEEP = {"epsilons": [0.02, 0.04, 0.06]}
+
+
+@pytest.mark.parametrize("command, patch, key", [
+    ("eps-sweep", {"point": {"t": 0.5}, "sweep": {**_SWEEP, "approx_source": "engine"}},
+     "point.t"),
+    ("eps-sweep", {"point": {"x": [0.0, 7.0]}, "sweep": _SWEEP}, "point.x"),
+    ("fd-solve", {"point": {"x": [0.0, 7.0]}}, "point.x"),
+    ("sensitivity", {"point": {"x": []}}, "point.x"),
+    ("dim-sweep", {"boundary": "sine", "dims": [1, 2], "point": {"t": 0.0, "x": [0.5]},
+                   "model": {"kind": "normalized", "dim": 1}}, "point")])
+def test_config_faults_exit_2_before_the_monte_carlo_stage(tmp_path, monkeypatch, capsys,
+                                                           command, patch, key):
+    monkeypatch.setattr(cli, "compute_report", _fail_if_called("compute_report"))
+    monkeypatch.setattr(cli, "_analytic_first_order", _fail_if_called("quadrature"))
+    cfg = _write_config(tmp_path, _quartic_config(**patch))
+    assert main(["--config", cfg, "--command", command]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and key in err
+
+
+@pytest.mark.parametrize("workers", ["abc", "0"])
+def test_bad_worker_count_exits_2_before_sampling(tmp_path, monkeypatch, capsys, workers):
+    monkeypatch.setattr(engine, "draw_samples", _fail_if_called("draw_samples"))
+    monkeypatch.setenv("KOLSENS_WORKERS", workers)
+    cfg = _write_config(tmp_path, _quartic_config())
+    assert main(["--config", cfg, "--command", "sensitivity"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "KOLSENS_WORKERS" in err
+
+
+@pytest.mark.parametrize("command, extra", [
+    ("fd-solve", {"fd": {"nx": 401}}),
+    ("eps-sweep", {"fd": {"nx": 401}, "sweep": _SWEEP})])
+def test_negative_1d_volatility_runs_the_fd_oracle(tmp_path, command, extra):
+    docs = []
+    for sign in (1.0, -1.0):
+        cfg = _write_config(tmp_path, _quartic_config(model={"drift": [1.0],
+                                                             "vol": [[sign]]}, **extra))
+        code, doc = _run_json(tmp_path, cfg, command)
+        assert code == 0
+        del doc["config_hash"]
+        docs.append(doc)
+    assert docs[0] == docs[1]
 
 
 @pytest.mark.parametrize("command", ["value", "sensitivity"])

@@ -199,19 +199,11 @@ def test_ridge_kernel_matches_generic():
     ]:
         pt = EvalPoint(t=0.0, x=np.zeros(d))
         s = _samples(model, 8, 400, 200, seed=5)
-        r = sensitivity_mc(model, bnd, pt, s, kernel="ridge")
+        r = sensitivity_mc(model, bnd, pt, s, kernel="auto")
         g = sensitivity_mc(model, bnd, pt, s, kernel="generic")
         assert r[0] == pytest.approx(g[0], rel=1e-10)
         assert r[1] == pytest.approx(g[1], rel=1e-10)
         assert r[2] and g[2]
-
-
-def test_ridge_kernel_requires_declaration():
-    model = BaselineModel(drift=np.array([0.0]), vol=np.array([[1.0]]))
-    bnd = _affine_boundary(np.array([2.0]), 0.0)
-    s = _samples(model, 2, 50, 10, seed=0)
-    with pytest.raises(ValidationError):
-        sensitivity_mc(model, bnd, EvalPoint(t=0.0, x=np.zeros(1)), s, kernel="ridge")
 
 
 def test_fd_branch_agrees_with_hessian_at_rate_h(quartic_setup):
@@ -227,10 +219,6 @@ def test_fd_branch_agrees_with_hessian_at_rate_h(quartic_setup):
     # forward differences: error scales linearly with the bump
     assert errs[1e-3] < errs[1e-2]
     assert 3.0 < errs[1e-2] / errs[1e-3] < 30.0
-    # central differences kill the O(h) term
-    _, sv_c, _ = sensitivity_mc(model, bnd, pt, s, h=1e-2, force_fd=True,
-                                fd_scheme="central")
-    assert abs(sv_c - sv_exact) < 0.2 * errs[1e-2]
 
 
 def test_fd_branch_validates_bump(quartic_setup):
@@ -297,12 +285,12 @@ def _tile_cases(wrap=lambda fn: fn):
 
 def _all_branches(model, bnd, pt, s):
     out = {}
-    for kernel in ("ridge", "generic"):
-        for force_fd, scheme in ((False, "forward"), (True, "forward"), (True, "central")):
+    for kernel in ("auto", "generic"):
+        for force_fd in (False, True):
             for parts in (("drift", "vol"), ("drift",), ("vol",)):
-                out[kernel, force_fd, scheme, parts] = sensitivity_mc(
+                out[kernel, force_fd, parts] = sensitivity_mc(
                     model, bnd, pt, s, kernel=kernel, force_fd=force_fd, h=1e-3,
-                    fd_scheme=scheme, parts=parts)
+                    parts=parts)
     return out
 
 
@@ -445,7 +433,7 @@ def test_mcconfig_validates_sample_counts():
 
 @pytest.mark.parametrize("field", [
     {"n_steps": 0}, {"m0": 0, "m1": 0}, {"m1": 0}, {"n_steps": 2.5}, {"seed": -1},
-    {"h": 0.0}, {"h": float("nan")}, {"h": "0.01"}, {"fd_scheme": "bogus"},
+    {"h": 0.0}, {"h": float("nan")}, {"h": "0.01"}, {"kernel": "ridge"},
     {"kernel": "bogus"}, {"force_fd": "yes"},
 ])
 def test_mcconfig_validates_every_field(field):

@@ -87,25 +87,19 @@ def test_terminal_row_and_edges_are_exact():
     p = _quartic_problem(nx=201, half_width=4.0)
     sol = solve(p)
     expected = p.boundary.value(sol.grid_x[:, None])
-    assert np.array_equal(sol.values[-1], expected)
+    assert np.array_equal(sol.values[1], expected)
     assert np.all(sol.values[:, 0] == expected[0])
     assert np.all(sol.values[:, -1] == expected[-1])
-    assert sol.values.shape == (sol.nt + 1, p.nx)
-    assert sol.grid_t[0] == 0.0 and sol.grid_t[-1] == p.horizon
-    assert len(sol.grid_t) == sol.nt + 1
 
 
 def test_store_ends_keeps_two_rows():
     p = _quartic_problem(nx=201, half_width=4.0)
-    full = solve(p, store="all")
-    ends = solve(p, store="ends")
-    assert ends.values.shape == (2, p.nx)
-    assert np.array_equal(ends.grid_t, [0.0, p.horizon])
-    assert np.array_equal(ends.values[0], full.values[0])
-    assert np.array_equal(ends.values[1], full.values[-1])
-    assert ends.nt == full.nt
-    with pytest.raises(ValidationError):
-        solve(p, store="rows")
+    sol = solve(p)
+    assert sol.values.shape == (2, p.nx)
+    assert np.array_equal(sol.grid_t, [0.0, p.horizon])
+    dx = float(sol.grid_x[1] - sol.grid_x[0])
+    assert sol.nt == math.ceil(p.horizon / (p.safety * p.max_stable_dt(dx)))
+    assert sol.values[0, 100] > sol.values[1, 100]   # the march moved the t=0 row
 
 
 def test_stability_guard():
@@ -124,7 +118,7 @@ def test_convexity_gate():
     wavy = _quartic_problem(boundary=sine_boundary(1), nx=201)
     with pytest.raises(ValidationError, match="not convex"):
         solve(wavy)
-    solve(replace(wavy, allow_nonconvex=True), store="ends")
+    solve(replace(wavy, allow_nonconvex=True))
     solve(_quartic_problem(nx=201, half_width=3.0))   # convex passes silently
 
 
@@ -154,7 +148,7 @@ def test_march_overflow_is_detected():
     p = _quartic_problem(boundary=steep, nx=601, half_width=9.0, epsilon=0.0)
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(NumericError, match="time step"):
-            solve(p, store="ends")
+            solve(p)
 
 
 def test_malformed_boundary_shape_is_rejected():
@@ -177,14 +171,13 @@ def test_zero_uncertainty_matches_closed_form():
     for x in (0.0, 0.4):
         assert sol.at(0.0, x) == pytest.approx(quartic_v0(0.0, x, 1.0, 1.0, 1.0),
                                                abs=5e-3)
-    assert sol.at(0.5, 0.0) == pytest.approx(quartic_v0(0.5, 0.0, 1.0, 1.0, 1.0),
-                                             abs=5e-3)
+        assert sol.at(1.0, x) == pytest.approx(quartic_v0(1.0, x, 1.0, 1.0, 1.0),
+                                               abs=5e-3)
 
 
 def test_value_is_monotone_in_epsilon():
     half = _quartic_problem(epsilon=0.1).resolved_half_width()
-    vals = [solve(_quartic_problem(epsilon=e, half_width=half, nx=801),
-                  store="ends").at(0.0, 0.0)
+    vals = [solve(_quartic_problem(epsilon=e, half_width=half, nx=801)).at(0.0, 0.0)
             for e in (0.0, 0.05, 0.1)]
     assert vals[0] < vals[1] < vals[2]
 
@@ -195,9 +188,9 @@ def test_constant_shift_identity():
                               gradient=base.gradient)
     kw = dict(drift=0.4, vol=1.0, gamma=1.0, eta=1.0, epsilon=0.08,
               boundary=base, nx=401, half_width=6.0)
-    v_base = solve(FdProblem1d(**kw), store="ends").at(0.0, 0.0)
+    v_base = solve(FdProblem1d(**kw)).at(0.0, 0.0)
     kw["boundary"] = lifted
-    v_lift = solve(FdProblem1d(**kw), store="ends").at(0.0, 0.0)
+    v_lift = solve(FdProblem1d(**kw)).at(0.0, 0.0)
     assert v_lift == pytest.approx(v_base + 3.25, rel=1e-9)
 
 
@@ -206,7 +199,7 @@ def test_constant_shift_identity():
 # --------------------------------------------------------------------------
 
 def test_at_validates_query_point():
-    sol = solve(_quartic_problem(nx=201, half_width=4.0), store="ends")
+    sol = solve(_quartic_problem(nx=201, half_width=4.0))
     with pytest.raises(ValidationError, match="outside the solved range"):
         sol.at(-0.1, 0.0)
     with pytest.raises(ValidationError, match="outside the grid"):
