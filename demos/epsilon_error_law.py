@@ -9,7 +9,7 @@ v0 + eps * sensitivity exposes the second-order remainder: on a log-log
 plot the error against eps has slope close to 2.
 """
 
-from kolsens import (FdProblem1d, epsilon_sweep, fit_loglog_slope,
+from kolsens import (FdProblem1d, epsilon_sweep, fit_loglog_slope, plan_epsilon_sweep,
                      quartic_boundary, quartic_sensitivity_quadrature,
                      quartic_v0)
 
@@ -22,9 +22,11 @@ sensitivity = (quartic_sensitivity_quadrature("drift")
                + quartic_sensitivity_quadrature("vol"))
 
 # the sweep anchors the linear prediction at the eps=0 grid value, so the
-# common discretization offset cancels and the pure eps**2 remainder is left
-result = epsilon_sweep(problem, [0.01 * k for k in range(1, 11)],
-                       v0=v0, sensitivity=sensitivity)
+# common discretization offset cancels and the pure eps**2 remainder is left;
+# the plan checks the sweep and fixes one grid and step count, and the sweep
+# marches all eleven rows (ten epsilons and the anchor) together
+plan = plan_epsilon_sweep(problem, [0.01 * k for k in range(1, 11)])
+result = epsilon_sweep(plan, v0=v0, sensitivity=sensitivity)
 
 print(f"grid half-width {result.half_width:.2f}, "
       f"anchor value {result.anchor_value:.6f} (exact v0 {v0:.6f})")

@@ -19,8 +19,8 @@ from .engine import (EstimatorStats, McConfig, SensitivityReport, compute_report
                      default_bump, first_order_approx, predicted_complexity, repeated_runs,
                      seeded_runs, sensitivity_mc, v0_mc)
 from .errors import GenerationError, NumericError, StabilityError, ValidationError
-from .fd1d import (EpsSweepResult, FdProblem1d, FdSolution1d, epsilon_sweep,
-                   fd_problem_from_model, fit_loglog_slope, solve)
+from .fd1d import (EpsSweepResult, FdProblem1d, FdSolution1d, SweepPlan, epsilon_sweep,
+                   fd_problem_from_model, fit_loglog_slope, plan_epsilon_sweep, solve)
 from .model import (BaselineModel, BoundaryCheck, BoundaryFunction, EvalPoint, RegimeReport,
                     RidgeProfile, UncertaintySpec, check_boundary, generate_normalized_model,
                     lambda_min, quartic_boundary, ridge_boundary, sine_boundary,
@@ -33,11 +33,13 @@ __all__ = [
     "BaselineModel", "BoundaryCheck", "BoundaryFunction", "EpsSweepResult",
     "EstimatorStats", "EvalPoint", "FdProblem1d", "FdSolution1d", "GenerationError",
     "McConfig", "NumericError", "QuadratureConfig", "RegimeReport", "RidgeProfile",
-    "SampleGrid", "SensitivityReport", "StabilityError", "TimeGrid", "UncertaintySpec",
+    "SampleGrid", "SensitivityReport", "StabilityError", "SweepPlan", "TimeGrid",
+    "UncertaintySpec",
     "ValidationError", "build_time_grid", "check_boundary", "compute_report",
     "default_bump", "draw_samples", "epsilon_sweep", "fd_problem_from_model",
     "first_order_approx", "fit_loglog_slope", "gauss_abs_expectation",
-    "generate_normalized_model", "lambda_min", "predicted_complexity", "quartic_boundary",
+    "generate_normalized_model", "lambda_min", "plan_epsilon_sweep", "predicted_complexity",
+    "quartic_boundary",
     "quartic_sensitivity_quadrature", "quartic_v0", "repeated_runs", "ridge_boundary",
     "seeded_runs", "sensitivity_mc", "sine_boundary", "sine_sensitivity_quadrature",
     "sine_v0", "solve", "v0_mc", "validate_expansion_regime",

@@ -31,7 +31,8 @@ from .analytic import (quartic_sensitivity_quadrature, quartic_v0, sine_sensitiv
 from .engine import (EstimatorStats, McConfig, compute_report, predicted_complexity,
                      repeated_runs, seeded_runs, v0_mc)
 from .errors import NumericError, ValidationError
-from .fd1d import FdProblem1d, epsilon_sweep, fd_problem_from_model, solve
+from .fd1d import (FdProblem1d, epsilon_sweep, fd_problem_from_model, plan_epsilon_sweep,
+                   solve)
 from .model import (BaselineModel, BoundaryFunction, EvalPoint, UncertaintySpec,
                     check_boundary, generate_normalized_model, lambda_min, quartic_boundary,
                     sine_boundary, validate_expansion_regime)
@@ -322,6 +323,8 @@ def _run_eps_sweep(ctx) -> dict:
     template = replace(fd_problem_from_model(ctx["model"], ctx["boundary"], ctx["unc"],
                                              **ctx["fd"]),
                        x_center=float(ctx["point"].x[0]))
+    # a bad sweep section or an unstable fd.nt exits here, before any estimate
+    plan = plan_epsilon_sweep(template, epsilons, anchor)
     if source == "analytic":
         v0, total = _analytic_first_order(ctx)
     elif source == "engine":
@@ -331,8 +334,7 @@ def _run_eps_sweep(ctx) -> dict:
         total = report.sens_total(ctx["unc"].gamma, ctx["unc"].eta)
     else:
         raise ValidationError(f"approx_source must be 'analytic' or 'engine', got {source!r}")
-    result = epsilon_sweep(template, epsilons, v0=float(v0),
-                           sensitivity=float(total), anchor=anchor)
+    result = epsilon_sweep(plan, v0=float(v0), sensitivity=float(total))
     return {"seed": ctx["seed"], "approx_source": source, "anchor": anchor,
             "anchor_value": float(result.anchor_value), "slope": result.slope,
             "half_width": result.half_width,

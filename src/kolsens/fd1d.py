@@ -6,22 +6,16 @@ approximates, in the only setting where a grid method is practical (d = 1):
     dv/dt + (1/2) (vol + eta*eps)^2 v_xx + drift v_x + gamma*eps |v_x| = 0,
     v(T, .) = boundary,
 
-on a truncated domain [center - L, center + L] with Dirichlet data frozen at
-the boundary-function values of the endpoints. The drift + gamma*eps |v_x|
-term is the closed form of the worst-case drift over the uncertainty
-interval, discretized as the maximum over the two extreme advection
-velocities. Advection uses central differences whenever diffusion dominates
-(cmax*dx <= sigma_eff^2, which holds for every shipped benchmark) so the
-advection error is O(dx^2) instead of O(dx); on coarse grids or tiny
-volatilities it falls back to sign-upwinded one-sided differences. Both
-variants, combined with central second differences and explicit Euler steps
-(reverse time), are monotone under the enforced step bound, so the discrete
-solution obeys a comparison principle. The solver refuses time steps above
-the stability bound instead of producing garbage.
+on [center - L, center + L] with Dirichlet data frozen at the endpoints.
+The worst-case drift term is the maximum over the two extreme advection
+velocities, differenced centrally where diffusion dominates (cmax*dx <=
+sigma_eff^2, true for every shipped benchmark) and sign-upwinded otherwise.
+With central second differences and explicit Euler steps in reverse time
+both are monotone under the step bound, which the solver refuses to exceed.
 
-This module is the independent check for the Monte Carlo engine: it shares
-no sampling code, and its output is what the epsilon-sweep error law is
-measured against.
+An epsilon sweep is planned first (checks, grid and nt; no FD work), then
+marched once with each epsilon one row of a (k, nx) array; a single solve is
+the k = 1 case. This check of the Monte Carlo engine shares no sampling code.
 """
 
 import math
@@ -61,28 +55,25 @@ class FdProblem1d:
     allow_nonconvex: bool = False
 
     def __post_init__(self):
-        if not (np.isfinite(self.vol) and self.vol > 0):
-            raise ValidationError(f"vol must be > 0, got {self.vol}")
-        if not np.isfinite(self.drift):
-            raise ValidationError("drift must be finite")
-        for name in ("gamma", "eta"):
-            v = getattr(self, name)
-            if not (0.0 <= v <= 1.0):
-                raise ValidationError(f"{name} must lie in [0, 1], got {v}")
-        if not (np.isfinite(self.epsilon) and self.epsilon >= 0):
-            raise ValidationError(f"epsilon must be >= 0, got {self.epsilon}")
-        if self.boundary.dim != 1:
-            raise ValidationError(f"FD oracle is 1-D only, boundary has dim {self.boundary.dim}")
-        if self.horizon <= 0:
-            raise ValidationError(f"horizon must be > 0, got {self.horizon}")
-        if self.half_width is not None and self.half_width <= 0:
-            raise ValidationError(f"half_width must be > 0, got {self.half_width}")
-        if int(self.nx) != self.nx or self.nx < 3:
-            raise ValidationError(f"nx must be an integer >= 3, got {self.nx}")
-        if self.nt is not None and (int(self.nt) != self.nt or self.nt < 1):
-            raise ValidationError(f"nt must be an integer >= 1, got {self.nt}")
-        if not (0.0 < self.safety <= 1.0):
-            raise ValidationError(f"safety must lie in (0, 1], got {self.safety}")
+        for ok, message in (
+                (np.isfinite(self.vol) and self.vol > 0, f"vol must be > 0, got {self.vol}"),
+                (np.isfinite(self.drift), "drift must be finite"),
+                (0.0 <= self.gamma <= 1.0, f"gamma must lie in [0, 1], got {self.gamma}"),
+                (0.0 <= self.eta <= 1.0, f"eta must lie in [0, 1], got {self.eta}"),
+                (np.isfinite(self.epsilon) and self.epsilon >= 0,
+                 f"epsilon must be >= 0, got {self.epsilon}"),
+                (self.boundary.dim == 1,
+                 f"FD oracle is 1-D only, boundary has dim {self.boundary.dim}"),
+                (not self.horizon <= 0, f"horizon must be > 0, got {self.horizon}"),
+                (self.half_width is None or not self.half_width <= 0,
+                 f"half_width must be > 0, got {self.half_width}"),
+                (int(self.nx) == self.nx and not self.nx < 3,
+                 f"nx must be an integer >= 3, got {self.nx}"),
+                (self.nt is None or (int(self.nt) == self.nt and not self.nt < 1),
+                 f"nt must be an integer >= 1, got {self.nt}"),
+                (0.0 < self.safety <= 1.0, f"safety must lie in (0, 1], got {self.safety}")):
+            if not ok:
+                raise ValidationError(message)
 
     @property
     def sigma_eff(self) -> float:
@@ -124,10 +115,8 @@ def fd_problem_from_model(model: BaselineModel, boundary: BoundaryFunction,
 
 @dataclass(frozen=True)
 class FdSolution1d:
-    """End rows of a march: values[0] at t = 0 and values[1] at t = T = grid_t[1].
-
-    nt is the number of time steps taken between them.
-    """
+    """End rows of a march, values[0] at t = 0 and values[1] at t = T = grid_t[1],
+    each (nx,) for one problem or (k, nx) for k epsilons, nt steps apart."""
 
     grid_x: Array
     grid_t: Array
@@ -135,22 +124,26 @@ class FdSolution1d:
     nt: int
 
     def at(self, t: float, x: float) -> float:
-        """Linear interpolation in x of the row at t, which must be 0 or T."""
+        """Linear interpolation in x of a single problem's row at t, which must be 0 or T."""
         t0, t1 = float(self.grid_t[0]), float(self.grid_t[-1])
         if not (t0 <= t <= t1):
             raise ValidationError(f"t={t} outside the solved range [{t0}, {t1}]")
         if not (self.grid_x[0] <= x <= self.grid_x[-1]):
             raise ValidationError(f"x={x} outside the grid [{self.grid_x[0]}, {self.grid_x[-1]}]")
-        if math.isclose(t, t0, abs_tol=1e-12):
-            row = self.values[0]
-        elif math.isclose(t, t1, abs_tol=1e-12):
-            row = self.values[1]
-        else:
+        ends = [i for i, end in enumerate((t0, t1)) if math.isclose(t, end, abs_tol=1e-12)]
+        if not ends:
             raise ValidationError("solution stored end rows only; query t=0 or t=T")
-        return float(np.interp(x, self.grid_x, row))
+        return float(np.interp(x, self.grid_x, self.values[ends[0]]))
 
 
-def _check_discrete_convexity(problem: FdProblem1d, terminal: Array) -> None:
+def _terminal_row(problem: FdProblem1d, grid_x: Array) -> Array:
+    terminal = np.asarray(problem.boundary.value(grid_x[:, None]), dtype=float)
+    if terminal.shape != grid_x.shape:
+        raise ValidationError("boundary.value must return one value per grid node")
+    if not np.isfinite(terminal).all():
+        raise NumericError("boundary values non-finite on the FD grid")
+    if problem.allow_nonconvex:
+        return terminal
     second = terminal[2:] - 2.0 * terminal[1:-1] + terminal[:-2]
     tol = _CONVEXITY_TOL * max(1.0, float(np.max(np.abs(terminal))))
     worst = float(np.min(second))
@@ -160,74 +153,83 @@ def _check_discrete_convexity(problem: FdProblem1d, terminal: Array) -> None:
             f"boundary is not convex on the grid (second difference {worst:.3e} "
             f"at node {j}); the FD reference is only valid for convex boundaries "
             "(pass allow_nonconvex=True to override)")
+    return terminal
 
 
-def solve(problem: FdProblem1d) -> FdSolution1d:
-    """Explicit monotone march of the robust PDE from the terminal condition.
-
-    Only the t=0 and t=T rows are kept, so memory is O(nx) however large
-    the stability bound makes nt.
-    """
+def _discretize(problem: FdProblem1d, epsilons) -> tuple:
+    """Rows, grid, dx and the nt any row needs, or problem.nt if every row is stable."""
+    rows = ([problem] if epsilons is None
+            else [replace(problem, epsilon=float(e)) for e in epsilons])
+    if not rows:
+        raise ValidationError("epsilons must not be empty")
     half = problem.resolved_half_width()
     grid_x = np.linspace(problem.x_center - half, problem.x_center + half, problem.nx)
     dx = float(grid_x[1] - grid_x[0])
+    T, safety, nt = problem.horizon, problem.safety, problem.nt
+    max_dts = [r.max_stable_dt(dx) for r in rows]
+    if nt is None:
+        return rows, grid_x, dx, max(1, *(math.ceil(T / (safety * m)) for m in max_dts))
+    for r, m in zip(rows, max_dts):
+        if T / nt > safety * m + 1e-15:
+            raise StabilityError(f"epsilon={r.epsilon:g}: dt={T / nt:.3e} exceeds the stable "
+                                 f"step {safety * m:.3e} (nt >= "
+                                 f"{math.ceil(T / (safety * m))} needed)", max_dt=m)
+    return rows, grid_x, dx, int(nt)
 
-    max_dt = problem.max_stable_dt(dx)
-    if problem.nt is None:
-        nt = max(1, math.ceil(problem.horizon / (problem.safety * max_dt)))
-    else:
-        nt = int(problem.nt)
-        if problem.horizon / nt > problem.safety * max_dt + 1e-15:
-            raise StabilityError(
-                f"dt={problem.horizon / nt:.3e} exceeds the stable step "
-                f"{problem.safety * max_dt:.3e} (nt >= "
-                f"{math.ceil(problem.horizon / (problem.safety * max_dt))} needed)",
-                max_dt=max_dt)
+
+def solve(problem: FdProblem1d, epsilons=None) -> FdSolution1d:
+    """Explicit monotone march of the robust PDE from the terminal condition.
+
+    Each of `epsilons` is a row of one (k, nx) march on the grid of `problem`
+    with one nt, equal bit for bit to the k = 1 solve of replace(problem,
+    epsilon=e) on that grid and nt; values is (2, k, nx), or (2, nx) without
+    `epsilons`. Only the t = 0 and t = T rows are kept: O(k*nx) memory.
+    """
+    rows, grid_x, dx, nt = _discretize(problem, epsilons)
     dt = problem.horizon / nt
-
-    terminal = np.asarray(problem.boundary.value(grid_x[:, None]), dtype=float)
-    if terminal.shape != grid_x.shape:
-        raise ValidationError("boundary.value must return one value per grid node")
-    if not np.isfinite(terminal).all():
-        raise NumericError("boundary values non-finite on the FD grid")
-    if not problem.allow_nonconvex:
-        _check_discrete_convexity(problem, terminal)
-
-    diff = 0.5 * problem.sigma_eff ** 2
-    ge = problem.gamma * problem.epsilon
-    c_hi, c_lo = problem.drift + ge, problem.drift - ge
-    central = problem.uses_central_advection(dx)
-    hi_p, hi_m = max(c_hi, 0.0), min(c_hi, 0.0)
-    lo_p, lo_m = max(c_lo, 0.0), min(c_lo, 0.0)
-
-    u = terminal.copy()
-    f_lo, f_hi = terminal[0], terminal[-1]
-    new = np.empty_like(u)
-    for k in range(nt - 1, -1, -1):
-        d_plus = (u[2:] - u[1:-1]) / dx
-        d_minus = (u[1:-1] - u[:-2]) / dx
-        lap = (d_plus - d_minus) / dx
-        if central:
-            d_ctr = 0.5 * (d_plus + d_minus)
-            hamil = np.maximum(c_hi * d_ctr, c_lo * d_ctr)
-        else:
-            hamil = np.maximum(hi_p * d_plus + hi_m * d_minus,
-                               lo_p * d_plus + lo_m * d_minus)
-        new[1:-1] = u[1:-1] + dt * (diff * lap + hamil)
-        new[0], new[-1] = f_lo, f_hi
+    terminal = _terminal_row(problem, grid_x)
+    # march the central rows first, as [:nc], and the upwind ones after them
+    order = sorted(range(len(rows)), key=lambda i: not rows[i].uses_central_advection(dx))
+    k, nc = len(rows), sum(r.uses_central_advection(dx) for r in rows)
+    diff, c_hi, c_lo = np.array([(0.5 * r.sigma_eff ** 2, r.drift + r.gamma * r.epsilon,
+                                  r.drift - r.gamma * r.epsilon)
+                                 for r in (rows[i] for i in order)]).T[:, :, None]
+    hi_p, lo_p = (np.where(v < 0, 0.0, v) for v in (c_hi, c_lo))   # max(v, 0.0)
+    hi_m, lo_m = (np.where(v > 0, 0.0, v) for v in (c_hi, c_lo))   # min(v, 0.0)
+    u = np.repeat(terminal[None, :], k, axis=0)
+    new = u.copy()   # both buffers keep the frozen Dirichlet edges throughout
+    d = np.empty((k, problem.nx - 1))
+    d_plus, d_minus = d[:, 1:], d[:, :-1]
+    lap, ham, tmp = np.empty((3, k, problem.nx - 2))
+    for step in range(nt - 1, -1, -1):
+        np.subtract(u[:, 1:], u[:, :-1], out=d)
+        d /= dx
+        np.subtract(d_plus, d_minus, out=lap)
+        lap /= dx
+        lap *= diff
+        if nc:       # max over c in (c_hi, c_lo) of c * (d_plus + d_minus) / 2
+            np.add(d_plus[:nc], d_minus[:nc], out=tmp[:nc])
+            tmp[:nc] *= 0.5
+            np.maximum(c_hi[:nc] * tmp[:nc], c_lo[:nc] * tmp[:nc], out=ham[:nc])
+        if nc < k:
+            np.maximum(hi_p[nc:] * d_plus[nc:] + hi_m[nc:] * d_minus[nc:],
+                       lo_p[nc:] * d_plus[nc:] + lo_m[nc:] * d_minus[nc:], out=ham[nc:])
+        ham += lap
+        ham *= dt
+        np.add(u[:, 1:-1], ham, out=new[:, 1:-1])
         if not np.isfinite(new).all():
-            raise NumericError(f"FD march produced non-finite values at time step {k} "
-                               f"(t={k * dt:.6g})")
+            bad = min(order[j] for j in np.flatnonzero(~np.isfinite(new).all(axis=1)))
+            raise NumericError(f"FD march produced non-finite values at time step {step} "
+                               f"(t={step * dt:.6g}) for epsilon={rows[bad].epsilon:g}")
         u, new = new, u
-
+    values = np.stack([u, np.broadcast_to(terminal, u.shape)])[:, np.argsort(order)]
     return FdSolution1d(grid_x=grid_x, grid_t=np.asarray([0.0, problem.horizon]),
-                        values=np.stack([u, terminal]), nt=nt)
+                        values=values[:, 0] if epsilons is None else values, nt=nt)
 
 
 def fit_loglog_slope(xs, ys) -> float:
     """Least-squares slope of log(ys) against log(xs); NaN under 3 usable points."""
-    xs = np.asarray(xs, dtype=float)
-    ys = np.asarray(ys, dtype=float)
+    xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
     keep = (xs > 0) & (ys > 0)
     if int(np.sum(keep)) < 3:
         return float("nan")
@@ -247,22 +249,26 @@ class EpsSweepResult:
     anchor_value: float
 
 
-def epsilon_sweep(problem: FdProblem1d, epsilons, *, v0: float,
-                  sensitivity: float, anchor: str = "fd") -> EpsSweepResult:
-    """Solve the robust PDE per epsilon and tabulate |v_fd - (v0 + eps*sens)|.
+@dataclass(frozen=True)
+class SweepPlan:
+    """A checked sweep; `problem` fixes half_width and nt, `rows` leads with 0 if anchored."""
 
-    `problem` is a template; its epsilon field is replaced per sweep point.
-    All solves share one spatial grid and one time-step count, both sized
-    for the most demanding epsilon, so the tabulated values differ only
-    through epsilon itself. anchor="fd" replaces the supplied v0 with the
-    same-grid epsilon=0 solution, cancelling the discretization offset the
-    sweep points all share so the error table isolates the epsilon scaling
-    law; anchor="value" uses v0 exactly as given. Requires >= 3 strictly
-    increasing positive epsilons inside the expansion regime
-    (epsilon < min(1, vol)). The slope is the log-log fit over the strictly
-    positive errors (NaN below 3 such points).
+    problem: FdProblem1d
+    epsilons: tuple
+    anchor: str
+    rows: tuple
+
+
+def plan_epsilon_sweep(problem: FdProblem1d, epsilons, anchor: str = "fd") -> SweepPlan:
+    """Check a sweep and fix its grid and nt, before any FD or Monte Carlo work.
+
+    The rows of template `problem` share one grid, sized for the largest
+    epsilon, and one nt all can take. anchor="fd" adds an epsilon = 0 row
+    whose value replaces v0, cancelling the discretization offset all rows
+    share; anchor="value" keeps v0. Needs >= 3 strictly increasing positive
+    epsilons below min(1, vol), the expansion regime.
     """
-    eps = [float(e) for e in epsilons]
+    eps = tuple(float(e) for e in epsilons)
     if len(eps) < 3:
         raise ValidationError(f"need at least 3 epsilons, got {len(eps)}")
     if any(e <= 0 for e in eps) or any(b <= a for a, b in zip(eps, eps[1:])):
@@ -273,28 +279,22 @@ def epsilon_sweep(problem: FdProblem1d, epsilons, *, v0: float,
             f"epsilon {eps[-1]} is outside the expansion regime (< {bound})")
     if anchor not in ("fd", "value"):
         raise ValidationError(f"anchor must be 'fd' or 'value', got {anchor!r}")
+    grid = replace(problem, half_width=replace(problem, epsilon=eps[-1]).resolved_half_width())
+    rows = ((0.0,) if anchor == "fd" else ()) + eps
+    return SweepPlan(replace(grid, nt=_discretize(grid, rows)[3]), eps, anchor, rows)
+
+
+def epsilon_sweep(plan: SweepPlan, *, v0: float, sensitivity: float) -> EpsSweepResult:
+    """March all rows of the plan in one solve; tabulate |v_fd - (v0 + eps*sens)|
+    and fit their log-log slope over the positive errors (NaN below 3)."""
     if not (math.isfinite(v0) and math.isfinite(sensitivity)):
         raise ValidationError("v0 and sensitivity must be finite")
-
-    half = replace(problem, epsilon=eps[-1]).resolved_half_width()
-    if problem.nt is not None:
-        nt = problem.nt
-    else:
-        dx = 2.0 * half / (problem.nx - 1)
-        nt = max(math.ceil(problem.horizon
-                           / (problem.safety
-                              * replace(problem, epsilon=e).max_stable_dt(dx)))
-                 for e in eps)
-
-    def _value_at(e: float) -> float:
-        sol = solve(replace(problem, epsilon=e, half_width=half, nt=nt))
-        return sol.at(0.0, problem.x_center)
-
-    anchor_value = _value_at(0.0) if anchor == "fd" else float(v0)
-    fd_vals = [_value_at(e) for e in eps]
-    approx = [anchor_value + e * float(sensitivity) for e in eps]
+    sol = solve(plan.problem, epsilons=plan.rows)
+    fd_vals = [float(np.interp(plan.problem.x_center, sol.grid_x, r)) for r in sol.values[0]]
+    anchor_value = fd_vals.pop(0) if plan.anchor == "fd" else float(v0)
+    approx = [anchor_value + e * float(sensitivity) for e in plan.epsilons]
     errors = [abs(v - a) for v, a in zip(fd_vals, approx)]
-    slope = fit_loglog_slope(eps, errors)
-    return EpsSweepResult(epsilons=tuple(eps), fd_values=tuple(fd_vals),
+    return EpsSweepResult(epsilons=plan.epsilons, fd_values=tuple(fd_vals),
                           approx_values=tuple(approx), abs_errors=tuple(errors),
-                          slope=slope, half_width=half, anchor_value=anchor_value)
+                          slope=fit_loglog_slope(plan.epsilons, errors),
+                          half_width=plan.problem.half_width, anchor_value=anchor_value)

@@ -16,7 +16,7 @@ import pytest
 
 from kolsens import (BaselineModel, BoundaryFunction, EvalPoint, FdProblem1d,
                      build_time_grid, draw_samples, epsilon_sweep,
-                     generate_normalized_model, predicted_complexity,
+                     generate_normalized_model, plan_epsilon_sweep, predicted_complexity,
                      quartic_boundary, quartic_sensitivity_quadrature, quartic_v0,
                      sensitivity_mc, sine_boundary, sine_sensitivity_quadrature,
                      sine_v0, solve, v0_mc)
@@ -159,7 +159,7 @@ def test_criterion_06_epsilon_squared_error_law():
         template = FdProblem1d(drift=1.0, vol=1.0, gamma=gamma, eta=eta,
                                epsilon=epsilons[-1], boundary=quartic_boundary(),
                                nx=2001)
-        result = epsilon_sweep(template, epsilons,
+        result = epsilon_sweep(plan_epsilon_sweep(template, epsilons),
                                v0=quartic_v0(0.0, 0.0, 1.0, 1.0, 1.0),
                                sensitivity=gamma * quad_drift + eta * quad_vol)
         slopes[(gamma, eta)] = result.slope

@@ -396,6 +396,24 @@ def test_config_faults_exit_2_before_the_monte_carlo_stage(tmp_path, monkeypatch
     assert err.startswith("error:") and key in err
 
 
+@pytest.mark.parametrize("sweep, key", [
+    ({"epsilons": [0.04, 0.02, 0.06], "anchor": "grid"}, "epsilons"),
+    ({"epsilons": [0.02, 0.04, 0.06], "anchor": "grid"}, "anchor"),
+    ({"epsilons": [0.02, 0.04]}, "at least 3"),
+    ({"epsilons": [0.02, 0.04, 1.0]}, "expansion regime"),
+    ({"epsilons": [0.02, 0.04, 0.06], "fd": {"nt": 3}}, "stable step")])
+def test_bad_sweep_exits_2_before_any_estimate(tmp_path, monkeypatch, capsys, sweep, key):
+    monkeypatch.setattr(cli, "compute_report", _fail_if_called("compute_report"))
+    monkeypatch.setattr(cli, "_analytic_first_order", _fail_if_called("quadrature"))
+    sweep = dict(sweep)
+    fd = {"nx": 401, **sweep.pop("fd", {})}
+    cfg = _write_config(tmp_path, _quartic_config(
+        sweep={**sweep, "approx_source": "engine"}, fd=fd))
+    assert main(["--config", cfg, "--command", "eps-sweep"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and key in err
+
+
 @pytest.mark.parametrize("workers", ["abc", "0"])
 def test_bad_worker_count_exits_2_before_sampling(tmp_path, monkeypatch, capsys, workers):
     monkeypatch.setattr(engine, "draw_samples", _fail_if_called("draw_samples"))

@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from kolsens import (BaselineModel, BoundaryFunction, EpsSweepResult, FdProblem1d,
-                     NumericError, StabilityError, UncertaintySpec, ValidationError,
-                     epsilon_sweep, fd_problem_from_model, fit_loglog_slope,
-                     quartic_boundary, quartic_v0, sine_boundary, solve)
+                     NumericError, StabilityError, SweepPlan, UncertaintySpec,
+                     ValidationError, epsilon_sweep, fd_problem_from_model, fit_loglog_slope,
+                     plan_epsilon_sweep, quartic_boundary, quartic_v0, sine_boundary, solve)
 
 
 def _quartic_problem(**overrides):
@@ -233,26 +233,26 @@ def test_fit_loglog_slope_recovers_power_laws():
 
 def test_epsilon_sweep_validations():
     p = _quartic_problem()
-    kw = dict(v0=10.0, sensitivity=1.0)
     with pytest.raises(ValidationError, match="at least 3"):
-        epsilon_sweep(p, [0.01, 0.02], **kw)
+        plan_epsilon_sweep(p, [0.01, 0.02])
     with pytest.raises(ValidationError, match="increasing"):
-        epsilon_sweep(p, [0.02, 0.01, 0.03], **kw)
+        plan_epsilon_sweep(p, [0.02, 0.01, 0.03])
     with pytest.raises(ValidationError, match="increasing"):
-        epsilon_sweep(p, [-0.01, 0.01, 0.02], **kw)
+        plan_epsilon_sweep(p, [-0.01, 0.01, 0.02])
     with pytest.raises(ValidationError, match="expansion regime"):
-        epsilon_sweep(replace(p, vol=0.5), [0.2, 0.4, 0.6], **kw)
+        plan_epsilon_sweep(replace(p, vol=0.5), [0.2, 0.4, 0.6])
     with pytest.raises(ValidationError, match="anchor"):
-        epsilon_sweep(p, [0.01, 0.02, 0.03], anchor="grid", **kw)
+        plan_epsilon_sweep(p, [0.01, 0.02, 0.03], anchor="grid")
     with pytest.raises(ValidationError, match="finite"):
-        epsilon_sweep(p, [0.01, 0.02, 0.03], v0=math.nan, sensitivity=1.0)
+        epsilon_sweep(plan_epsilon_sweep(p, [0.01, 0.02, 0.03]), v0=math.nan,
+                      sensitivity=1.0)
 
 
 def test_epsilon_sweep_table_consistency():
     p = FdProblem1d(drift=0.2, vol=1.0, gamma=1.0, eta=1.0, epsilon=0.1,
                     boundary=_poly_boundary(0.5), nx=401)
     eps = [0.02, 0.04, 0.06, 0.08, 0.1]
-    res = epsilon_sweep(p, eps, v0=0.0, sensitivity=1.3)
+    res = epsilon_sweep(plan_epsilon_sweep(p, eps), v0=0.0, sensitivity=1.3)
     assert isinstance(res, EpsSweepResult)
     assert res.epsilons == tuple(eps)
     assert res.half_width == replace(p, epsilon=0.1).resolved_half_width()
@@ -261,6 +261,154 @@ def test_epsilon_sweep_table_consistency():
                                    zip(res.fd_values, res.approx_values))
     assert all(b > a for a, b in zip(res.fd_values, res.fd_values[1:]))
 
-    pinned = epsilon_sweep(p, eps, v0=-7.5, sensitivity=1.3, anchor="value")
+    pinned = epsilon_sweep(plan_epsilon_sweep(p, eps, anchor="value"), v0=-7.5,
+                           sensitivity=1.3)
     assert pinned.anchor_value == -7.5
     assert pinned.fd_values == res.fd_values
+
+
+
+# --------------------------------------------------------------------------
+# batched march: one (k, nx) march equals k single solves bit for bit
+# --------------------------------------------------------------------------
+
+def _plain_march(problem):
+    """The scheme written out for one problem, with scalar coefficients."""
+    half = problem.resolved_half_width()
+    x = np.linspace(problem.x_center - half, problem.x_center + half, problem.nx)
+    dx = float(x[1] - x[0])
+    dt = problem.horizon / problem.nt
+    u = problem.boundary.value(x[:, None])
+    diff = 0.5 * problem.sigma_eff ** 2
+    ge = problem.gamma * problem.epsilon
+    c_hi, c_lo = problem.drift + ge, problem.drift - ge
+    for _ in range(problem.nt):
+        d_plus = (u[2:] - u[1:-1]) / dx
+        d_minus = (u[1:-1] - u[:-2]) / dx
+        lap = (d_plus - d_minus) / dx
+        if problem.uses_central_advection(dx):
+            d_ctr = 0.5 * (d_plus + d_minus)
+            hamil = np.maximum(c_hi * d_ctr, c_lo * d_ctr)
+        else:
+            hamil = np.maximum(max(c_hi, 0.0) * d_plus + min(c_hi, 0.0) * d_minus,
+                               max(c_lo, 0.0) * d_plus + min(c_lo, 0.0) * d_minus)
+        u = np.concatenate([u[:1], u[1:-1] + dt * (diff * lap + hamil), u[-1:]])
+    return u
+
+
+def _central_flags(problem, epsilons):
+    half = problem.resolved_half_width()
+    x = np.linspace(problem.x_center - half, problem.x_center + half, problem.nx)
+    dx = float(x[1] - x[0])
+    return [replace(problem, epsilon=e).uses_central_advection(dx) for e in epsilons]
+
+
+_BATCHES = {
+    # every row central: the quartic benchmark shape on a small grid
+    "central": (_quartic_problem(epsilon=0.1, nx=201), [0.0, 0.02, 0.05, 0.1]),
+    # volatility grows with epsilon: upwind rows first, then central ones
+    "upwind-to-central": (FdProblem1d(drift=0.5, vol=0.1, gamma=0.0, eta=1.0, epsilon=0.09,
+                                      boundary=_poly_boundary(1.0), nx=101, half_width=2.5),
+                          [0.0, 0.02, 0.05, 0.09]),
+    # the drift interval grows with epsilon: central rows first, then upwind
+    "central-to-upwind": (FdProblem1d(drift=0.1, vol=0.1, gamma=1.0, eta=0.0, epsilon=0.2,
+                                      boundary=_poly_boundary(1.0), nx=101, half_width=2.5),
+                          [0.0, 0.05, 0.1, 0.2]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BATCHES))
+def test_batched_rows_equal_single_solves(case):
+    problem, eps = _BATCHES[case]
+    flags = _central_flags(problem, eps)
+    assert all(flags) if case == "central" else len(set(flags)) == 2
+    batch = solve(problem, epsilons=eps)
+    assert batch.values.shape == (2, len(eps), problem.nx)
+    half = problem.resolved_half_width()
+    for i, e in enumerate(eps):
+        single = replace(problem, epsilon=e, half_width=half, nt=batch.nt)
+        sol = solve(single)
+        assert np.array_equal(batch.values[:, i], sol.values)
+        assert np.array_equal(sol.grid_x, batch.grid_x) and sol.nt == batch.nt
+        assert np.array_equal(sol.values[0], _plain_march(single))
+
+
+@pytest.mark.parametrize("anchor", ["fd", "value"])
+def test_sweep_rows_equal_single_solves(anchor):
+    p = FdProblem1d(drift=0.2, vol=1.0, gamma=1.0, eta=1.0, epsilon=0.1,
+                    boundary=_poly_boundary(0.5), nx=201, x_center=0.3)
+    eps = [0.02, 0.05, 0.1]
+    plan = plan_epsilon_sweep(p, eps, anchor=anchor)
+    assert isinstance(plan, SweepPlan)
+    assert plan.rows == ((0.0,) if anchor == "fd" else ()) + tuple(eps)
+    res = epsilon_sweep(plan, v0=1.25, sensitivity=0.7)
+
+    def single(e):
+        return solve(replace(plan.problem, epsilon=e)).at(0.0, 0.3)
+
+    assert res.fd_values == tuple(single(e) for e in eps)
+    assert res.anchor_value == (single(0.0) if anchor == "fd" else 1.25)
+
+
+def test_user_nt_must_be_stable_for_every_row():
+    p = _quartic_problem(nx=201, half_width=4.0)
+    dx = 8.0 / 200
+    need = {e: math.ceil(1.0 / (0.9 * replace(p, epsilon=e).max_stable_dt(dx)))
+            for e in (0.02, 0.1)}
+    assert need[0.02] < need[0.1]
+    p = replace(p, nt=need[0.02])               # stable for 0 and 0.02, not for 0.1
+    solve(replace(p, epsilon=0.02))
+    with pytest.raises(StabilityError) as serial:
+        solve(replace(p, epsilon=0.1))
+    with pytest.raises(StabilityError, match="epsilon=0.1") as batch:
+        solve(p, epsilons=[0.0, 0.02, 0.1])
+    assert batch.value.max_dt == serial.value.max_dt
+    assert str(batch.value) == str(serial.value)
+
+    # the plan refuses it too, before any boundary evaluation
+    def untouchable(x):
+        raise AssertionError("the plan evaluated the boundary")
+
+    lazy = replace(p, boundary=BoundaryFunction(dim=1, value=untouchable,
+                                                gradient=untouchable))
+    with pytest.raises(StabilityError, match="epsilon=0.05"):
+        plan_epsilon_sweep(lazy, [0.01, 0.02, 0.05])
+    assert plan_epsilon_sweep(lazy, [0.01, 0.015, 0.02]).problem.nt == need[0.02]
+
+
+
+def test_anchor_row_takes_part_in_the_step_count():
+    # the eps = 0 row is upwind and needs more steps than every central sweep row
+    p = FdProblem1d(drift=0.5, vol=0.1, gamma=0.0, eta=1.0, epsilon=0.08,
+                    boundary=_poly_boundary(1.0), nx=101, half_width=2.5)
+    eps = [0.06, 0.07, 0.08]
+    assert _central_flags(p, [0.0] + eps) == [False, True, True, True]
+    need = [solve(replace(p, epsilon=e)).nt for e in [0.0] + eps]
+    assert need[0] > max(need[1:])
+    plan = plan_epsilon_sweep(p, eps)
+    assert plan.problem.nt == need[0]
+    res = epsilon_sweep(plan, v0=0.0, sensitivity=1.0)
+    assert res.anchor_value == solve(replace(p, epsilon=0.0)).at(0.0, 0.0)
+    assert plan_epsilon_sweep(p, eps, anchor="value").problem.nt == max(need[1:])
+
+def test_batched_overflow_names_the_first_bad_row_and_its_step():
+    scale = 9e306
+    steep = BoundaryFunction(dim=1,
+                             value=lambda p: scale * np.maximum(np.asarray(p)[..., 0], 0.0),
+                             gradient=lambda p: np.where(np.asarray(p) > 0, scale, 0.0))
+    # row 0 is upwind, rows 1 and 2 central, so the march runs them as (1, 2, 0)
+    p = FdProblem1d(drift=0.5, vol=0.1, gamma=0.0, eta=1.0, epsilon=0.09, boundary=steep,
+                    nx=601, half_width=9.0, nt=400)
+    eps = [0.0, 0.05, 0.09]
+    assert _central_flags(p, eps) == [False, True, True]
+    steps = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for e in eps:
+            with pytest.raises(NumericError) as serial:
+                solve(replace(p, epsilon=e))
+            steps.append(int(str(serial.value).split("time step ")[1].split()[0]))
+        first = max(range(len(eps)), key=lambda i: (steps[i], -i))
+        with pytest.raises(NumericError) as batch:
+            solve(p, epsilons=eps)
+    assert f"time step {steps[first]} " in str(batch.value)
+    assert str(batch.value).endswith(f"epsilon={eps[first]:g}")
