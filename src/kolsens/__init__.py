@@ -16,8 +16,8 @@ problem provide independent checks on the estimators.
 from .analytic import (QuadratureConfig, gauss_abs_expectation, quartic_sensitivity_quadrature,
                        quartic_v0, sine_sensitivity_quadrature, sine_v0)
 from .engine import (EstimatorStats, McConfig, SensitivityReport, compute_report,
-                     default_bump, first_order_approx, predicted_complexity, repeated_runs,
-                     seeded_runs, sensitivity_mc, v0_mc)
+                     default_bump, first_order_approx, predicted_complexity, seeded_runs,
+                     sensitivity_mc, v0_mc)
 from .errors import GenerationError, NumericError, StabilityError, ValidationError
 from .fd1d import (EpsSweepResult, FdProblem1d, FdSolution1d, SweepPlan, epsilon_sweep,
                    fd_problem_from_model, fit_loglog_slope, plan_epsilon_sweep, solve)
@@ -40,7 +40,7 @@ __all__ = [
     "first_order_approx", "fit_loglog_slope", "gauss_abs_expectation",
     "generate_normalized_model", "lambda_min", "plan_epsilon_sweep", "predicted_complexity",
     "quartic_boundary",
-    "quartic_sensitivity_quadrature", "quartic_v0", "repeated_runs", "ridge_boundary",
+    "quartic_sensitivity_quadrature", "quartic_v0", "ridge_boundary",
     "seeded_runs", "sensitivity_mc", "sine_boundary", "sine_sensitivity_quadrature",
     "sine_v0", "solve", "v0_mc", "validate_expansion_regime",
 ]

@@ -29,7 +29,7 @@ from . import __version__
 from .analytic import (quartic_sensitivity_quadrature, quartic_v0, sine_sensitivity_quadrature,
                        sine_v0)
 from .engine import (EstimatorStats, McConfig, compute_report, predicted_complexity,
-                     repeated_runs, seeded_runs, v0_mc)
+                     seeded_runs, v0_mc)
 from .errors import NumericError, ValidationError
 from .fd1d import (FdProblem1d, epsilon_sweep, fd_problem_from_model, plan_epsilon_sweep,
                    solve)
@@ -46,7 +46,9 @@ DIM_SWEEP_HEADER = ("d,v0_mean,v0_std,sens_drift_mean,sens_drift_std,"
                     "sens_vol_mean,sens_vol_std,lambda_min,runtime_mean_seconds")
 
 _TOP_KEYS = {"model", "boundary", "point", "uncertainty", "mc", "fd", "sweep",
-             "dims", "seed", "runs", "output"}
+             "dims", "seed", "runs"}
+_MODEL_KEYS = {"explicit": {"kind", "drift", "vol", "horizon"},
+               "normalized": {"kind", "dim", "seed", "horizon"}}
 
 
 def _expect_keys(section: dict, allowed: set, where: str) -> None:
@@ -98,10 +100,12 @@ def _array(v, name: str) -> np.ndarray:
 
 def _build_model(raw: dict):
     spec = raw.get("model")
-    if spec is None:
-        raise ValidationError("config needs a 'model' section")
-    _expect_keys(spec, {"kind", "drift", "vol", "horizon", "dim", "seed"}, "model")
+    if not isinstance(spec, dict):
+        raise ValidationError(f"config needs a 'model' object, got {spec!r}")
     kind = spec.get("kind", "normalized" if "dim" in spec else "explicit")
+    if kind not in ("explicit", "normalized"):
+        raise ValidationError(f"model kind must be 'explicit' or 'normalized', got {kind!r}")
+    _expect_keys(spec, _MODEL_KEYS[kind], f"{kind} model")
     horizon = _real(spec.get("horizon", 1.0), "model.horizon")
     if kind == "explicit":
         for key in ("drift", "vol"):
@@ -109,14 +113,12 @@ def _build_model(raw: dict):
                 raise ValidationError(f"explicit model needs '{key}'")
         model = BaselineModel(drift=_array(spec["drift"], "model.drift"),
                               vol=_array(spec["vol"], "model.vol"), horizon=horizon)
-    elif kind == "normalized":
+    else:
         if "dim" not in spec:
             raise ValidationError("normalized model needs 'dim'")
         model = generate_normalized_model(_count(spec["dim"], "model.dim"),
                                           _count(spec.get("seed", 0), "model.seed"),
                                           horizon=horizon)
-    else:
-        raise ValidationError(f"model kind must be 'explicit' or 'normalized', got {kind!r}")
     return model, kind
 
 
@@ -186,7 +188,7 @@ def _build_unc(raw: dict) -> UncertaintySpec:
 def _build_mc(raw: dict, seed: int) -> McConfig:
     """The estimator config; McConfig itself checks every value's type and range."""
     spec = raw.get("mc", {})
-    _expect_keys(spec, {"n_steps", "m0", "m1", "h", "kernel", "force_fd"}, "mc")
+    _expect_keys(spec, {"n_steps", "m0", "m1", "h", "kernel"}, "mc")
     h = spec.get("h")
     return McConfig(
         n_steps=_count(spec.get("n_steps", 100), "mc.n_steps"),
@@ -194,13 +196,12 @@ def _build_mc(raw: dict, seed: int) -> McConfig:
         m1=_count(spec.get("m1", 30_000), "mc.m1"),
         h=None if h is None else _real(h, "mc.h"),
         seed=seed,
-        force_fd=spec.get("force_fd", False),
         kernel=spec.get("kernel", "auto"))
 
 
 def _fd_params(raw: dict) -> dict:
     spec = raw.get("fd", {})
-    _expect_keys(spec, {"half_width", "nx", "nt", "safety", "allow_nonconvex"}, "fd")
+    _expect_keys(spec, {"half_width", "nx", "nt", "allow_nonconvex"}, "fd")
     out = {}
     if spec.get("half_width") is not None:
         out["half_width"] = _real(spec["half_width"], "fd.half_width")
@@ -208,8 +209,6 @@ def _fd_params(raw: dict) -> dict:
         out["nx"] = _count(spec["nx"], "fd.nx")
     if spec.get("nt") is not None:
         out["nt"] = _count(spec["nt"], "fd.nt")
-    if "safety" in spec:
-        out["safety"] = _real(spec["safety"], "fd.safety")
     if "allow_nonconvex" in spec:
         if not isinstance(spec["allow_nonconvex"], bool):
             raise ValidationError(f"fd.allow_nonconvex must be a bool, "
@@ -219,11 +218,11 @@ def _fd_params(raw: dict) -> dict:
 
 
 def config_hash(raw: dict, command: str, seed: int, runs: int, mc: McConfig) -> str:
-    """Hash of everything that can change a result (output routing excluded)."""
-    semantic = {k: v for k, v in raw.items() if k != "output"}
+    """Hash of everything that can change a result."""
+    semantic = dict(raw)
     semantic["_effective"] = {
         "command": command, "seed": seed, "runs": runs,
-        "h": mc.h, "force_fd": mc.force_fd, "kernel": mc.kernel,
+        "h": mc.h, "kernel": mc.kernel,
         "n_steps": mc.n_steps, "m0": mc.m0, "m1": mc.m1,
     }
     blob = json.dumps(semantic, sort_keys=True, separators=(",", ":"))
@@ -247,7 +246,7 @@ def _run_value(ctx) -> dict:
         samples = draw_samples(ctx["model"], grid, ctx["mc"].m0, 1, seed)
         return v0_mc(ctx["model"], ctx["boundary"], ctx["point"], samples)
 
-    stats = repeated_runs(one, ctx["runs"], ctx["seed"])
+    stats = EstimatorStats.of(seeded_runs(one, ctx["runs"], ctx["seed"]))
     return {"seed": ctx["seed"], "d": ctx["model"].dim, "N": ctx["mc"].n_steps,
             "M0": ctx["mc"].m0,
             "stats": asdict(stats),

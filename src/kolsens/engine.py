@@ -31,11 +31,12 @@ at every worker count.
 """
 
 import math
+import numbers
 import os
 import time
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -77,6 +78,13 @@ def _resolve_workers(workers: int | None) -> int:
 def default_bump(point: EvalPoint) -> float:
     """Default FD bump for the Jacobian branch: 1e-3 * max(1, |x|_inf)."""
     return 1e-3 * max(1.0, float(np.max(np.abs(point.x))) if point.x.size else 1.0)
+
+
+def _check_bump(h):
+    """The FD bump h, checked to be a finite real > 0 and not a bool."""
+    if isinstance(h, bool) or not isinstance(h, numbers.Real) or not math.isfinite(h) or h <= 0:
+        raise ValidationError(f"FD bump h must be a real > 0, got {h!r}")
+    return h
 
 
 def predicted_complexity(d: int, n_steps: int, m0: int, m1: int) -> int:
@@ -239,17 +247,18 @@ def _ridge_node_terms(ridge, x, out_disp, in_disp, vol_mat, need_drift,
 
 
 def sensitivity_mc(model: BaselineModel, boundary: BoundaryFunction, point: EvalPoint,
-                   samples: SampleGrid, h: float | None = None, force_fd: bool = False,
-                   kernel: str = "auto", workers: int | None = None,
+                   samples: SampleGrid, h: float | None = None, workers: int | None = None,
                    parts: tuple = ("drift", "vol")) -> tuple[float, float, bool]:
     """Nested MC estimate of (sens_drift, sens_vol); returns the branch taken.
+
+    The boundary picks the path: the Hessian branch if `boundary.hessian` is
+    set (else forward differences), the ridge kernel if `boundary.ridge` is.
+    For the FD branch or the generic kernel pass replace(b, hessian=None,
+    ridge=replace(b.ridge, d2=None)) or replace(b, ridge=None).
 
     Parameters
     ----------
     h : FD bump for the Jacobian fallback; default 1e-3 * max(1, |x|_inf).
-    force_fd : take the forward-difference branch even when a Hessian exists.
-    kernel : "auto" uses the ridge shortcut when the boundary declares one,
-        "generic" forces the black-box kernel.
     parts : which factors to compute; skipped parts come back as 0.0.
 
     Returns (sens_drift, sens_vol, used_hessian_path).
@@ -259,17 +268,12 @@ def sensitivity_mc(model: BaselineModel, boundary: BoundaryFunction, point: Eval
     need_vol = "vol" in parts
     if not (need_drift or need_vol):
         return 0.0, 0.0, False
-    if kernel not in ("auto", "generic"):
-        raise ValidationError(f"kernel must be 'auto' or 'generic', got {kernel!r}")
 
-    use_hessian = boundary.hessian is not None and not force_fd
+    use_hessian = boundary.hessian is not None
     if need_vol and not use_hessian:
-        if h is None:
-            h = default_bump(point)
-        if not (np.isfinite(h) and h > 0):
-            raise ValidationError(f"FD bump h must be > 0, got {h}")
+        h = _check_bump(default_bump(point) if h is None else h)
 
-    use_ridge = boundary.ridge is not None and kernel == "auto"
+    use_ridge = boundary.ridge is not None
     node_terms = _ridge_node_terms if use_ridge else _generic_node_terms
     first_arg = boundary.ridge if use_ridge else boundary
 
@@ -401,21 +405,15 @@ def seeded_runs(job, runs: int, base_seed: int) -> list:
     return results
 
 
-def repeated_runs(job, runs: int, base_seed: int) -> EstimatorStats:
-    """EstimatorStats of the float results of `seeded_runs(job, runs, base_seed)`."""
-    return EstimatorStats.of([float(v) for v in seeded_runs(job, runs, base_seed)])
-
-
 @dataclass(frozen=True)
 class McConfig:
-    """Estimator parameters: grid size, sample counts, bump, seed, branch flags."""
+    """Estimator parameters; kernel="generic" makes compute_report drop the ridge."""
 
     n_steps: int = 100
     m0: int = 3_000_000
     m1: int = 30_000
     h: float | None = None
     seed: int = 0
-    force_fd: bool = False
     kernel: str = "auto"
 
     def __post_init__(self):
@@ -425,14 +423,11 @@ class McConfig:
                 raise ValidationError(f"{name} must be an integer >= {low}, got {v!r}")
         if self.m0 < self.m1:
             raise ValidationError(f"need m0 >= m1, got m0={self.m0}, m1={self.m1}")
-        if self.h is not None and not (isinstance(self.h, (int, float)) and
-                                       math.isfinite(self.h) and self.h > 0):
-            raise ValidationError(f"FD bump h must be > 0, got {self.h!r}")
+        if self.h is not None:
+            _check_bump(self.h)
         if self.kernel not in ("auto", "generic"):
             raise ValidationError(f"kernel must be one of ('auto', 'generic'), "
                                   f"got {self.kernel!r}")
-        if not isinstance(self.force_fd, bool):
-            raise ValidationError(f"force_fd must be a bool, got {self.force_fd!r}")
 
 
 def compute_report(model: BaselineModel, boundary: BoundaryFunction, point: EvalPoint,
@@ -442,8 +437,9 @@ def compute_report(model: BaselineModel, boundary: BoundaryFunction, point: Eval
 
     When `unc` is given with gamma = eta = 0 the sensitivity stage is skipped
     entirely (the sensitivity is identically zero at zero weights) and the
-    report's `h` is None, as it is whenever no FD branch ran. The worker
-    count is resolved first, so a bad KOLSENS_WORKERS fails before sampling.
+    report's `h` is None, as it is whenever no FD branch ran. The boundary
+    picks the branch; cfg.kernel="generic" drops its ridge declaration. The
+    worker count is resolved first, so a bad KOLSENS_WORKERS fails early.
     """
     t0 = time.perf_counter()
     workers = _resolve_workers(workers)
@@ -453,9 +449,10 @@ def compute_report(model: BaselineModel, boundary: BoundaryFunction, point: Eval
     parts = ("drift", "vol")
     if unc is not None and unc.gamma == 0.0 and unc.eta == 0.0:
         parts = ()
+    if cfg.kernel == "generic":
+        boundary = replace(boundary, ridge=None)
     sens_drift, sens_vol, used_hessian = sensitivity_mc(
-        model, boundary, point, samples, h=cfg.h, force_fd=cfg.force_fd,
-        kernel=cfg.kernel, workers=workers, parts=parts)
+        model, boundary, point, samples, h=cfg.h, workers=workers, parts=parts)
     runtime = time.perf_counter() - t0
     fd_ran = "vol" in parts and not used_hessian
     return SensitivityReport(

@@ -13,9 +13,9 @@ sigma_eff^2, true for every shipped benchmark) and sign-upwinded otherwise.
 With central second differences and explicit Euler steps in reverse time
 both are monotone under the step bound, which the solver refuses to exceed.
 
-An epsilon sweep is planned first (checks, grid and nt; no FD work), then
-marched once with each epsilon one row of a (k, nx) array; a single solve is
-the k = 1 case. This check of the Monte Carlo engine shares no sampling code.
+An epsilon sweep is planned first (checks, grid, nt, terminal row), then
+marched once with each epsilon one row of a (k, nx) array; the k = 1 case is
+a single solve. This check of the Monte Carlo engine shares no sampling code.
 """
 
 import math
@@ -29,6 +29,7 @@ from .model import BaselineModel, BoundaryFunction, UncertaintySpec
 Array = np.ndarray
 
 _CONVEXITY_TOL = 1e-9
+_SAFETY = 0.9     # every step is at most _SAFETY times the stable bound
 
 
 @dataclass(frozen=True)
@@ -37,7 +38,7 @@ class FdProblem1d:
 
     half_width None picks L = |center| + 8*sigma_eff*sqrt(T) + cmax*T, wide
     enough that the frozen Dirichlet data is felt only beyond ~8 standard
-    deviations. nt None picks the largest stable step (times `safety`).
+    deviations. nt None picks the largest stable step (times _SAFETY = 0.9).
     """
 
     drift: float
@@ -50,7 +51,6 @@ class FdProblem1d:
     half_width: float | None = None
     nx: int = 2001
     nt: int | None = None
-    safety: float = 0.9
     x_center: float = 0.0
     allow_nonconvex: bool = False
 
@@ -70,8 +70,7 @@ class FdProblem1d:
                 (int(self.nx) == self.nx and not self.nx < 3,
                  f"nx must be an integer >= 3, got {self.nx}"),
                 (self.nt is None or (int(self.nt) == self.nt and not self.nt < 1),
-                 f"nt must be an integer >= 1, got {self.nt}"),
-                (0.0 < self.safety <= 1.0, f"safety must lie in (0, 1], got {self.safety}")):
+                 f"nt must be an integer >= 1, got {self.nt}")):
             if not ok:
                 raise ValidationError(message)
 
@@ -165,15 +164,15 @@ def _discretize(problem: FdProblem1d, epsilons) -> tuple:
     half = problem.resolved_half_width()
     grid_x = np.linspace(problem.x_center - half, problem.x_center + half, problem.nx)
     dx = float(grid_x[1] - grid_x[0])
-    T, safety, nt = problem.horizon, problem.safety, problem.nt
+    T, nt = problem.horizon, problem.nt
     max_dts = [r.max_stable_dt(dx) for r in rows]
     if nt is None:
-        return rows, grid_x, dx, max(1, *(math.ceil(T / (safety * m)) for m in max_dts))
+        return rows, grid_x, dx, max(1, *(math.ceil(T / (_SAFETY * m)) for m in max_dts))
     for r, m in zip(rows, max_dts):
-        if T / nt > safety * m + 1e-15:
+        if T / nt > _SAFETY * m + 1e-15:
             raise StabilityError(f"epsilon={r.epsilon:g}: dt={T / nt:.3e} exceeds the stable "
-                                 f"step {safety * m:.3e} (nt >= "
-                                 f"{math.ceil(T / (safety * m))} needed)", max_dt=m)
+                                 f"step {_SAFETY * m:.3e} (nt >= "
+                                 f"{math.ceil(T / (_SAFETY * m))} needed)", max_dt=m)
     return rows, grid_x, dx, int(nt)
 
 
@@ -263,9 +262,10 @@ def plan_epsilon_sweep(problem: FdProblem1d, epsilons, anchor: str = "fd") -> Sw
     """Check a sweep and fix its grid and nt, before any FD or Monte Carlo work.
 
     The rows of template `problem` share one grid, sized for the largest
-    epsilon, and one nt all can take. anchor="fd" adds an epsilon = 0 row
-    whose value replaces v0, cancelling the discretization offset all rows
-    share; anchor="value" keeps v0. Needs >= 3 strictly increasing positive
+    epsilon, and one nt all can take; the terminal row is checked on that grid
+    (shape, finiteness, convexity). anchor="fd" adds an epsilon = 0 row whose
+    value replaces v0, cancelling the discretization offset all rows share;
+    anchor="value" keeps v0. Needs >= 3 strictly increasing positive
     epsilons below min(1, vol), the expansion regime.
     """
     eps = tuple(float(e) for e in epsilons)
@@ -281,7 +281,9 @@ def plan_epsilon_sweep(problem: FdProblem1d, epsilons, anchor: str = "fd") -> Sw
         raise ValidationError(f"anchor must be 'fd' or 'value', got {anchor!r}")
     grid = replace(problem, half_width=replace(problem, epsilon=eps[-1]).resolved_half_width())
     rows = ((0.0,) if anchor == "fd" else ()) + eps
-    return SweepPlan(replace(grid, nt=_discretize(grid, rows)[3]), eps, anchor, rows)
+    _, grid_x, _, nt = _discretize(grid, rows)
+    _terminal_row(grid, grid_x)
+    return SweepPlan(replace(grid, nt=nt), eps, anchor, rows)
 
 
 def epsilon_sweep(plan: SweepPlan, *, v0: float, sensitivity: float) -> EpsSweepResult:

@@ -244,8 +244,8 @@ def test_criterion_10_property_suite(quartic_setup):
         growth_alpha=1.0, growth_const=5.0)
     pt2 = EvalPoint(t=0.25, x=np.array([0.4, -0.1]))
     samples2 = draw_samples(wide, build_time_grid(0.25, 1.5, 6), 300, 37, 3)
-    for force_fd in (False, True):
-        sd, sv, _ = sensitivity_mc(wide, affine, pt2, samples2, force_fd=force_fd)
+    for bnd in (affine, replace(affine, hessian=None)):     # Hessian and FD branches
+        sd, sv, _ = sensitivity_mc(wide, bnd, pt2, samples2)
         assert sv == 0.0
         assert sd == pytest.approx(1.25 * math.sqrt(2.5), rel=1e-13)
 
@@ -272,8 +272,8 @@ def test_criterion_10_property_suite(quartic_setup):
     # finite-difference branch approaches the exact-Hessian branch at rate h
     samples_h = draw_samples(model, build_time_grid(0.0, 1.0, 6), 500, 300, 9)
     _, sv_exact, _ = sensitivity_mc(model, boundary, point, samples_h)
-    errs = {h: abs(sensitivity_mc(model, boundary, point, samples_h,
-                                  h=h, force_fd=True)[1] - sv_exact)
+    no_hessian = replace(boundary, hessian=None, ridge=replace(boundary.ridge, d2=None))
+    errs = {h: abs(sensitivity_mc(model, no_hessian, point, samples_h, h=h)[1] - sv_exact)
             for h in (1e-2, 1e-3)}
     assert 3.0 < errs[1e-2] / errs[1e-3] < 30.0
 

@@ -343,23 +343,29 @@ def test_rejected_external_boundary(tmp_path, monkeypatch, capsys):
 @pytest.mark.parametrize("mc", [
     {"mc": {"kernel": "bogus"}}, {"mc": {"kernel": "ridge"}}, {"mc": {"n_steps": 0}},
     {"mc": {"n_steps": 2.5}}, {"mc": {"m1": "many"}}, {"mc": {"h": "small"}},
-    {"mc": {"force_fd": "false"}}, {"seed": "abc"}, {"runs": 2.5},
+    {"output": "x.json"}, {"seed": "abc"}, {"runs": 2.5},
     {"uncertainty": {"gamma": "x"}}, {"model": {"kind": "normalized", "dim": "two"}},
     {"fd": {"nx": "many"}}, {"fd": {"allow_nonconvex": "false"}},
     {"point": {"x": ["zero"]}},
-    ({"boundary": "sine", "dims": [1, 2], "model": {"kind": "explicit"}}, "dim-sweep"),
+    ({"boundary": "sine", "dims": [1, 2],
+      "model": {"drift": [1.0], "vol": [[1.0]], "kind": "explicit"}}, "dim-sweep"),
     ({"boundary": "sine", "dims": [1, 2], "model": {"kind": "normalized", "dim": 1},
-      "point": {"t": 0.5, "x": [3.0]}}, "dim-sweep")])
+      "point": {"t": 0.5, "x": [3.0]}}, "dim-sweep"),
+    {"model": {"kind": "normalized", "dim": 1, "drift": [1.0]}},
+    {"model": {"kind": "normalized", "dim": 1, "vol": [[1.0]]}},
+    {"model": {"kind": "explicit", "drift": [1.0], "vol": [[1.0]], "dim": 1}},
+    {"model": {"kind": "explicit", "drift": [1.0], "vol": [[1.0]], "seed": 3}}])
 def test_invalid_mc_section_exits_2(tmp_path, capsys, mc):
     # mc: a malformed value patched into sections or the root of the config,
     # optionally paired with the command to run (default: sensitivity); the
-    # error must name the last patched key
+    # error must name the last patched key. A model section replaces the
+    # quartic's outright, since the keys a model takes depend on its kind.
     patch, command = mc if isinstance(mc, tuple) else (mc, "sensitivity")
     doc = _quartic_config()
     for section, value in patch.items():
         key = section
         if isinstance(value, dict):
-            doc[section] = {**doc.get(section, {}), **value}
+            doc[section] = value if section == "model" else {**doc.get(section, {}), **value}
             key = list(value)[-1]
         else:
             doc[section] = value
@@ -385,7 +391,11 @@ _SWEEP = {"epsilons": [0.02, 0.04, 0.06]}
     ("fd-solve", {"point": {"x": [0.0, 7.0]}}, "point.x"),
     ("sensitivity", {"point": {"x": []}}, "point.x"),
     ("dim-sweep", {"boundary": "sine", "dims": [1, 2], "point": {"t": 0.0, "x": [0.5]},
-                   "model": {"kind": "normalized", "dim": 1}}, "point")])
+                   "model": {"kind": "normalized", "dim": 1}}, "point"),
+    ("eps-sweep", {"boundary": "sine", "model": {"kind": "normalized", "dim": 1},
+                   "sweep": {**_SWEEP, "approx_source": "engine"}}, "not convex"),
+    ("eps-sweep", {"boundary": "sine", "model": {"kind": "normalized", "dim": 1},
+                   "sweep": _SWEEP}, "not convex")])
 def test_config_faults_exit_2_before_the_monte_carlo_stage(tmp_path, monkeypatch, capsys,
                                                            command, patch, key):
     monkeypatch.setattr(cli, "compute_report", _fail_if_called("compute_report"))

@@ -9,7 +9,7 @@ from kolsens import (BaselineModel, BoundaryFunction, EstimatorStats, EvalPoint,
                      McConfig, NumericError, SensitivityReport, UncertaintySpec,
                      ValidationError, build_time_grid, compute_report, draw_samples,
                      first_order_approx, predicted_complexity, quartic_boundary,
-                     repeated_runs, ridge_boundary, sensitivity_mc, sine_boundary, v0_mc)
+                     ridge_boundary, seeded_runs, sensitivity_mc, sine_boundary, v0_mc)
 from kolsens.engine import WORKERS_ENV
 
 
@@ -22,6 +22,12 @@ def quartic_setup():
 def _samples(model, n_steps, m0, m1, seed, t0=0.0):
     grid = build_time_grid(t0, model.horizon, n_steps)
     return draw_samples(model, grid, m0, m1, seed)
+
+
+def _without_hessian(bnd):
+    """The boundary with no Hessian declared, so the engine takes the FD branch."""
+    ridge = None if bnd.ridge is None else replace(bnd.ridge, d2=None)
+    return replace(bnd, hessian=None, ridge=ridge)
 
 
 # --------------------------------------------------------------------------
@@ -164,17 +170,17 @@ def _affine_boundary(a, c):
                             growth_const=float(np.abs(a).sum() + abs(c) + 1))
 
 
-@pytest.mark.parametrize("force_fd", [False, True])
-def test_affine_boundary_exactness(force_fd):
+@pytest.mark.parametrize("fd_branch", [False, True])
+def test_affine_boundary_exactness(fd_branch):
     model = BaselineModel(drift=np.array([0.1, -0.2]),
                           vol=np.array([[1.0, 0.0], [0.3, 0.7]]), horizon=1.5)
     a = np.array([1.5, -0.5])
     bnd = _affine_boundary(a, 2.0)
     pt = EvalPoint(t=0.25, x=np.array([0.4, -0.1]))
     s = _samples(model, 6, 300, 37, seed=3, t0=0.25)
-    sd, sv, used = sensitivity_mc(model, bnd, pt, s, force_fd=force_fd)
+    sd, sv, used = sensitivity_mc(model, _without_hessian(bnd) if fd_branch else bnd, pt, s)
     assert sv == 0.0
-    assert used is (not force_fd)
+    assert used is (not fd_branch)
     expected = (model.horizon - pt.t) * math.sqrt(float(a @ a))
     assert sd == pytest.approx(expected, rel=1e-13)
 
@@ -199,8 +205,8 @@ def test_ridge_kernel_matches_generic():
     ]:
         pt = EvalPoint(t=0.0, x=np.zeros(d))
         s = _samples(model, 8, 400, 200, seed=5)
-        r = sensitivity_mc(model, bnd, pt, s, kernel="auto")
-        g = sensitivity_mc(model, bnd, pt, s, kernel="generic")
+        r = sensitivity_mc(model, bnd, pt, s)
+        g = sensitivity_mc(model, replace(bnd, ridge=None), pt, s)
         assert r[0] == pytest.approx(g[0], rel=1e-10)
         assert r[1] == pytest.approx(g[1], rel=1e-10)
         assert r[2] and g[2]
@@ -213,7 +219,7 @@ def test_fd_branch_agrees_with_hessian_at_rate_h(quartic_setup):
     assert used
     errs = {}
     for h in (1e-2, 1e-3):
-        _, sv_fd, used_fd = sensitivity_mc(model, bnd, pt, s, h=h, force_fd=True)
+        _, sv_fd, used_fd = sensitivity_mc(model, _without_hessian(bnd), pt, s, h=h)
         assert not used_fd
         errs[h] = abs(sv_fd - sv_exact)
     # forward differences: error scales linearly with the bump
@@ -224,10 +230,9 @@ def test_fd_branch_agrees_with_hessian_at_rate_h(quartic_setup):
 def test_fd_branch_validates_bump(quartic_setup):
     model, bnd, pt = quartic_setup
     s = _samples(model, 2, 60, 30, seed=0)
-    with pytest.raises(ValidationError):
-        sensitivity_mc(model, bnd, pt, s, h=0.0, force_fd=True)
-    with pytest.raises(ValidationError):
-        sensitivity_mc(model, bnd, pt, s, h=-1e-3, force_fd=True)
+    for h in (0.0, -1e-3, "0.01", True):
+        with pytest.raises(ValidationError):
+            sensitivity_mc(model, _without_hessian(bnd), pt, s, h=h)
     # bump is irrelevant (and unchecked) on the Hessian branch
     sensitivity_mc(model, bnd, pt, s, h=-1e-3)
 
@@ -285,12 +290,13 @@ def _tile_cases(wrap=lambda fn: fn):
 
 def _all_branches(model, bnd, pt, s):
     out = {}
-    for kernel in ("auto", "generic"):
-        for force_fd in (False, True):
+    for kernel in ("ridge", "generic"):
+        for fd_branch in (False, True):
+            b = _without_hessian(bnd) if fd_branch else bnd
+            b = replace(b, ridge=None) if kernel == "generic" else b
             for parts in (("drift", "vol"), ("drift",), ("vol",)):
-                out[kernel, force_fd, parts] = sensitivity_mc(
-                    model, bnd, pt, s, kernel=kernel, force_fd=force_fd, h=1e-3,
-                    parts=parts)
+                out[kernel, fd_branch, parts] = sensitivity_mc(model, b, pt, s, h=1e-3,
+                                                               parts=parts)
     return out
 
 
@@ -405,25 +411,26 @@ def test_first_order_approx_warns_outside_regime(quartic_setup):
         first_order_approx(rep, outside)
 
 
-def test_repeated_runs_statistics():
-    stats = repeated_runs(lambda seed: float(seed * seed), runs=4, base_seed=2)
+def test_seeded_runs_statistics():
+    stats = EstimatorStats.of(seeded_runs(lambda seed: float(seed * seed), runs=4,
+                                          base_seed=2))
     vals = np.array([4.0, 9.0, 16.0, 25.0])
     assert stats == EstimatorStats(runs=4, mean=float(vals.mean()),
                                    std_dev=float(vals.std(ddof=1)))
-    single = repeated_runs(lambda seed: 1.0, runs=1, base_seed=0)
+    single = EstimatorStats.of(seeded_runs(lambda seed: 1.0, runs=1, base_seed=0))
     assert single.mean == 1.0 and math.isnan(single.std_dev)
 
 
-def test_repeated_runs_identifies_failing_seed():
+def test_seeded_runs_identifies_failing_seed():
     def flaky(seed):
         if seed == 13:
             raise RuntimeError("boom")
         return 0.0
 
     with pytest.raises(NumericError, match="13"):
-        repeated_runs(flaky, runs=5, base_seed=10)
+        seeded_runs(flaky, runs=5, base_seed=10)
     with pytest.raises(ValidationError):
-        repeated_runs(lambda s: 0.0, runs=0, base_seed=0)
+        seeded_runs(lambda s: 0.0, runs=0, base_seed=0)
 
 
 def test_mcconfig_validates_sample_counts():
@@ -434,31 +441,41 @@ def test_mcconfig_validates_sample_counts():
 @pytest.mark.parametrize("field", [
     {"n_steps": 0}, {"m0": 0, "m1": 0}, {"m1": 0}, {"n_steps": 2.5}, {"seed": -1},
     {"h": 0.0}, {"h": float("nan")}, {"h": "0.01"}, {"kernel": "ridge"},
-    {"kernel": "bogus"}, {"force_fd": "yes"},
+    {"kernel": "bogus"}, {"h": True},
 ])
 def test_mcconfig_validates_every_field(field):
     with pytest.raises(ValidationError):
         McConfig(**{"m0": 100, "m1": 10, **field})
 
 
-def test_repeated_runs_passes_validation_errors_through():
+def test_seeded_runs_passes_validation_errors_through():
     def bad(seed):
         raise ValidationError("bad config")
 
     with pytest.raises(ValidationError, match="^bad config$"):
-        repeated_runs(bad, runs=2, base_seed=0)
+        seeded_runs(bad, runs=2, base_seed=0)
 
 
 def test_report_bump_is_null_on_the_hessian_branch(quartic_setup):
     model, bnd, pt = quartic_setup
     cfg = McConfig(n_steps=3, m0=100, m1=50, seed=1)
     assert compute_report(model, bnd, pt, cfg).h is None
-    fd = compute_report(model, bnd, pt, replace(cfg, force_fd=True))
+    fd_bnd = _without_hessian(bnd)
+    fd = compute_report(model, fd_bnd, pt, cfg)
     assert fd.h == 1e-3 and not fd.used_hessian_path
-    assert compute_report(model, bnd, pt, replace(cfg, force_fd=True, h=0.01)).h == 0.01
+    assert compute_report(model, fd_bnd, pt, replace(cfg, h=0.01)).h == 0.01
     # zero weights skip the sensitivity stage, so no bump was used either
     zero = UncertaintySpec(gamma=0.0, eta=0.0, epsilon=0.1)
-    assert compute_report(model, bnd, pt, replace(cfg, force_fd=True), unc=zero).h is None
+    assert compute_report(model, fd_bnd, pt, cfg, unc=zero).h is None
+
+
+def test_generic_kernel_setting_drops_the_ridge_declaration():
+    model = BaselineModel(drift=np.full(3, 0.2), vol=np.eye(3) + 0.1)
+    bnd, pt = sine_boundary(3), EvalPoint(t=0.0, x=np.zeros(3))
+    cfg = McConfig(n_steps=3, m0=200, m1=40, seed=2, kernel="generic")
+    got = compute_report(model, bnd, pt, cfg)
+    want = compute_report(model, replace(bnd, ridge=None), pt, replace(cfg, kernel="auto"))
+    assert (got.v0, got.sens_drift, got.sens_vol) == (want.v0, want.sens_drift, want.sens_vol)
 
 
 def test_compute_report_respects_eval_time():

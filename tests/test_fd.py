@@ -47,8 +47,6 @@ def test_problem_validation():
     with pytest.raises(ValidationError):
         _quartic_problem(half_width=0.0)
     with pytest.raises(ValidationError):
-        _quartic_problem(safety=1.5)
-    with pytest.raises(ValidationError):
         _quartic_problem(nt=0)
     with pytest.raises(ValidationError):
         _quartic_problem(boundary=sine_boundary(2))
@@ -98,7 +96,7 @@ def test_store_ends_keeps_two_rows():
     assert sol.values.shape == (2, p.nx)
     assert np.array_equal(sol.grid_t, [0.0, p.horizon])
     dx = float(sol.grid_x[1] - sol.grid_x[0])
-    assert sol.nt == math.ceil(p.horizon / (p.safety * p.max_stable_dt(dx)))
+    assert sol.nt == math.ceil(p.horizon / (0.9 * p.max_stable_dt(dx)))
     assert sol.values[0, 100] > sol.values[1, 100]   # the march moved the t=0 row
 
 
@@ -120,6 +118,10 @@ def test_convexity_gate():
         solve(wavy)
     solve(replace(wavy, allow_nonconvex=True))
     solve(_quartic_problem(nx=201, half_width=3.0))   # convex passes silently
+    # a sweep plan checks the terminal row on its own grid, before any march
+    with pytest.raises(ValidationError, match="not convex"):
+        plan_epsilon_sweep(wavy, [0.01, 0.02, 0.05])
+    plan_epsilon_sweep(replace(wavy, allow_nonconvex=True), [0.01, 0.02, 0.05])
 
 
 def test_nonfinite_terminal_is_rejected():
@@ -373,7 +375,7 @@ def test_user_nt_must_be_stable_for_every_row():
                                                 gradient=untouchable))
     with pytest.raises(StabilityError, match="epsilon=0.05"):
         plan_epsilon_sweep(lazy, [0.01, 0.02, 0.05])
-    assert plan_epsilon_sweep(lazy, [0.01, 0.015, 0.02]).problem.nt == need[0.02]
+    assert plan_epsilon_sweep(p, [0.01, 0.015, 0.02]).problem.nt == need[0.02]
 
 
 

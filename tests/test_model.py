@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -158,6 +160,15 @@ def test_ridge_boundary_validates_direction():
     with pytest.raises(ValidationError):
         BoundaryFunction(dim=2, value=lambda p: p[..., 0], gradient=lambda p: p,
                          ridge=ridge_boundary(np.ones(3), np.sin, np.cos).ridge)
+
+
+def test_ridge_declares_d2_exactly_when_the_boundary_has_a_hessian():
+    b = sine_boundary(2)
+    for bad in (dict(hessian=None), dict(ridge=replace(b.ridge, d2=None))):
+        with pytest.raises(ValidationError, match="d2"):
+            replace(b, **bad)
+    replace(b, hessian=None, ridge=replace(b.ridge, d2=None))
+    replace(b, ridge=None)
 
 
 def test_normalized_model_recipe():
