@@ -186,14 +186,15 @@ def _build_unc(raw: dict) -> UncertaintySpec:
 
 
 def _build_mc(raw: dict, seed: int) -> McConfig:
-    """The estimator config; McConfig itself checks every value's type and range."""
+    """The estimator config, m1 at most m0 by default; McConfig checks every value."""
     spec = raw.get("mc", {})
     _expect_keys(spec, {"n_steps", "m0", "m1", "h", "kernel"}, "mc")
     h = spec.get("h")
+    m0 = _count(spec.get("m0", 3_000_000), "mc.m0")
     return McConfig(
         n_steps=_count(spec.get("n_steps", 100), "mc.n_steps"),
-        m0=_count(spec.get("m0", 3_000_000), "mc.m0"),
-        m1=_count(spec.get("m1", 30_000), "mc.m1"),
+        m0=m0,
+        m1=_count(spec.get("m1", min(30_000, m0)), "mc.m1"),
         h=None if h is None else _real(h, "mc.h"),
         seed=seed,
         kernel=spec.get("kernel", "auto"))
@@ -218,8 +219,9 @@ def _fd_params(raw: dict) -> dict:
 
 
 def config_hash(raw: dict, command: str, seed: int, runs: int, mc: McConfig) -> str:
-    """Hash of everything that can change a result."""
-    semantic = dict(raw)
+    """Hash of everything that can change a result; seed and runs enter only
+    as the values in effect, whether the config or a flag gave them."""
+    semantic = {k: v for k, v in raw.items() if k not in ("seed", "runs")}
     semantic["_effective"] = {
         "command": command, "seed": seed, "runs": runs,
         "h": mc.h, "kernel": mc.kernel,
@@ -348,6 +350,8 @@ def _run_dim_sweep(ctx) -> dict:
     if not (isinstance(dims, list) and dims):
         raise ValidationError("dim-sweep needs a nonempty 'dims' list in the config")
     dims = [_count(d, "dims") for d in dims]
+    if min(dims) < 1:
+        raise ValidationError(f"every entry of dims must be >= 1, got {min(dims)}")
     if ctx["boundary_kind"] == "quartic":
         raise ValidationError("dim-sweep needs a dimension-parametric boundary "
                               "(sine or external factory)")
@@ -385,7 +389,7 @@ def _run_fd_solve(ctx) -> dict:
                                     **ctx["fd"])
     problem = replace(problem, x_center=float(ctx["point"].x[0]))
     solution = solve(problem)
-    return {"seed": ctx["seed"], "v_fd": solution.at(0.0, problem.x_center),
+    return {"seed": ctx["seed"], "v_fd": solution.at(problem.x_center),
             "x": problem.x_center, "half_width": problem.resolved_half_width(),
             "nx": problem.nx, "nt": solution.nt, "epsilon": problem.epsilon,
             "gamma": problem.gamma, "eta": problem.eta}

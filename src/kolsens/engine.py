@@ -144,23 +144,20 @@ def _norm_rows(a: Array) -> Array:
     return np.sqrt(np.sum(a * a, axis=-1))
 
 
-def _tiled_node_sums(pairs, m1, row_elems, grad, hess, shifts, need_drift, h,
-                     reduce):
+def _tiled_node_sums(pairs, m1, row_elems, grad, hess, shifts, h, reduce):
     """Sum one node's (drift, vol) terms over the outer pool, inner means tiled.
 
     `pairs(lo, hi)` builds the pairwise array of outer rows lo..hi-1 against
     the whole inner pool (inner samples on axis 1). Outer rows are grouped in
     blocks of _PAIR_BUDGET // row_elems rows, which fix the reduction order.
-    Within a block, the inner means of `grad` (when the drift or a forward
-    difference needs it), of `hess` (unless None) and of `grad` at each FD
-    shift are computed one tile of _PAIR_TILE // row_elems rows at a time.
-    `reduce(w, jac)` turns a block's means into its (drift, vol) partial
-    sums; jac is the mean Hessian, or the list of forward-difference slopes
-    (mean(grad(p + shift)) - mean(grad(p))) / h, one per shift.
+    Within a block, the inner means of `grad`, of `hess` (unless None) and of
+    `grad` at each FD shift are computed one tile of _PAIR_TILE // row_elems
+    rows at a time. `reduce(w, jac)` turns a block's means into its (drift,
+    vol) partial sums; jac is the mean Hessian, or the list of
+    forward-difference slopes (mean(grad(p + shift)) - mean(grad(p))) / h,
+    one per shift.
     """
-    means = {}
-    if need_drift or len(shifts):
-        means["w"] = grad
+    means = {"w": grad}
     if hess is not None:
         means["jw"] = hess
     for k, shift in enumerate(shifts):
@@ -180,45 +177,43 @@ def _tiled_node_sums(pairs, m1, row_elems, grad, hess, shifts, need_drift, h,
                     m[name] = np.empty((hi - lo,) + mean.shape[1:])
                 m[name][t_lo - lo:t_hi - lo] = mean
         jac = [(m[k] - m["w"]) / h for k in range(len(shifts))]
-        dp, vp = reduce(m.get("w"), m.get("jw", jac))
+        dp, vp = reduce(m["w"], m.get("jw", jac))
         drift_parts.append(dp)
         vol_parts.append(vp)
     return math.fsum(drift_parts), math.fsum(vol_parts)
 
 
-def _generic_node_terms(boundary, x, out_disp, in_disp, vol_mat, need_drift,
-                        need_vol, use_hessian, h):
+def _generic_node_terms(boundary, x, out_disp, in_disp, vol_mat, h):
     """One grid node of the nested estimator, black-box boundary evaluators.
 
-    Returns (sum_j |w_hat(j)|, sum_j ||Jw_hat(j) vol||_F) over the outer pool.
+    Returns (sum_j |w_hat(j)|, sum_j ||Jw_hat(j) vol||_F) over the outer pool;
+    the Jacobian comes from boundary.hessian when set, else from shifts by h.
     """
     m1, d = out_disp.shape
-    hess = boundary.hessian if (need_vol and use_hessian) else None
-    shifts = np.eye(d) * h if (need_vol and not use_hessian) else ()
+    hess = boundary.hessian
+    shifts = () if hess is not None else np.eye(d) * h
 
     def reduce(w, jac):
-        drift = float(np.sum(_norm_rows(w))) if need_drift else 0.0
-        if not need_vol:
-            return drift, 0.0
-        jw = jac if use_hessian else np.stack(jac, axis=-1)
+        jw = jac if hess is not None else np.stack(jac, axis=-1)
         js = np.einsum("bkl,lm->bkm", jw, vol_mat, optimize=False)
-        return drift, float(np.sum(np.sqrt(np.sum(js * js, axis=(-2, -1)))))
+        return (float(np.sum(_norm_rows(w))),
+                float(np.sum(np.sqrt(np.sum(js * js, axis=(-2, -1))))))
 
     return _tiled_node_sums(
         lambda lo, hi: x + out_disp[lo:hi, None, :] + in_disp[None, :, :], m1,
-        m1 * d * (d if hess is not None else 1), boundary.gradient, hess, shifts,
-        need_drift, h, reduce)
+        m1 * d * (d if hess is not None else 1), boundary.gradient, hess, shifts, h,
+        reduce)
 
 
-def _ridge_node_terms(ridge, x, out_disp, in_disp, vol_mat, need_drift,
-                      need_vol, use_hessian, h):
+def _ridge_node_terms(ridge, x, out_disp, in_disp, vol_mat, h):
     """Same sums as the generic kernel for ridge boundaries f(x) = phi(a.x).
 
     Everything factors through the scalar projection s = a.(x + X_i(j) +
     X_{N-i}(m)): w_hat = mean(phi'(s)) a, Jw_hat = mean(phi''(s)) a a^T, so
     |w_hat| = |mean phi'| |a| and ||Jw_hat vol||_F = |mean phi''| |a| |vol^T a|.
-    The pairwise work is then independent of the dimension. The FD branch
-    makes one shifted pass per *distinct* direction entry, then expands.
+    The pairwise work is then independent of the dimension. Without ridge.d2
+    the FD branch makes one shifted pass per *distinct* direction entry, then
+    expands.
     """
     a = ridge.direction
     m1 = out_disp.shape[0]
@@ -227,50 +222,42 @@ def _ridge_node_terms(ridge, x, out_disp, in_disp, vol_mat, need_drift,
     signorm = math.sqrt(float(sig_a @ sig_a))
     s_out = float(x @ a) + np.einsum("jd,d->j", out_disp, a, optimize=False)
     s_in = np.einsum("jd,d->j", in_disp, a, optimize=False)
-    fd = need_vol and not use_hessian
+    fd = ridge.d2 is None
     distinct, entry = np.unique(a, return_inverse=True) if fd else ((), None)
 
     def reduce(u, jac):
-        drift = anorm * float(np.sum(np.abs(u))) if need_drift else 0.0
-        if not need_vol:
-            return drift, 0.0
-        if use_hessian:
+        drift = anorm * float(np.sum(np.abs(u)))
+        if not fd:
             return drift, anorm * signorm * float(np.sum(np.abs(jac)))
         g = np.stack([jac[k] for k in entry], axis=1)   # (b, d)
         gs = np.einsum("bl,lm->bm", g, vol_mat, optimize=False)
         return drift, anorm * float(np.sum(_norm_rows(gs)))
 
     return _tiled_node_sums(
-        lambda lo, hi: s_out[lo:hi, None] + s_in[None, :], m1, m1, ridge.d1,
-        ridge.d2 if (need_vol and use_hessian) else None, [h * v for v in distinct],
-        need_drift, h, reduce)
+        lambda lo, hi: s_out[lo:hi, None] + s_in[None, :], m1, m1, ridge.d1, ridge.d2,
+        [h * v for v in distinct], h, reduce)
 
 
 def sensitivity_mc(model: BaselineModel, boundary: BoundaryFunction, point: EvalPoint,
-                   samples: SampleGrid, h: float | None = None, workers: int | None = None,
-                   parts: tuple = ("drift", "vol")) -> tuple[float, float, bool]:
+                   samples: SampleGrid, h: float | None = None,
+                   workers: int | None = None) -> tuple[float, float, bool]:
     """Nested MC estimate of (sens_drift, sens_vol); returns the branch taken.
 
-    The boundary picks the path: the Hessian branch if `boundary.hessian` is
-    set (else forward differences), the ridge kernel if `boundary.ridge` is.
+    Both factors come from one pass, as they share the inner mean w_hat. The
+    boundary picks the path: the Hessian branch if `boundary.hessian` is set
+    (else forward differences), the ridge kernel if `boundary.ridge` is.
     For the FD branch or the generic kernel pass replace(b, hessian=None,
     ridge=replace(b.ridge, d2=None)) or replace(b, ridge=None).
 
     Parameters
     ----------
     h : FD bump for the Jacobian fallback; default 1e-3 * max(1, |x|_inf).
-    parts : which factors to compute; skipped parts come back as 0.0.
 
     Returns (sens_drift, sens_vol, used_hessian_path).
     """
     _check_compatible(model, boundary, point, samples)
-    need_drift = "drift" in parts
-    need_vol = "vol" in parts
-    if not (need_drift or need_vol):
-        return 0.0, 0.0, False
-
     use_hessian = boundary.hessian is not None
-    if need_vol and not use_hessian:
+    if not use_hessian:
         h = _check_bump(default_bump(point) if h is None else h)
 
     use_ridge = boundary.ridge is not None
@@ -284,8 +271,7 @@ def sensitivity_mc(model: BaselineModel, boundary: BoundaryFunction, point: Eval
     def per_node(i: int):
         out_disp = samples.displacement(i, stop=m1)
         in_disp = samples.displacement(n - i, stop=m1)
-        return node_terms(first_arg, x, out_disp, in_disp, vol_mat, need_drift,
-                          need_vol, use_hessian, h)
+        return node_terms(first_arg, x, out_disp, in_disp, vol_mat, h)
 
     n_workers = _resolve_workers(workers)
     pool = ThreadPoolExecutor(max_workers=n_workers) if n_workers > 1 else None
@@ -303,9 +289,9 @@ def sensitivity_mc(model: BaselineModel, boundary: BoundaryFunction, point: Eval
     finally:
         if pool is not None:
             pool.shutdown(cancel_futures=True)
-    sens_drift = dt * math.fsum(dv for dv, _ in node_vals) / m1 if need_drift else 0.0
-    sens_vol = dt * math.fsum(vv for _, vv in node_vals) / m1 if need_vol else 0.0
-    return sens_drift, sens_vol, bool(use_hessian and need_vol)
+    sens_drift = dt * math.fsum(dv for dv, _ in node_vals) / m1
+    sens_vol = dt * math.fsum(vv for _, vv in node_vals) / m1
+    return sens_drift, sens_vol, use_hessian
 
 
 # --------------------------------------------------------------------------
@@ -435,9 +421,10 @@ def compute_report(model: BaselineModel, boundary: BoundaryFunction, point: Eval
                    workers: int | None = None) -> SensitivityReport:
     """Draw samples and run both estimators once, timed, as a SensitivityReport.
 
-    When `unc` is given with gamma = eta = 0 the sensitivity stage is skipped
-    entirely (the sensitivity is identically zero at zero weights) and the
-    report's `h` is None, as it is whenever no FD branch ran. The boundary
+    When `unc` is given with gamma = eta = 0, sensitivity_mc is not called
+    (the sensitivity is identically zero at zero weights): both factors are
+    0.0, used_hessian_path is False and `h` is None, as it is whenever no FD
+    branch ran. The boundary
     picks the branch; cfg.kernel="generic" drops its ridge declaration. The
     worker count is resolved first, so a bad KOLSENS_WORKERS fails early.
     """
@@ -446,19 +433,18 @@ def compute_report(model: BaselineModel, boundary: BoundaryFunction, point: Eval
     grid = build_time_grid(point.t, model.horizon, cfg.n_steps)
     samples = draw_samples(model, grid, cfg.m0, cfg.m1, cfg.seed)
     v0 = v0_mc(model, boundary, point, samples)
-    parts = ("drift", "vol")
-    if unc is not None and unc.gamma == 0.0 and unc.eta == 0.0:
-        parts = ()
-    if cfg.kernel == "generic":
-        boundary = replace(boundary, ridge=None)
-    sens_drift, sens_vol, used_hessian = sensitivity_mc(
-        model, boundary, point, samples, h=cfg.h, workers=workers, parts=parts)
+    sens_drift, sens_vol, used_hessian, h = 0.0, 0.0, False, None
+    if unc is None or unc.gamma != 0.0 or unc.eta != 0.0:
+        if cfg.kernel == "generic":
+            boundary = replace(boundary, ridge=None)
+        sens_drift, sens_vol, used_hessian = sensitivity_mc(
+            model, boundary, point, samples, h=cfg.h, workers=workers)
+        if not used_hessian:
+            h = default_bump(point) if cfg.h is None else cfg.h
     runtime = time.perf_counter() - t0
-    fd_ran = "vol" in parts and not used_hessian
     return SensitivityReport(
         v0=v0, sens_drift=sens_drift, sens_vol=sens_vol,
         used_hessian_path=used_hessian, runtime_seconds=runtime,
         predicted_ops=predicted_complexity(model.dim, cfg.n_steps, cfg.m0, cfg.m1),
         d=model.dim, n_steps=cfg.n_steps, m0=cfg.m0, m1=cfg.m1,
-        h=(default_bump(point) if cfg.h is None else cfg.h) if fd_ran else None,
-        seed=cfg.seed)
+        h=h, seed=cfg.seed)

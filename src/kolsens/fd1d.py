@@ -114,25 +114,18 @@ def fd_problem_from_model(model: BaselineModel, boundary: BoundaryFunction,
 
 @dataclass(frozen=True)
 class FdSolution1d:
-    """End rows of a march, values[0] at t = 0 and values[1] at t = T = grid_t[1],
-    each (nx,) for one problem or (k, nx) for k epsilons, nt steps apart."""
+    """The t = 0 row of a march on grid_x after nt steps: values is (nx,) for one
+    problem or (k, nx) for k epsilons."""
 
     grid_x: Array
-    grid_t: Array
     values: Array
     nt: int
 
-    def at(self, t: float, x: float) -> float:
-        """Linear interpolation in x of a single problem's row at t, which must be 0 or T."""
-        t0, t1 = float(self.grid_t[0]), float(self.grid_t[-1])
-        if not (t0 <= t <= t1):
-            raise ValidationError(f"t={t} outside the solved range [{t0}, {t1}]")
+    def at(self, x: float) -> float:
+        """Linear interpolation in x of a single problem's t = 0 row."""
         if not (self.grid_x[0] <= x <= self.grid_x[-1]):
             raise ValidationError(f"x={x} outside the grid [{self.grid_x[0]}, {self.grid_x[-1]}]")
-        ends = [i for i, end in enumerate((t0, t1)) if math.isclose(t, end, abs_tol=1e-12)]
-        if not ends:
-            raise ValidationError("solution stored end rows only; query t=0 or t=T")
-        return float(np.interp(x, self.grid_x, self.values[ends[0]]))
+        return float(np.interp(x, self.grid_x, self.values))
 
 
 def _terminal_row(problem: FdProblem1d, grid_x: Array) -> Array:
@@ -151,7 +144,8 @@ def _terminal_row(problem: FdProblem1d, grid_x: Array) -> Array:
         raise ValidationError(
             f"boundary is not convex on the grid (second difference {worst:.3e} "
             f"at node {j}); the FD reference is only valid for convex boundaries "
-            "(pass allow_nonconvex=True to override)")
+            '(override with "fd": {"allow_nonconvex": true} in a CLI config, or '
+            "allow_nonconvex=True in FdProblem1d)")
     return terminal
 
 
@@ -181,8 +175,8 @@ def solve(problem: FdProblem1d, epsilons=None) -> FdSolution1d:
 
     Each of `epsilons` is a row of one (k, nx) march on the grid of `problem`
     with one nt, equal bit for bit to the k = 1 solve of replace(problem,
-    epsilon=e) on that grid and nt; values is (2, k, nx), or (2, nx) without
-    `epsilons`. Only the t = 0 and t = T rows are kept: O(k*nx) memory.
+    epsilon=e) on that grid and nt; values is the t = 0 row, (k, nx), or (nx,)
+    without `epsilons`. Only two time rows are held: O(k*nx) memory.
     """
     rows, grid_x, dx, nt = _discretize(problem, epsilons)
     dt = problem.horizon / nt
@@ -221,9 +215,9 @@ def solve(problem: FdProblem1d, epsilons=None) -> FdSolution1d:
             raise NumericError(f"FD march produced non-finite values at time step {step} "
                                f"(t={step * dt:.6g}) for epsilon={rows[bad].epsilon:g}")
         u, new = new, u
-    values = np.stack([u, np.broadcast_to(terminal, u.shape)])[:, np.argsort(order)]
-    return FdSolution1d(grid_x=grid_x, grid_t=np.asarray([0.0, problem.horizon]),
-                        values=values[:, 0] if epsilons is None else values, nt=nt)
+    values = u[np.argsort(order)]
+    return FdSolution1d(grid_x=grid_x, values=values[0] if epsilons is None else values,
+                        nt=nt)
 
 
 def fit_loglog_slope(xs, ys) -> float:
@@ -292,7 +286,7 @@ def epsilon_sweep(plan: SweepPlan, *, v0: float, sensitivity: float) -> EpsSweep
     if not (math.isfinite(v0) and math.isfinite(sensitivity)):
         raise ValidationError("v0 and sensitivity must be finite")
     sol = solve(plan.problem, epsilons=plan.rows)
-    fd_vals = [float(np.interp(plan.problem.x_center, sol.grid_x, r)) for r in sol.values[0]]
+    fd_vals = [float(np.interp(plan.problem.x_center, sol.grid_x, r)) for r in sol.values]
     anchor_value = fd_vals.pop(0) if plan.anchor == "fd" else float(v0)
     approx = [anchor_value + e * float(sensitivity) for e in plan.epsilons]
     errors = [abs(v - a) for v, a in zip(fd_vals, approx)]

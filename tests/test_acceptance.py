@@ -14,8 +14,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from kolsens import (BaselineModel, BoundaryFunction, EvalPoint, FdProblem1d,
-                     build_time_grid, draw_samples, epsilon_sweep,
+from kolsens import (BaselineModel, BoundaryFunction, EvalPoint, FdProblem1d, McConfig,
+                     build_time_grid, compute_report, draw_samples, epsilon_sweep,
                      generate_normalized_model, plan_epsilon_sweep, predicted_complexity,
                      quartic_boundary, quartic_sensitivity_quadrature, quartic_v0,
                      sensitivity_mc, sine_boundary, sine_sensitivity_quadrature,
@@ -172,14 +172,10 @@ def test_criterion_06_epsilon_squared_error_law():
 
 def test_criterion_07_linearity_identity(quartic_setup):
     model, boundary, point = quartic_setup
-    samples = draw_samples(model, build_time_grid(0.0, 1.0, 20), 500, 500, 11)
-    sd_both, sv_both, _ = sensitivity_mc(model, boundary, point, samples)
-    sd_only, _, _ = sensitivity_mc(model, boundary, point, samples,
-                                   parts=("drift",))
-    _, sv_only, _ = sensitivity_mc(model, boundary, point, samples,
-                                   parts=("vol",))
-    combined = sd_both + sv_both
-    split = sd_only + sv_only
+    report = compute_report(model, boundary, point,
+                            McConfig(n_steps=20, m0=500, m1=500, seed=11))
+    combined = report.sens_total(1.0, 1.0)
+    split = report.sens_total(1.0, 0.0) + report.sens_total(0.0, 1.0)
     assert abs(combined - split) <= 1e-12 * abs(combined)
     assert abs(DRIFT_REPORTED + VOL_REPORTED - SUM_REPORTED) < 1e-12
     _announce(7, f"sens(1,1)={combined!r} == sens(1,0)+sens(0,1)={split!r}; "
@@ -277,17 +273,18 @@ def test_criterion_10_property_suite(quartic_setup):
             for h in (1e-2, 1e-3)}
     assert 3.0 < errs[1e-2] / errs[1e-3] < 30.0
 
-    # grid reference: exact terminal row, value nondecreasing in epsilon
+    # grid reference: exact frozen edges, value nondecreasing in epsilon
     prob = FdProblem1d(drift=1.0, vol=1.0, gamma=1.0, eta=1.0, epsilon=0.1,
                        boundary=quartic_boundary(), nx=401, half_width=4.0)
     sol = solve(prob)
-    assert np.array_equal(sol.values[-1], quartic_boundary().value(sol.grid_x[:, None]))
-    vals = [solve(replace(prob, epsilon=e)).at(0.0, 0.0)
+    terminal = quartic_boundary().value(sol.grid_x[:, None])
+    assert np.array_equal(sol.values[[0, -1]], terminal[[0, -1]])
+    vals = [solve(replace(prob, epsilon=e)).at(0.0)
             for e in (0.0, 0.05, 0.1)]
     assert vals[0] < vals[1] < vals[2]
 
     _announce(10, "affine/constant exactness, translation covariance, "
-                  "O(h) branch agreement, exact terminal row, monotone in epsilon")
+                  "O(h) branch agreement, exact frozen edges, monotone in epsilon")
 
 
 def test_reduced_dimension_sweep_completes_at_d50(tmp_path):

@@ -263,6 +263,32 @@ def test_seed_and_bump_overrides_change_hash(tmp_path):
     assert bumped["config_hash"] != plain["config_hash"]
 
 
+def test_hash_counts_the_effective_seed_and_runs_only(tmp_path):
+    by_flag = _write_config(tmp_path, _quartic_config(), name="flag.json")
+    in_config = _write_config(tmp_path, _quartic_config(seed=5, runs=3), name="cfg.json")
+    bare = _quartic_config()
+    del bare["seed"], bare["runs"]
+    bare = _write_config(tmp_path, bare, name="bare.json")
+    _, a = _run_json(tmp_path, by_flag, "value", "--seed", "5", "--runs", "3", name="a.json")
+    _, b = _run_json(tmp_path, in_config, "value", name="b.json")
+    _, c = _run_json(tmp_path, bare, "value", "--seed", "5", "--runs", "3", name="c.json")
+    assert a["stats"] == b["stats"] == c["stats"]
+    assert a["config_hash"] == b["config_hash"] == c["config_hash"]
+
+
+def test_m1_defaults_to_at_most_m0(tmp_path):
+    small = _write_config(tmp_path, _quartic_config(mc={"n_steps": 3, "m0": 1000}),
+                          name="small.json")
+    one = _write_config(tmp_path, _quartic_config(mc={"n_steps": 3, "m0": 1000, "m1": 1}),
+                        name="one.json")
+    code, doc = _run_json(tmp_path, small, "value", name="a.json")
+    assert code == 0
+    assert doc["stats"] == _run_json(tmp_path, one, "value", name="b.json")[1]["stats"]
+    code, doc = _run_json(tmp_path, small, "complexity", name="c.json")
+    assert code == 0 and doc["M1"] == 1000
+    assert _run_json(tmp_path, small, "fd-solve", name="d.json")[0] == 0
+
+
 # --------------------------------------------------------------------------
 # failure modes and exit codes
 # --------------------------------------------------------------------------
@@ -395,7 +421,9 @@ _SWEEP = {"epsilons": [0.02, 0.04, 0.06]}
     ("eps-sweep", {"boundary": "sine", "model": {"kind": "normalized", "dim": 1},
                    "sweep": {**_SWEEP, "approx_source": "engine"}}, "not convex"),
     ("eps-sweep", {"boundary": "sine", "model": {"kind": "normalized", "dim": 1},
-                   "sweep": _SWEEP}, "not convex")])
+                   "sweep": _SWEEP}, "not convex"),
+    ("dim-sweep", {"boundary": "sine", "dims": [3, 0],
+                   "model": {"kind": "normalized", "dim": 1}}, "dims")])
 def test_config_faults_exit_2_before_the_monte_carlo_stage(tmp_path, monkeypatch, capsys,
                                                            command, patch, key):
     monkeypatch.setattr(cli, "compute_report", _fail_if_called("compute_report"))
@@ -422,6 +450,18 @@ def test_bad_sweep_exits_2_before_any_estimate(tmp_path, monkeypatch, capsys, sw
     assert main(["--config", cfg, "--command", "eps-sweep"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and key in err
+
+
+@pytest.mark.parametrize("command, extra", [("eps-sweep", {"sweep": _SWEEP}),
+                                            ("fd-solve", {})])
+def test_nonconvex_refusal_names_the_config_key(tmp_path, capsys, command, extra):
+    sine = {"boundary": "sine", "model": {"kind": "normalized", "dim": 1}, **extra}
+    cfg = _write_config(tmp_path, _quartic_config(fd={"nx": 201}, **sine))
+    assert main(["--config", cfg, "--command", command]) == 2
+    assert '"fd": {"allow_nonconvex": true}' in capsys.readouterr().err
+    allowed = _write_config(tmp_path, _quartic_config(
+        fd={"nx": 201, "allow_nonconvex": True}, **sine), name="allowed.json")
+    assert _run_json(tmp_path, allowed, command)[0] == 0
 
 
 @pytest.mark.parametrize("workers", ["abc", "0"])

@@ -237,17 +237,6 @@ def test_fd_branch_validates_bump(quartic_setup):
     sensitivity_mc(model, bnd, pt, s, h=-1e-3)
 
 
-def test_parts_selection(quartic_setup):
-    model, bnd, pt = quartic_setup
-    s = _samples(model, 4, 200, 100, seed=4)
-    full = sensitivity_mc(model, bnd, pt, s)
-    drift_only = sensitivity_mc(model, bnd, pt, s, parts=("drift",))
-    vol_only = sensitivity_mc(model, bnd, pt, s, parts=("vol",))
-    assert drift_only == (full[0], 0.0, False)
-    assert vol_only == (0.0, full[1], True)
-    assert sensitivity_mc(model, bnd, pt, s, parts=()) == (0.0, 0.0, False)
-
-
 def test_sensitivity_nonfinite_names_time_index(quartic_setup):
     model, _, pt = quartic_setup
     bad = BoundaryFunction(
@@ -269,14 +258,16 @@ def test_sensitivity_fails_at_first_bad_node(quartic_setup):
         calls.append(np.size(p))
         return np.full(np.asarray(p).shape, np.nan)
 
+    # a declared Hessian keeps the FD shifts away: one gradient call per tile
     bnd = BoundaryFunction(dim=1, value=lambda p: np.zeros(np.asarray(p).shape[:-1]),
-                           gradient=gradient)
+                           gradient=gradient,
+                           hessian=lambda p: np.full(np.shape(p) + (1,), np.nan))
     with pytest.raises(NumericError, match="time index 0"):
-        sensitivity_mc(model, bnd, pt, s, parts=("drift",), workers=1)
+        sensitivity_mc(model, bnd, pt, s, workers=1)
     assert len(calls) == 1     # one tile of node 0; nodes 1..5 never ran
     for workers in (2, 3):
         with pytest.raises(NumericError, match="time index 0$"):
-            sensitivity_mc(model, bnd, pt, s, parts=("drift",), workers=workers)
+            sensitivity_mc(model, bnd, pt, s, workers=workers)
 
 
 def _tile_cases(wrap=lambda fn: fn):
@@ -294,9 +285,7 @@ def _all_branches(model, bnd, pt, s):
         for fd_branch in (False, True):
             b = _without_hessian(bnd) if fd_branch else bnd
             b = replace(b, ridge=None) if kernel == "generic" else b
-            for parts in (("drift", "vol"), ("drift",), ("vol",)):
-                out[kernel, fd_branch, parts] = sensitivity_mc(model, b, pt, s, h=1e-3,
-                                                               parts=parts)
+            out[kernel, fd_branch] = sensitivity_mc(model, b, pt, s, h=1e-3)
     return out
 
 
@@ -387,10 +376,17 @@ def test_report_linearity_in_weights(quartic_setup):
 
 def test_compute_report_zero_weights_short_circuit(quartic_setup):
     model, bnd, pt = quartic_setup
-    rep = compute_report(model, bnd, pt, McConfig(n_steps=3, m0=100, m1=50, seed=3),
+
+    def gradient(p):
+        raise AssertionError("the sensitivity stage ran at zero weights")
+
+    # without the ridge declaration the engine would call boundary.gradient
+    untouchable = replace(bnd, ridge=None, gradient=gradient)
+    rep = compute_report(model, untouchable, pt,
+                         McConfig(n_steps=3, m0=100, m1=50, seed=3),
                          unc=UncertaintySpec(0.0, 0.0, 0.5))
     assert rep.sens_drift == 0.0 and rep.sens_vol == 0.0
-    assert not rep.used_hessian_path
+    assert not rep.used_hessian_path and rep.h is None
     assert rep.v0 != 0.0
 
 

@@ -81,23 +81,22 @@ def test_problem_from_model_round_trip():
 # solve: exactness and guards
 # --------------------------------------------------------------------------
 
-def test_terminal_row_and_edges_are_exact():
+def test_frozen_edges_are_exact():
     p = _quartic_problem(nx=201, half_width=4.0)
     sol = solve(p)
     expected = p.boundary.value(sol.grid_x[:, None])
-    assert np.array_equal(sol.values[1], expected)
-    assert np.all(sol.values[:, 0] == expected[0])
-    assert np.all(sol.values[:, -1] == expected[-1])
+    assert sol.values[0] == expected[0]
+    assert sol.values[-1] == expected[-1]
 
 
-def test_store_ends_keeps_two_rows():
+def test_solution_keeps_the_t0_row():
     p = _quartic_problem(nx=201, half_width=4.0)
     sol = solve(p)
-    assert sol.values.shape == (2, p.nx)
-    assert np.array_equal(sol.grid_t, [0.0, p.horizon])
+    assert sol.values.shape == (p.nx,)
     dx = float(sol.grid_x[1] - sol.grid_x[0])
     assert sol.nt == math.ceil(p.horizon / (0.9 * p.max_stable_dt(dx)))
-    assert sol.values[0, 100] > sol.values[1, 100]   # the march moved the t=0 row
+    terminal = p.boundary.value(sol.grid_x[:, None])
+    assert sol.values[100] > terminal[100]   # the march moved the t=0 row
 
 
 def test_stability_guard():
@@ -171,15 +170,12 @@ def test_zero_uncertainty_matches_closed_form():
     p = _quartic_problem(gamma=0.0, eta=0.0, epsilon=0.0, nx=2001)
     sol = solve(p)
     for x in (0.0, 0.4):
-        assert sol.at(0.0, x) == pytest.approx(quartic_v0(0.0, x, 1.0, 1.0, 1.0),
-                                               abs=5e-3)
-        assert sol.at(1.0, x) == pytest.approx(quartic_v0(1.0, x, 1.0, 1.0, 1.0),
-                                               abs=5e-3)
+        assert sol.at(x) == pytest.approx(quartic_v0(0.0, x, 1.0, 1.0, 1.0), abs=5e-3)
 
 
 def test_value_is_monotone_in_epsilon():
     half = _quartic_problem(epsilon=0.1).resolved_half_width()
-    vals = [solve(_quartic_problem(epsilon=e, half_width=half, nx=801)).at(0.0, 0.0)
+    vals = [solve(_quartic_problem(epsilon=e, half_width=half, nx=801)).at(0.0)
             for e in (0.0, 0.05, 0.1)]
     assert vals[0] < vals[1] < vals[2]
 
@@ -190,9 +186,9 @@ def test_constant_shift_identity():
                               gradient=base.gradient)
     kw = dict(drift=0.4, vol=1.0, gamma=1.0, eta=1.0, epsilon=0.08,
               boundary=base, nx=401, half_width=6.0)
-    v_base = solve(FdProblem1d(**kw)).at(0.0, 0.0)
+    v_base = solve(FdProblem1d(**kw)).at(0.0)
     kw["boundary"] = lifted
-    v_lift = solve(FdProblem1d(**kw)).at(0.0, 0.0)
+    v_lift = solve(FdProblem1d(**kw)).at(0.0)
     assert v_lift == pytest.approx(v_base + 3.25, rel=1e-9)
 
 
@@ -202,22 +198,18 @@ def test_constant_shift_identity():
 
 def test_at_validates_query_point():
     sol = solve(_quartic_problem(nx=201, half_width=4.0))
-    with pytest.raises(ValidationError, match="outside the solved range"):
-        sol.at(-0.1, 0.0)
     with pytest.raises(ValidationError, match="outside the grid"):
-        sol.at(0.0, 100.0)
-    with pytest.raises(ValidationError, match="end rows"):
-        sol.at(0.5, 0.0)
+        sol.at(100.0)
     node = float(sol.grid_x[37])
-    assert sol.at(1.0, node) == sol.values[1, 37]
-    assert math.isfinite(sol.at(0.0, 0.0))
+    assert sol.at(node) == sol.values[37]
+    assert math.isfinite(sol.at(0.0))
 
 
 def test_at_interpolates_between_nodes():
     sol = solve(_quartic_problem(nx=201, half_width=4.0))
     xa, xb = float(sol.grid_x[50]), float(sol.grid_x[51])
-    mid = sol.at(0.0, 0.5 * (xa + xb))
-    assert mid == pytest.approx(0.5 * (sol.values[0, 50] + sol.values[0, 51]),
+    mid = sol.at(0.5 * (xa + xb))
+    assert mid == pytest.approx(0.5 * (sol.values[50] + sol.values[51]),
                                 rel=1e-12)
 
 
@@ -325,14 +317,14 @@ def test_batched_rows_equal_single_solves(case):
     flags = _central_flags(problem, eps)
     assert all(flags) if case == "central" else len(set(flags)) == 2
     batch = solve(problem, epsilons=eps)
-    assert batch.values.shape == (2, len(eps), problem.nx)
+    assert batch.values.shape == (len(eps), problem.nx)
     half = problem.resolved_half_width()
     for i, e in enumerate(eps):
         single = replace(problem, epsilon=e, half_width=half, nt=batch.nt)
         sol = solve(single)
-        assert np.array_equal(batch.values[:, i], sol.values)
+        assert np.array_equal(batch.values[i], sol.values)
         assert np.array_equal(sol.grid_x, batch.grid_x) and sol.nt == batch.nt
-        assert np.array_equal(sol.values[0], _plain_march(single))
+        assert np.array_equal(sol.values, _plain_march(single))
 
 
 @pytest.mark.parametrize("anchor", ["fd", "value"])
@@ -346,7 +338,7 @@ def test_sweep_rows_equal_single_solves(anchor):
     res = epsilon_sweep(plan, v0=1.25, sensitivity=0.7)
 
     def single(e):
-        return solve(replace(plan.problem, epsilon=e)).at(0.0, 0.3)
+        return solve(replace(plan.problem, epsilon=e)).at(0.3)
 
     assert res.fd_values == tuple(single(e) for e in eps)
     assert res.anchor_value == (single(0.0) if anchor == "fd" else 1.25)
@@ -390,7 +382,7 @@ def test_anchor_row_takes_part_in_the_step_count():
     plan = plan_epsilon_sweep(p, eps)
     assert plan.problem.nt == need[0]
     res = epsilon_sweep(plan, v0=0.0, sensitivity=1.0)
-    assert res.anchor_value == solve(replace(p, epsilon=0.0)).at(0.0, 0.0)
+    assert res.anchor_value == solve(replace(p, epsilon=0.0)).at(0.0)
     assert plan_epsilon_sweep(p, eps, anchor="value").problem.nt == max(need[1:])
 
 def test_batched_overflow_names_the_first_bad_row_and_its_step():
