@@ -186,15 +186,14 @@ def _build_unc(raw: dict) -> UncertaintySpec:
 
 
 def _build_mc(raw: dict, seed: int) -> McConfig:
-    """The estimator config, m1 at most m0 by default; McConfig checks every value."""
+    """The estimator config; McConfig sets the m1 default and checks every value."""
     spec = raw.get("mc", {})
     _expect_keys(spec, {"n_steps", "m0", "m1", "h", "kernel"}, "mc")
     h = spec.get("h")
-    m0 = _count(spec.get("m0", 3_000_000), "mc.m0")
     return McConfig(
         n_steps=_count(spec.get("n_steps", 100), "mc.n_steps"),
-        m0=m0,
-        m1=_count(spec.get("m1", min(30_000, m0)), "mc.m1"),
+        m0=_count(spec.get("m0", 3_000_000), "mc.m0"),
+        m1=_count(spec["m1"], "mc.m1") if "m1" in spec else None,
         h=None if h is None else _real(h, "mc.h"),
         seed=seed,
         kernel=spec.get("kernel", "auto"))
@@ -338,7 +337,8 @@ def _run_eps_sweep(ctx) -> dict:
     result = epsilon_sweep(plan, v0=float(v0), sensitivity=float(total))
     return {"seed": ctx["seed"], "approx_source": source, "anchor": anchor,
             "anchor_value": float(result.anchor_value), "slope": result.slope,
-            "half_width": result.half_width,
+            "half_width": result.half_width, "nx": plan.problem.nx, "nt": plan.problem.nt,
+            "rows": len(plan.rows),
             "table": [{"epsilon": e, "v_fd": v, "approx": a, "abs_error": err}
                       for e, v, a, err in zip(result.epsilons, result.fd_values,
                                               result.approx_values, result.abs_errors)]}
@@ -434,15 +434,16 @@ def _guard_output_path(target: Path, config_path: str) -> None:
                               f"config file; choose a different --out")
 
 
-def _write_sweep_csv(doc: dict, header: str, rows: list, out: str | None,
+def _write_sweep_csv(doc: dict, header: str, key: str, out: str | None,
                      config_path: str) -> None:
+    """doc[key] goes to the CSV, the rest of doc to a JSON summary beside it."""
     if out is None:
         raise ValidationError("--format csv needs --out for sweep commands")
     summary_path = Path(out).with_suffix(".json")
     _guard_output_path(Path(out), config_path)
     _guard_output_path(summary_path, config_path)
-    _emit(_csv_text(header, rows), out)
-    summary = {k: v for k, v in doc.items() if k not in ("table", "rows")}
+    _emit(_csv_text(header, doc[key]), out)
+    summary = {k: v for k, v in doc.items() if k != key}
     _emit(_json_text(summary), str(summary_path))
 
 
@@ -511,11 +512,9 @@ def main(argv=None) -> int:
         doc.update(payload)
         if args.format == "csv":
             if args.command == "eps-sweep":
-                _write_sweep_csv(doc, EPS_SWEEP_HEADER, doc["table"], args.out,
-                                 args.config)
+                _write_sweep_csv(doc, EPS_SWEEP_HEADER, "table", args.out, args.config)
             elif args.command == "dim-sweep":
-                _write_sweep_csv(doc, DIM_SWEEP_HEADER, doc["rows"], args.out,
-                                 args.config)
+                _write_sweep_csv(doc, DIM_SWEEP_HEADER, "rows", args.out, args.config)
             else:
                 raise ValidationError(f"--format csv is not supported for "
                                       f"'{args.command}'")

@@ -397,13 +397,15 @@ class McConfig:
 
     n_steps: int = 100
     m0: int = 3_000_000
-    m1: int = 30_000
+    m1: int | None = None   # None: min(30_000, m0)
     h: float | None = None
     seed: int = 0
     kernel: str = "auto"
 
     def __post_init__(self):
         for name, low in (("n_steps", 1), ("m0", 1), ("m1", 1), ("seed", 0)):
+            if name == "m1" and self.m1 is None:   # m0 is a checked count by now
+                object.__setattr__(self, "m1", min(30_000, self.m0))
             v = getattr(self, name)
             if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or v < low:
                 raise ValidationError(f"{name} must be an integer >= {low}, got {v!r}")

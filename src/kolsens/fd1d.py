@@ -14,8 +14,9 @@ With central second differences and explicit Euler steps in reverse time
 both are monotone under the step bound, which the solver refuses to exceed.
 
 An epsilon sweep is planned first (checks, grid, nt, terminal row), then
-marched once with each epsilon one row of a (k, nx) array; the k = 1 case is
-a single solve. This check of the Monte Carlo engine shares no sampling code.
+marched once as the k columns of a node-major (nx, k) state, allocation-free
+per step; the k = 1 case is a single solve. This check of the Monte Carlo
+engine shares no sampling code.
 """
 
 import math
@@ -114,8 +115,7 @@ def fd_problem_from_model(model: BaselineModel, boundary: BoundaryFunction,
 
 @dataclass(frozen=True)
 class FdSolution1d:
-    """The t = 0 row of a march on grid_x after nt steps: values is (nx,) for one
-    problem or (k, nx) for k epsilons."""
+    """The t = 0 row after nt steps on grid_x: (nx,) for one problem, (k, nx) for k epsilons."""
 
     grid_x: Array
     values: Array
@@ -123,6 +123,9 @@ class FdSolution1d:
 
     def at(self, x: float) -> float:
         """Linear interpolation in x of a single problem's t = 0 row."""
+        if self.values.ndim != 1:
+            raise ValidationError(f"at(x) reads a single solve; this solution holds "
+                                  f"{len(self.values)} rows, interpolate one with np.interp")
         if not (self.grid_x[0] <= x <= self.grid_x[-1]):
             raise ValidationError(f"x={x} outside the grid [{self.grid_x[0]}, {self.grid_x[-1]}]")
         return float(np.interp(x, self.grid_x, self.values))
@@ -173,51 +176,54 @@ def _discretize(problem: FdProblem1d, epsilons) -> tuple:
 def solve(problem: FdProblem1d, epsilons=None) -> FdSolution1d:
     """Explicit monotone march of the robust PDE from the terminal condition.
 
-    Each of `epsilons` is a row of one (k, nx) march on the grid of `problem`
-    with one nt, equal bit for bit to the k = 1 solve of replace(problem,
-    epsilon=e) on that grid and nt; values is the t = 0 row, (k, nx), or (nx,)
-    without `epsilons`. Only two time rows are held: O(k*nx) memory.
+    Each of `epsilons` is a row of one march with one grid and nt, equal bit for
+    bit to the solve of replace(problem, epsilon=e) on them; values is the t = 0
+    row, C-contiguous (k, nx) in the order of `epsilons`, or (nx,) without them.
+    The march holds two node-major (nx, k) time rows, so every neighbour slice is
+    contiguous; a step whose new row has a non-finite sum gets the exact test.
     """
     rows, grid_x, dx, nt = _discretize(problem, epsilons)
     dt = problem.horizon / nt
-    terminal = _terminal_row(problem, grid_x)
-    # march the central rows first, as [:nc], and the upwind ones after them
+    # march the central rows first, as columns [:nc], and the upwind ones after them
     order = sorted(range(len(rows)), key=lambda i: not rows[i].uses_central_advection(dx))
-    k, nc = len(rows), sum(r.uses_central_advection(dx) for r in rows)
-    diff, c_hi, c_lo = np.array([(0.5 * r.sigma_eff ** 2, r.drift + r.gamma * r.epsilon,
-                                  r.drift - r.gamma * r.epsilon)
-                                 for r in (rows[i] for i in order)]).T[:, :, None]
-    hi_p, lo_p = (np.where(v < 0, 0.0, v) for v in (c_hi, c_lo))   # max(v, 0.0)
-    hi_m, lo_m = (np.where(v > 0, 0.0, v) for v in (c_hi, c_lo))   # min(v, 0.0)
-    u = np.repeat(terminal[None, :], k, axis=0)
-    new = u.copy()   # both buffers keep the frozen Dirichlet edges throughout
-    d = np.empty((k, problem.nx - 1))
-    d_plus, d_minus = d[:, 1:], d[:, :-1]
-    lap, ham, tmp = np.empty((3, k, problem.nx - 2))
-    for step in range(nt - 1, -1, -1):
-        np.subtract(u[:, 1:], u[:, :-1], out=d)
-        d /= dx
-        np.subtract(d_plus, d_minus, out=lap)
-        lap /= dx
-        lap *= diff
-        if nc:       # max over c in (c_hi, c_lo) of c * (d_plus + d_minus) / 2
-            np.add(d_plus[:nc], d_minus[:nc], out=tmp[:nc])
-            tmp[:nc] *= 0.5
-            np.maximum(c_hi[:nc] * tmp[:nc], c_lo[:nc] * tmp[:nc], out=ham[:nc])
-        if nc < k:
-            np.maximum(hi_p[nc:] * d_plus[nc:] + hi_m[nc:] * d_minus[nc:],
-                       lo_p[nc:] * d_plus[nc:] + lo_m[nc:] * d_minus[nc:], out=ham[nc:])
-        ham += lap
-        ham *= dt
-        np.add(u[:, 1:-1], ham, out=new[:, 1:-1])
-        if not np.isfinite(new).all():
-            bad = min(order[j] for j in np.flatnonzero(~np.isfinite(new).all(axis=1)))
-            raise NumericError(f"FD march produced non-finite values at time step {step} "
-                               f"(t={step * dt:.6g}) for epsilon={rows[bad].epsilon:g}")
-        u, new = new, u
-    values = u[np.argsort(order)]
-    return FdSolution1d(grid_x=grid_x, values=values[0] if epsilons is None else values,
-                        nt=nt)
+    k, nc, m = len(rows), sum(r.uses_central_advection(dx) for r in rows), problem.nx - 2
+    diff, c_hi, c_lo = (np.tile(c, (m, 1)) for c in np.array(   # length-k broadcasts are slow
+        [(0.5 * r.sigma_eff ** 2, r.drift + r.gamma * r.epsilon, r.drift - r.gamma * r.epsilon)
+         for r in (rows[i] for i in order)]).T)
+    u, new = np.tile(_terminal_row(problem, grid_x)[:, None], (2, 1, k))   # frozen edges
+    d, (lap, ham, tmp, a, b) = np.empty((m + 1, k)), np.empty((5, m, k))
+    d_plus, d_minus = d[1:], d[:-1]
+    up, um, ut = (x[:, nc:] for x in (d_plus, d_minus, tmp))   # the upwind columns
+    upwind = [(np.where(c < 0, 0.0, c)[:, nc:], np.where(c > 0, 0.0, c)[:, nc:], o[:, nc:])
+              for c, o in ((c_hi, a), (c_lo, b)) if nc < k]
+    with np.errstate(over="ignore"):   # an overflow surfaces as the NumericError below
+        for step in range(nt - 1, -1, -1):
+            np.subtract(u[1:], u[:-1], out=d)
+            d /= dx
+            np.subtract(d_plus, d_minus, out=lap)
+            lap /= dx
+            lap *= diff
+            if nc:   # candidates c * (d_plus + d_minus) / 2; upwind columns are overwritten
+                np.add(d_plus, d_minus, out=tmp)
+                tmp *= 0.5
+                np.multiply(c_hi, tmp, out=a)
+                np.multiply(c_lo, tmp, out=b)
+            for c_plus, c_minus, cand in upwind:   # max(c, 0) * d_plus + min(c, 0) * d_minus
+                np.multiply(c_plus, up, out=cand)
+                np.multiply(c_minus, um, out=ut)
+                cand += ut
+            np.maximum(a, b, out=ham)   # the worst case over c in (c_hi, c_lo)
+            ham += lap
+            ham *= dt
+            np.add(u[1:-1], ham, out=new[1:-1])
+            # a non-finite element makes the sum non-finite; a finite row may overflow it
+            if not math.isfinite(np.add.reduce(new, axis=None)) and not np.isfinite(new).all():
+                bad = min(order[j] for j in np.flatnonzero(~np.isfinite(new).all(axis=0)))
+                raise NumericError(f"FD march produced non-finite values at time step {step} "
+                                   f"(t={step * dt:.6g}) for epsilon={rows[bad].epsilon:g}")
+            u, new = new, u
+    values = np.ascontiguousarray(u.T[np.argsort(order)])
+    return FdSolution1d(grid_x, values[0] if epsilons is None else values, nt)
 
 
 def fit_loglog_slope(xs, ys) -> float:
@@ -269,8 +275,7 @@ def plan_epsilon_sweep(problem: FdProblem1d, epsilons, anchor: str = "fd") -> Sw
         raise ValidationError("epsilons must be strictly increasing and positive")
     bound = min(1.0, problem.vol)
     if eps[-1] >= bound:
-        raise ValidationError(
-            f"epsilon {eps[-1]} is outside the expansion regime (< {bound})")
+        raise ValidationError(f"epsilon {eps[-1]} is outside the expansion regime (< {bound})")
     if anchor not in ("fd", "value"):
         raise ValidationError(f"anchor must be 'fd' or 'value', got {anchor!r}")
     grid = replace(problem, half_width=replace(problem, epsilon=eps[-1]).resolved_half_width())
@@ -290,7 +295,6 @@ def epsilon_sweep(plan: SweepPlan, *, v0: float, sensitivity: float) -> EpsSweep
     anchor_value = fd_vals.pop(0) if plan.anchor == "fd" else float(v0)
     approx = [anchor_value + e * float(sensitivity) for e in plan.epsilons]
     errors = [abs(v - a) for v, a in zip(fd_vals, approx)]
-    return EpsSweepResult(epsilons=plan.epsilons, fd_values=tuple(fd_vals),
-                          approx_values=tuple(approx), abs_errors=tuple(errors),
-                          slope=fit_loglog_slope(plan.epsilons, errors),
-                          half_width=plan.problem.half_width, anchor_value=anchor_value)
+    return EpsSweepResult(plan.epsilons, tuple(fd_vals), tuple(approx), tuple(errors),
+                          fit_loglog_slope(plan.epsilons, errors), plan.problem.half_width,
+                          anchor_value)

@@ -8,9 +8,10 @@ import pytest
 import kolsens
 import kolsens.cli as cli
 import kolsens.engine as engine
-from kolsens import (BaselineModel, EstimatorStats, EvalPoint, McConfig, UncertaintySpec,
-                     compute_report, generate_normalized_model, predicted_complexity,
-                     quartic_boundary, sine_boundary)
+from kolsens import (BaselineModel, EstimatorStats, EvalPoint, FdProblem1d, McConfig,
+                     UncertaintySpec, compute_report, generate_normalized_model,
+                     plan_epsilon_sweep, predicted_complexity, quartic_boundary,
+                     sine_boundary)
 from kolsens.cli import DIM_SWEEP_HEADER, EPS_SWEEP_HEADER, main
 
 REPORT_KEYS = {"v0", "sens_drift", "sens_vol", "gamma", "eta", "epsilon", "approx",
@@ -161,6 +162,11 @@ def test_eps_sweep_csv_and_summary(tmp_path):
     assert summary["approx_source"] == "analytic"
     assert summary["anchor"] == "fd"
     assert np.isfinite(summary["slope"])
+    # the march size, from the plan: nx nodes, nt steps, five rows and the anchor
+    plan = plan_epsilon_sweep(FdProblem1d(drift=1.0, vol=1.0, gamma=1.0, eta=1.0,
+                                          epsilon=0.05, boundary=quartic_boundary(), nx=401),
+                              [0.02, 0.04, 0.06, 0.08, 0.1])
+    assert (summary["nx"], summary["nt"], summary["rows"]) == (401, plan.problem.nt, 6)
 
     rerun = tmp_path / "sweep2.csv"
     code = main(["--config", cfg, "--command", "eps-sweep",
@@ -198,7 +204,7 @@ def test_dim_sweep_csv_deterministic_across_workers(tmp_path, monkeypatch):
     assert stripped[0] == stripped[1]
     assert [row.split(",")[0] for row in stripped[0][1:]] == ["1", "2"]
     summary = json.loads((tmp_path / "b.json").read_text())
-    assert summary["seed"] == 3 and summary["runs"] == 2
+    assert summary["seed"] == 3 and summary["runs"] == 2 and "rows" not in summary
 
 
 def test_dim_sweep_json_format(tmp_path):

@@ -434,6 +434,13 @@ def test_mcconfig_validates_sample_counts():
         McConfig(m0=10, m1=20)
 
 
+def test_mcconfig_m1_defaults_to_min_30000_m0():
+    assert McConfig(m0=1000).m1 == 1000
+    assert McConfig().m1 == McConfig(m0=10**6).m1 == 30_000
+    assert McConfig(m0=1000, m1=10).m1 == 10
+    assert replace(McConfig(m0=1000), seed=3).m1 == 1000
+
+
 @pytest.mark.parametrize("field", [
     {"n_steps": 0}, {"m0": 0, "m1": 0}, {"m1": 0}, {"n_steps": 2.5}, {"seed": -1},
     {"h": 0.0}, {"h": float("nan")}, {"h": "0.01"}, {"kernel": "ridge"},

@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -150,6 +151,21 @@ def test_march_overflow_is_detected():
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(NumericError, match="time step"):
             solve(p)
+
+
+def test_finite_rows_whose_sum_overflows_march_quietly():
+    # the per-step check sums the new row first; that sum may overflow on
+    # finite values, which must neither warn nor stop the march
+    big = BoundaryFunction(dim=1, value=lambda p: 1e306 * (1.0 + np.asarray(p)[..., 0] ** 2),
+                           gradient=lambda p: 2e306 * np.asarray(p))
+    p = _quartic_problem(boundary=big, nx=101, half_width=2.0, gamma=0.0, eta=0.0,
+                         epsilon=0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sol = solve(p)
+    with np.errstate(over="ignore"):
+        assert not math.isfinite(np.add.reduce(sol.values))
+    assert np.array_equal(sol.values, _plain_march(replace(p, nt=sol.nt)))
 
 
 def test_malformed_boundary_shape_is_rejected():
@@ -406,3 +422,53 @@ def test_batched_overflow_names_the_first_bad_row_and_its_step():
             solve(p, epsilons=eps)
     assert f"time step {steps[first]} " in str(batch.value)
     assert str(batch.value).endswith(f"epsilon={eps[first]:g}")
+
+
+# the eps-sweep-fd smoke shape; per row, the t = 0 value at x = 0, then at nodes
+# 1, 120, 230 and 399, recorded before the march went node-major
+_GOLDEN_NODES = (1, 120, 230, 399)
+_GOLDEN = {
+    0.0: ("0x1.3ed1f4a1218d5p+3", "0x1.1c2e949924f15p+13", "0x1.0885b91edca66p+7",
+          "0x1.384b389fdeba8p+6", "0x1.2b65388604635p+13"),
+    0.01: ("0x1.4be18e2f5df3bp+3", "0x1.1c88dc717e88cp+13", "0x1.0db1dd6a55fffp+7",
+           "0x1.3f6ee9af3b066p+6", "0x1.2b65ae23a9d6dp+13"),
+    0.02: ("0x1.5957e624ad05ep+3", "0x1.1ce03a4e86f72p+13", "0x1.12f2b916e2cbdp+7",
+           "0x1.46b334578a15ap+6", "0x1.2b6622fae157bp+13"),
+    0.05: ("0x1.8438ebf91a53bp+3", "0x1.1dd5fbb024067p+13", "0x1.2333cedb84ca8p+7",
+           "0x1.5d47a2f7f958fp+6", "0x1.2b677d061c715p+13"),
+    0.1: ("0x1.d4837353cab99p+3", "0x1.1f3f2f6fe05bep+13", "0x1.3ffe1d1e188d0p+7",
+          "0x1.859b0044ca2d3p+6", "0x1.2b69afc717e86p+13"),
+}
+
+
+def _golden_plan():
+    return plan_epsilon_sweep(_quartic_problem(), [0.01, 0.02, 0.05, 0.1])
+
+
+def test_sweep_march_bits_are_pinned():
+    plan = _golden_plan()
+    assert plan.rows == tuple(_GOLDEN) and plan.problem.nt == 549
+    sol = solve(plan.problem, epsilons=plan.rows)
+    for e, row in zip(plan.rows, sol.values):
+        got = [float(np.interp(0.0, sol.grid_x, row))] + [float(row[j]) for j in _GOLDEN_NODES]
+        assert tuple(v.hex() for v in got) == _GOLDEN[e], e
+
+
+def test_permuted_epsilons_permute_the_rows():
+    plan = _golden_plan()
+    ordered = solve(plan.problem, epsilons=plan.rows).values
+    perm = [3, 0, 4, 2, 1]
+    sol = solve(plan.problem, epsilons=[plan.rows[i] for i in perm])
+    assert sol.values.flags.c_contiguous and sol.values.shape == ordered.shape
+    assert np.array_equal(sol.values, ordered[perm])
+    # a mixed central/upwind batch keeps the input order too
+    problem, eps = _BATCHES["upwind-to-central"]
+    mixed = solve(problem, epsilons=eps[::-1])
+    assert mixed.values.flags.c_contiguous
+    assert np.array_equal(mixed.values, solve(problem, epsilons=eps).values[::-1])
+
+
+def test_at_refuses_a_batched_solution():
+    sol = solve(_quartic_problem(nx=51), epsilons=[0.0, 0.05])
+    with pytest.raises(ValidationError, match="holds 2 rows"):
+        sol.at(0.0)
