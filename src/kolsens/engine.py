@@ -25,6 +25,14 @@ mixes avoid BLAS (see sampling module). The inner means of a block are
 computed in cache-sized row tiles; a row's inner mean depends on that row
 alone, so the tile size never changes a bit.
 
+`v0_mc` streams its m0 samples from the sample grid one Philox block at a
+time (the grid holds only the m1 inner rows), so its memory does not grow
+with m0. It evaluates the boundary on power-of-two row tiles of at most
+_PAIR_TILE doubles, the one tile constant of both stages: tiles that small
+keep OpenBLAS single-threaded, whose idle workers would otherwise spin after
+every threaded `pts @ a` of a ridge value, and their power-of-two edges keep
+each row's bits.
+
 Nodes are checked for finiteness in index order as they complete, so a
 failure stops the run at the first bad node and names the same time index
 at every worker count.
@@ -43,7 +51,7 @@ import numpy as np
 from .errors import NumericError, ValidationError
 from .model import (BaselineModel, BoundaryFunction, EvalPoint, UncertaintySpec,
                     validate_expansion_regime)
-from .sampling import SampleGrid, build_time_grid, draw_samples
+from .sampling import BLOCK, SampleGrid, build_time_grid, draw_samples
 
 Array = np.ndarray
 
@@ -51,7 +59,9 @@ Array = np.ndarray
 # largest pairwise temporary). The block grouping fixes the summation order,
 # so this constant is part of the determinism contract. The pairwise
 # temporaries themselves hold at most about _PAIR_TILE doubles (1 MB) per
-# thread, or one row when a row is larger; the tile never changes a bit.
+# thread, or one row when a row is larger, and v0_mc's boundary calls take
+# at most that many; the tile never changes a bit. _V0_BLOCK rows of values
+# are summed at a time, which fixes v0's summation order.
 _PAIR_BUDGET = 1 << 23
 _PAIR_TILE = 1 << 17
 _V0_BLOCK = 1 << 16
@@ -124,20 +134,42 @@ def v0_mc(model: BaselineModel, boundary: BoundaryFunction, point: EvalPoint,
     """Plain Monte Carlo estimate of the baseline value v0(t, x).
 
     Averages f(x + X_N(j)) over all m0 samples; unbiased since the terminal
-    displacement has the exact law of X_T - x given X_t = 0.
+    displacement has the exact law of X_T - x given X_t = 0. The samples are
+    read one Philox block at a time and `boundary.value` sees one row tile
+    at a time; each _V0_BLOCK-row chunk is summed whole, so neither the
+    streaming nor the tiles change a bit.
     """
     _check_compatible(model, boundary, point, samples)
     samples.ensure_mixed()
-    n = samples.grid.n_steps
+    n, m0 = samples.grid.n_steps, samples.m0
+    tile = _value_tile(model.dim)
+    vals = np.empty(min(_V0_BLOCK, m0))
     partials = []
-    for lo in range(0, samples.m0, _V0_BLOCK):
-        hi = min(lo + _V0_BLOCK, samples.m0)
-        vals = boundary.value(point.x + samples.displacement(n, start=lo, stop=hi))
-        if not np.isfinite(vals).all():
-            j = lo + int(np.flatnonzero(~np.isfinite(vals))[0])
+    for lo in range(0, m0, _V0_BLOCK):
+        hi = min(lo + _V0_BLOCK, m0)
+        for b_lo in range(lo, hi, BLOCK):
+            pts = samples.displacement(n, start=b_lo, stop=min(b_lo + BLOCK, hi))
+            pts += point.x
+            for t_lo in range(0, pts.shape[0], tile):
+                t_hi = min(t_lo + tile, pts.shape[0])
+                vals[b_lo - lo + t_lo:b_lo - lo + t_hi] = boundary.value(pts[t_lo:t_hi])
+            del pts     # freed before the next block is drawn
+        chunk = vals[:hi - lo]
+        if not np.isfinite(chunk).all():
+            j = lo + int(np.flatnonzero(~np.isfinite(chunk))[0])
             raise NumericError(f"boundary value non-finite at sample {j}")
-        partials.append(float(np.sum(vals)))
-    return math.fsum(partials) / samples.m0
+        partials.append(float(np.sum(chunk)))
+    return math.fsum(partials) / m0
+
+
+def _value_tile(d: int) -> int:
+    """Rows per boundary.value call in v0_mc (see the module docstring).
+
+    The largest power of two <= BLOCK with rows*d <= _PAIR_TILE: its tile
+    edges fall on multiples of the BLAS kernel's row unroll, so a ridge
+    value's `pts @ a` gives each row the bits of one whole-chunk product.
+    """
+    return min(BLOCK, 1 << max(0, (_PAIR_TILE // d).bit_length() - 1))
 
 
 def _norm_rows(a: Array) -> Array:

@@ -12,10 +12,13 @@ the estimators rely on:
 
 Each sample j owns a single standard normal vector W(j), and its
 displacement at elapsed time tau is b*tau + sqrt(tau) * sigma W(j): all time
-points are comonotone, as in the estimator's derivation. A grid holds one
-(m0, d) array whatever the number of time steps: the drawn W(j), which the
-first use overwrites in place with sigma W(j), one block of rows at a time.
-The nested estimator's inner samples are the first m1 rows of that array.
+points are comonotone, as in the estimator's derivation. A grid holds only
+the nested estimator's m1 inner rows, as one (m1, d) array: the drawn W(j),
+which the first use overwrites in place with sigma W(j). Rows past m1 are
+never held: `SampleGrid.displacement` draws them from their own Philox
+blocks and mixes them on the spot, so memory stays bounded however large m0
+gets. Held and streamed rows go through the same draw and the same per-row
+mix, so every row has the same bits whichever way it is read.
 """
 
 import threading
@@ -59,24 +62,45 @@ def build_time_grid(t_start: float, t_end: float, n_steps: int) -> TimeGrid:
                     dt=dt, elapsed=elapsed)
 
 
-def _draw(seed: int, m: int, d: int) -> Array:
-    """Draw m standard normal d-vectors, block by block."""
-    out = np.empty((m, d))
-    for b in range(-(-m // BLOCK)):
-        lo = b * BLOCK
-        take = min(BLOCK, m - lo)
+def _draw(seed: int, lo: int, out: Array) -> Array:
+    """Fill out with the standard normal d-vectors W(j) of rows lo, lo+1, ...
+
+    Each Philox block is generated in full, straight into `out` when it
+    covers the block, else into a temporary block that is sliced.
+    """
+    hi, d = lo + out.shape[0], out.shape[1]
+    for b in range(lo // BLOCK, -(-hi // BLOCK)):
+        first, last = max(lo, b * BLOCK), min(hi, (b + 1) * BLOCK)
         gen = np.random.Generator(np.random.Philox(key=seed, counter=[0, b, 0, 0]))
-        out[lo:lo + take] = gen.standard_normal((BLOCK, d))[:take]
+        if last - first == BLOCK:
+            gen.standard_normal((BLOCK, d), out=out[first - lo:last - lo])
+        else:
+            out[first - lo:last - lo] = gen.standard_normal((BLOCK, d))[
+                first - b * BLOCK:last - b * BLOCK]
     return out
+
+
+def _mix(rows: Array, vol: Array) -> Array:
+    """Overwrite rows W(j) with sigma W(j), one block of rows at a time.
+
+    einsum with optimize=False stays off BLAS, whose threaded reductions are
+    not bit-stable across worker counts, and gives each row the bits of a
+    whole-array einsum, whatever rows it is mixed with.
+    """
+    for lo in range(0, rows.shape[0], BLOCK):
+        part = rows[lo:lo + BLOCK]
+        part[...] = np.einsum("jk,lk->jl", part, vol, optimize=False)
+    return rows
 
 
 @dataclass
 class SampleGrid:
-    """One (m0, d) sample array plus the model/grid that turn it into displacements.
+    """The m1 inner sample rows plus the model/grid that turn samples into displacements.
 
-    `_w` holds the drawn standard normals W(j), one row per sample, until
-    `ensure_mixed` overwrites it with sigma W(j); no second (m0, d) array is
-    ever allocated. Read the samples through `displacement`.
+    `_w` holds the drawn standard normals W(j) of rows [0, m1) until
+    `ensure_mixed` overwrites it with sigma W(j); rows [m1, m0) are drawn
+    and mixed only when `displacement` reads them. Read the samples through
+    `displacement`.
     """
 
     model: BaselineModel
@@ -89,38 +113,46 @@ class SampleGrid:
     _lock: threading.Lock = field(default_factory=threading.Lock, init=False, repr=False)
 
     def ensure_mixed(self) -> None:
-        """Mix the rows in place into sigma W(j), exactly once, even under threads."""
+        """Mix the held rows in place into sigma W(j), exactly once, even under threads."""
         with self._lock:
-            if self._mixed:
-                return
-            # One block of rows at a time; einsum with optimize=False stays off
-            # BLAS, whose threaded reductions are not bit-stable across worker
-            # counts, and gives each row the bits of a whole-array einsum.
-            for lo in range(0, self.m0, BLOCK):
-                rows = self._w[lo:lo + BLOCK]
-                rows[...] = np.einsum("jk,lk->jl", rows, self.model.vol, optimize=False)
-            self._mixed = True
+            if not self._mixed:
+                _mix(self._w, self.model.vol)
+                self._mixed = True
 
     def displacement(self, i: int, *, start: int = 0, stop: int | None = None) -> Array:
         """Displacement samples b*tau_i + sqrt(tau_i) sigma W at grid node i.
 
-        Rows [start, stop) of the grid's one sample array; the nested
-        estimator's inner samples are rows [0, m1).
+        Rows [start, stop) of the m0 samples, 0 <= start <= stop <= m0; a
+        fresh array. Rows below m1 come from the held array, the rest are
+        drawn from their Philox blocks and mixed on this call, with the same
+        bits. The nested estimator's inner samples are rows [0, m1).
         """
         if not 0 <= i <= self.grid.n_steps:
             raise ValidationError(f"node index {i} outside 0..{self.grid.n_steps}")
+        stop = self.m0 if stop is None else stop
+        if not 0 <= start <= stop <= self.m0:
+            raise ValidationError(f"row range [{start}, {stop}) outside [0, {self.m0}]")
         self.ensure_mixed()
+        mid = min(max(start, self.m1), stop)
+        rows = np.empty((stop - start, self.model.dim))
+        rows[:mid - start] = self._w[start:mid]
+        if mid < stop:
+            _mix(_draw(self.seed, mid, rows[mid - start:]), self.model.vol)
         tau = self.grid.elapsed[i]
-        return tau * self.model.drift + np.sqrt(tau) * self._w[start:stop]
+        rows *= np.sqrt(tau)
+        rows += tau * self.model.drift      # the bits of tau*b + sqrt(tau)*row
+        return rows
 
 
 def draw_samples(model: BaselineModel, grid: TimeGrid, m0: int, m1: int,
                  seed: int) -> SampleGrid:
     """Draw a reproducible sample grid for the nested estimators.
 
-    One standard normal d-vector per outer sample, held in a single (m0, d)
-    array; the inner estimator reuses its first m1 rows. The grid only fixes
-    the elapsed times at which `SampleGrid.displacement` scales a sample.
+    One standard normal d-vector per sample; only the inner estimator's
+    first m1 rows are drawn here and held, in a single (m1, d) array.
+    `SampleGrid.displacement` streams rows [m1, m0) from their Philox blocks,
+    so the grid's memory does not grow with m0. The grid only fixes the
+    elapsed times at which `displacement` scales a sample.
 
     Parameters
     ----------
@@ -133,4 +165,4 @@ def draw_samples(model: BaselineModel, grid: TimeGrid, m0: int, m1: int,
         raise ValidationError(f"seed must be a nonnegative integer, got {seed}")
     m0, m1, seed = int(m0), int(m1), int(seed)
     return SampleGrid(model=model, grid=grid, m0=m0, m1=m1, seed=seed,
-                      _w=_draw(seed, m0, model.dim))
+                      _w=_draw(seed, 0, np.empty((m1, model.dim))))

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -11,6 +12,9 @@ from kolsens import (BaselineModel, BoundaryFunction, EstimatorStats, EvalPoint,
                      first_order_approx, predicted_complexity, quartic_boundary,
                      ridge_boundary, seeded_runs, sensitivity_mc, sine_boundary, v0_mc)
 from kolsens.engine import WORKERS_ENV
+from kolsens.model import generate_normalized_model
+from kolsens.sampling import BLOCK
+from test_sampling import _philox_normals
 
 
 @pytest.fixture
@@ -105,6 +109,35 @@ def test_v0_matches_direct_average(quartic_setup):
     s = _samples(model, 3, 70_000, 5, seed=2)
     direct = float(np.mean(bnd.value(pt.x + s.displacement(3))))
     assert v0_mc(model, bnd, pt, s) == pytest.approx(direct, rel=1e-13)
+
+
+@pytest.mark.parametrize("m0", [3 * BLOCK + 5, 100_003])
+@pytest.mark.parametrize("d", [1, 3, 50])
+def test_streamed_v0_bits_equal_whole_array_reference(d, m0):
+    # the reference holds all m0 rows, mixes them in one einsum and sums
+    # boundary values over whole 2^16-row chunks; streaming must not move a bit
+    model, bnd = generate_normalized_model(d, 40 + d), sine_boundary(d)
+    pt = EvalPoint(t=0.0, x=np.linspace(-0.4, 0.3, d))
+    s = _samples(model, 4, m0, 1, seed=13)
+    tau = s.grid.elapsed[-1]
+    mixed = np.einsum("jk,lk->jl", _philox_normals(13, m0, d), model.vol, optimize=False)
+    pts = pt.x + (tau * model.drift + np.sqrt(tau) * mixed)
+    chunks = [float(np.sum(bnd.value(pts[lo:lo + (1 << 16)]))) for lo in range(0, m0, 1 << 16)]
+    assert v0_mc(model, bnd, pt, s) == math.fsum(chunks) / m0
+
+
+def test_value_stage_memory_does_not_grow_with_m0():
+    model, bnd, pt = generate_normalized_model(50, 150), sine_boundary(50), EvalPoint(0.0, np.zeros(50))
+    peaks = []
+    for m0 in (1 << 16, 1 << 18):
+        tracemalloc.start()
+        try:
+            v0_mc(model, bnd, pt, _samples(model, 1, m0, 1, seed=0))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.1 * peaks[0]
+    assert peaks[0] <= 1.1 * peaks[1]
 
 
 def test_v0_translation_covariance_bitwise(quartic_setup):

@@ -132,12 +132,33 @@ def test_scheduling_independence_of_block_layout(model2):
 
 
 def test_grid_holds_one_sample_array():
-    d, m0 = 7, BLOCK * 2 + 11
-    s = draw_samples(_centered_model(d, 0), build_time_grid(0.0, 1.0, 3), m0, 50, seed=4)
+    # only the m1 inner rows are held; reading every row keeps it that way
+    d, m0, m1 = 7, BLOCK * 2 + 11, 50
+    s = draw_samples(_centered_model(d, 0), build_time_grid(0.0, 1.0, 3), m0, m1, seed=4)
     s.ensure_mixed()
     s.displacement(2)
     held = sum(v.nbytes for v in vars(s).values() if isinstance(v, np.ndarray))
-    assert held == m0 * d * 8
+    assert held == m1 * d * 8
+
+
+@pytest.mark.parametrize("rows", [
+    {"start": -2}, {"stop": 101}, {"stop": 500}, {"start": 7, "stop": 6},
+    {"start": 101}, {"stop": -1},
+])
+def test_displacement_refuses_bad_row_ranges(model2, rows):
+    s = draw_samples(model2, build_time_grid(0.0, 1.0, 3), 100, 10, seed=0)
+    with pytest.raises(ValidationError, match="row range"):
+        s.displacement(3, **rows)
+
+
+def test_displacement_edge_row_ranges(model2):
+    s = draw_samples(model2, build_time_grid(0.0, 1.0, 3), 100, 10, seed=0)
+    full = s.displacement(3)
+    assert full.shape == (100, 2)
+    assert s.displacement(3, start=100).shape == (0, 2)
+    assert s.displacement(3, start=4, stop=4).shape == (0, 2)
+    for start, stop in ((0, 10), (3, 10), (10, 100), (9, 11), (99, 100)):
+        assert np.array_equal(s.displacement(3, start=start, stop=stop), full[start:stop])
 
 
 @pytest.mark.parametrize("d", [1, 50])
