@@ -58,10 +58,11 @@ Array = np.ndarray
 # Outer rows per reduction block: _PAIR_BUDGET // (doubles per row of the
 # largest pairwise temporary). The block grouping fixes the summation order,
 # so this constant is part of the determinism contract. The pairwise
-# temporaries themselves hold at most about _PAIR_TILE doubles (1 MB) per
-# thread, or one row when a row is larger, and v0_mc's boundary calls take
-# at most that many; the tile never changes a bit. _V0_BLOCK rows of values
-# are summed at a time, which fixes v0's summation order.
+# temporaries that a tile holds at once add up to at most about _PAIR_TILE
+# doubles (1 MB) per thread, or one row when a row is larger, so together
+# they stay in a 2 MB L2 cache; v0_mc's boundary calls take at most that
+# many. The tile never changes a bit. _V0_BLOCK rows of values are summed
+# at a time, which fixes v0's summation order.
 _PAIR_BUDGET = 1 << 23
 _PAIR_TILE = 1 << 17
 _V0_BLOCK = 1 << 16
@@ -176,16 +177,19 @@ def _norm_rows(a: Array) -> Array:
     return np.sqrt(np.sum(a * a, axis=-1))
 
 
-def _tiled_node_sums(pairs, m1, row_elems, grad, hess, shifts, h, reduce):
+def _tiled_node_sums(pairs, m1, row_elems, live, grad, hess, shifts, h, reduce):
     """Sum one node's (drift, vol) terms over the outer pool, inner means tiled.
 
     `pairs(lo, hi)` builds the pairwise array of outer rows lo..hi-1 against
     the whole inner pool (inner samples on axis 1). Outer rows are grouped in
     blocks of _PAIR_BUDGET // row_elems rows, which fix the reduction order.
     Within a block, the inner means of `grad`, of `hess` (unless None) and of
-    `grad` at each FD shift are computed one tile of _PAIR_TILE // row_elems
-    rows at a time. `reduce(w, jac)` turns a block's means into its (drift,
-    vol) partial sums; jac is the mean Hessian, or the list of
+    `grad` at each FD shift are computed one tile of
+    _PAIR_TILE // (live * row_elems) rows at a time. `live` is how many
+    arrays of row_elems doubles per outer row a tile holds at once, so the
+    arrays of one tile add up to about _PAIR_TILE doubles. `reduce(w, jac)`
+    turns a block's means into its (drift, vol) partial sums; jac is the
+    mean Hessian, or the list of
     forward-difference slopes (mean(grad(p + shift)) - mean(grad(p))) / h,
     one per shift.
     """
@@ -195,7 +199,7 @@ def _tiled_node_sums(pairs, m1, row_elems, grad, hess, shifts, h, reduce):
     for k, shift in enumerate(shifts):
         means[k] = lambda p, shift=shift: grad(p + shift)
     block = max(1, _PAIR_BUDGET // row_elems)
-    tile = max(1, _PAIR_TILE // row_elems)
+    tile = max(1, _PAIR_TILE // (live * row_elems))
     drift_parts, vol_parts = [], []
     for lo in range(0, m1, block):
         hi = min(lo + block, m1)
@@ -231,10 +235,12 @@ def _generic_node_terms(boundary, x, out_disp, in_disp, vol_mat, h):
         return (float(np.sum(_norm_rows(w))),
                 float(np.sum(np.sqrt(np.sum(js * js, axis=(-2, -1))))))
 
+    # Live per tile: the Hessians (the points are d times smaller), or the
+    # points, the shifted points and the gradients.
     return _tiled_node_sums(
         lambda lo, hi: x + out_disp[lo:hi, None, :] + in_disp[None, :, :], m1,
-        m1 * d * (d if hess is not None else 1), boundary.gradient, hess, shifts, h,
-        reduce)
+        m1 * d * (d if hess is not None else 1), 1 if hess is not None else 3,
+        boundary.gradient, hess, shifts, h, reduce)
 
 
 def _ridge_node_terms(ridge, x, out_disp, in_disp, vol_mat, h):
@@ -265,9 +271,11 @@ def _ridge_node_terms(ridge, x, out_disp, in_disp, vol_mat, h):
         gs = np.einsum("bl,lm->bm", g, vol_mat, optimize=False)
         return drift, anorm * float(np.sum(_norm_rows(gs)))
 
+    # Live per tile: the pairwise sums and one derivative, plus the shifted
+    # sums on the FD branch.
     return _tiled_node_sums(
-        lambda lo, hi: s_out[lo:hi, None] + s_in[None, :], m1, m1, ridge.d1, ridge.d2,
-        [h * v for v in distinct], h, reduce)
+        lambda lo, hi: s_out[lo:hi, None] + s_in[None, :], m1, m1, 3 if fd else 2,
+        ridge.d1, ridge.d2, [h * v for v in distinct], h, reduce)
 
 
 def sensitivity_mc(model: BaselineModel, boundary: BoundaryFunction, point: EvalPoint,

@@ -65,18 +65,14 @@ def build_time_grid(t_start: float, t_end: float, n_steps: int) -> TimeGrid:
 def _draw(seed: int, lo: int, out: Array) -> Array:
     """Fill out with the standard normal d-vectors W(j) of rows lo, lo+1, ...
 
-    Each Philox block is generated in full, straight into `out` when it
-    covers the block, else into a temporary block that is sliced.
+    Each Philox block the rows touch is generated in full and sliced.
     """
     hi, d = lo + out.shape[0], out.shape[1]
     for b in range(lo // BLOCK, -(-hi // BLOCK)):
         first, last = max(lo, b * BLOCK), min(hi, (b + 1) * BLOCK)
         gen = np.random.Generator(np.random.Philox(key=seed, counter=[0, b, 0, 0]))
-        if last - first == BLOCK:
-            gen.standard_normal((BLOCK, d), out=out[first - lo:last - lo])
-        else:
-            out[first - lo:last - lo] = gen.standard_normal((BLOCK, d))[
-                first - b * BLOCK:last - b * BLOCK]
+        out[first - lo:last - lo] = gen.standard_normal((BLOCK, d))[
+            first - b * BLOCK:last - b * BLOCK]
     return out
 
 

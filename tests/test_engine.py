@@ -358,6 +358,29 @@ def test_boundary_calls_stay_within_one_tile(monkeypatch, tile):
     assert max(scalar_sizes) <= max(tile, m1)
 
 
+def test_tile_arrays_add_up_to_one_tile(monkeypatch):
+    # A tile counts every array of its row size that it holds at once: the
+    # ridge kernel holds the pairwise sums and one derivative, plus the
+    # shifted sums on the FD branch; the generic FD branch holds the points,
+    # the shifted points and the gradients.
+    import kolsens.engine as eng
+    monkeypatch.setattr(eng, "_PAIR_TILE", 500)
+    sizes = []
+
+    def rec(fn):
+        def wrapped(p):
+            sizes.append(np.size(p))
+            return fn(p)
+        return wrapped
+
+    model, bnd, pt, s = _tile_cases(rec)
+    generic_fd = replace(_without_hessian(bnd), ridge=None, gradient=rec(bnd.gradient))
+    for b, live in ((bnd, 2), (_without_hessian(bnd), 3), (generic_fd, 3)):
+        sizes.clear()
+        sensitivity_mc(model, b, pt, s, h=1e-3)
+        assert sizes and live * max(sizes) <= 500
+
+
 def test_worker_count_is_bit_invariant(quartic_setup, monkeypatch):
     model, bnd, pt = quartic_setup
     s = _samples(model, 7, 300, 150, seed=6)
