@@ -13,8 +13,8 @@ and a one-dimensional finite-difference solver for the fully nonlinear
 problem provide independent checks on the estimators.
 """
 
-from .analytic import (QuadratureConfig, gauss_abs_expectation, quartic_sensitivity_quadrature,
-                       quartic_v0, sine_sensitivity_quadrature, sine_v0)
+from .analytic import (gauss_abs_expectation, quartic_sensitivity_quadrature, quartic_v0,
+                       sine_sensitivity_quadrature, sine_v0)
 from .engine import (EstimatorStats, McConfig, SensitivityReport, compute_report,
                      default_bump, first_order_approx, predicted_complexity, seeded_runs,
                      sensitivity_mc, v0_mc)
@@ -32,9 +32,8 @@ __version__ = "0.1.0"
 __all__ = [
     "BaselineModel", "BoundaryCheck", "BoundaryFunction", "EpsSweepResult",
     "EstimatorStats", "EvalPoint", "FdProblem1d", "FdSolution1d", "GenerationError",
-    "McConfig", "NumericError", "QuadratureConfig", "RegimeReport", "RidgeProfile",
-    "SampleGrid", "SensitivityReport", "StabilityError", "SweepPlan", "TimeGrid",
-    "UncertaintySpec",
+    "McConfig", "NumericError", "RegimeReport", "RidgeProfile", "SampleGrid",
+    "SensitivityReport", "StabilityError", "SweepPlan", "TimeGrid", "UncertaintySpec",
     "ValidationError", "build_time_grid", "check_boundary", "compute_report",
     "default_bump", "draw_samples", "epsilon_sweep", "fd_problem_from_model",
     "first_order_approx", "fit_loglog_slope", "gauss_abs_expectation",

@@ -17,7 +17,6 @@ truncation error is below 1e-29).
 """
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -26,21 +25,9 @@ from numpy.polynomial.legendre import leggauss
 from .errors import ValidationError
 
 _TAIL_SIGMAS = 13.0
-_PANEL_ORDER = 8   # Gauss-Legendre order inside each time panel
-
-
-@dataclass(frozen=True)
-class QuadratureConfig:
-    """Quadrature sizes: Gaussian-expectation order and time-integral panels."""
-
-    gauss_order: int = 64
-    time_panels: int = 200
-
-    def __post_init__(self):
-        for name in ("gauss_order", "time_panels"):
-            v = getattr(self, name)
-            if int(v) != v or v < 2:
-                raise ValidationError(f"{name} must be an integer >= 2, got {v}")
+_PANEL_ORDER = 8     # Gauss-Legendre order inside each time panel
+_GAUSS_ORDER = 64    # Gauss-Legendre order of each Gaussian-expectation segment
+_TIME_PANELS = 200   # panels of each time integral
 
 
 @lru_cache(maxsize=None)
@@ -116,8 +103,7 @@ def quartic_v0(t: float, x: float, drift: float, vol: float, horizon: float) -> 
 
 def quartic_sensitivity_quadrature(kind: str, t: float = 0.0, x: float = 0.0,
                                    drift: float = 1.0, vol: float = 1.0,
-                                   horizon: float = 1.0,
-                                   config: QuadratureConfig | None = None) -> float:
+                                   horizon: float = 1.0) -> float:
     """Sensitivity factors of the quartic family, to quadrature accuracy.
 
     The linear-problem gradient at elapsed time u is 4*a*(a^2 + 3*vol^2*rem)
@@ -126,8 +112,6 @@ def quartic_sensitivity_quadrature(kind: str, t: float = 0.0, x: float = 0.0,
     the second derivative 12*(a^2 + vol^2*rem) is nonnegative, and E[a^2]
     integrates in closed form to 12*|vol|*theta*(mu0^2 + vol^2*theta).
     """
-    if config is None:
-        config = QuadratureConfig()
     theta = horizon - t
     if theta <= 0:
         raise ValidationError(f"need t < horizon, got t={t}, horizon={horizon}")
@@ -143,10 +127,9 @@ def quartic_sensitivity_quadrature(kind: str, t: float = 0.0, x: float = 0.0,
             return 4.0 * a * (a * a + 3.0 * vol * vol * rem)
         def zeros(lo, hi):
             return [0.0] if lo < 0.0 < hi else []
-        return gauss_abs_expectation(g, zeros, mu0, abs(vol) * math.sqrt(u),
-                                     config.gauss_order)
+        return gauss_abs_expectation(g, zeros, mu0, abs(vol) * math.sqrt(u), _GAUSS_ORDER)
 
-    return _time_integral(integrand, theta, config.time_panels)
+    return _time_integral(integrand, theta, _TIME_PANELS)
 
 
 # --------------------------------------------------------------------------
@@ -165,8 +148,7 @@ def sine_v0(horizon: float) -> float:
     return math.sin(horizon) * math.exp(-0.5 * horizon)
 
 
-def sine_sensitivity_quadrature(horizon: float, dim: int, kind: str,
-                                config: QuadratureConfig | None = None) -> float:
+def sine_sensitivity_quadrature(horizon: float, dim: int, kind: str) -> float:
     """Sensitivity factors of the sine family on a normalized model.
 
     Both factors equal sqrt(dim) times a dimension-free integral,
@@ -176,8 +158,6 @@ def sine_sensitivity_quadrature(horizon: float, dim: int, kind: str,
     with g = cos for the drift factor and g = sin for the volatility factor;
     the sqrt(dim) factor multiplies the same scalar integral bit-for-bit.
     """
-    if config is None:
-        config = QuadratureConfig()
     if horizon <= 0:
         raise ValidationError(f"horizon must be > 0, got {horizon}")
     if int(dim) != dim or dim < 1:
@@ -192,8 +172,7 @@ def sine_sensitivity_quadrature(horizon: float, dim: int, kind: str,
     def integrand(u: float) -> float:
         def zeros(lo, hi):
             return _lattice_points(offset, math.pi, lo, hi)
-        expect = gauss_abs_expectation(g, zeros, horizon, math.sqrt(u),
-                                       config.gauss_order)
+        expect = gauss_abs_expectation(g, zeros, horizon, math.sqrt(u), _GAUSS_ORDER)
         return math.exp(-0.5 * (horizon - u)) * expect
 
-    return math.sqrt(dim) * _time_integral(integrand, horizon, config.time_panels)
+    return math.sqrt(dim) * _time_integral(integrand, horizon, _TIME_PANELS)

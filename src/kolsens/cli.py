@@ -31,8 +31,7 @@ from .analytic import (quartic_sensitivity_quadrature, quartic_v0, sine_sensitiv
 from .engine import (EstimatorStats, McConfig, compute_report, predicted_complexity,
                      seeded_runs, v0_mc)
 from .errors import NumericError, ValidationError
-from .fd1d import (FdProblem1d, epsilon_sweep, fd_problem_from_model, plan_epsilon_sweep,
-                   solve)
+from .fd1d import epsilon_sweep, fd_problem_from_model, plan_epsilon_sweep, solve
 from .model import (BaselineModel, BoundaryFunction, EvalPoint, UncertaintySpec,
                     check_boundary, generate_normalized_model, lambda_min, quartic_boundary,
                     sine_boundary, validate_expansion_regime)
@@ -201,7 +200,7 @@ def _build_mc(raw: dict, seed: int) -> McConfig:
 
 def _fd_params(raw: dict) -> dict:
     spec = raw.get("fd", {})
-    _expect_keys(spec, {"half_width", "nx", "nt", "allow_nonconvex"}, "fd")
+    _expect_keys(spec, {"half_width", "nx", "nt"}, "fd")
     out = {}
     if spec.get("half_width") is not None:
         out["half_width"] = _real(spec["half_width"], "fd.half_width")
@@ -209,11 +208,6 @@ def _fd_params(raw: dict) -> dict:
         out["nx"] = _count(spec["nx"], "fd.nx")
     if spec.get("nt") is not None:
         out["nt"] = _count(spec["nt"], "fd.nt")
-    if "allow_nonconvex" in spec:
-        if not isinstance(spec["allow_nonconvex"], bool):
-            raise ValidationError(f"fd.allow_nonconvex must be a bool, "
-                                  f"got {spec['allow_nonconvex']!r}")
-        out["allow_nonconvex"] = spec["allow_nonconvex"]
     return out
 
 
@@ -245,7 +239,7 @@ def _run_value(ctx) -> dict:
     def one(seed: int) -> float:
         grid = build_time_grid(ctx["point"].t, ctx["model"].horizon, ctx["mc"].n_steps)
         samples = draw_samples(ctx["model"], grid, ctx["mc"].m0, 1, seed)
-        return v0_mc(ctx["model"], ctx["boundary"], ctx["point"], samples)
+        return v0_mc(ctx["boundary"], ctx["point"], samples)
 
     stats = EstimatorStats.of(seeded_runs(one, ctx["runs"], ctx["seed"]))
     return {"seed": ctx["seed"], "d": ctx["model"].dim, "N": ctx["mc"].n_steps,
@@ -320,9 +314,8 @@ def _run_eps_sweep(ctx) -> dict:
                       else "engine")
     if ctx["point"].t != 0.0:
         raise ValidationError("eps-sweep evaluates at t = 0; set point.t to 0")
-    template = replace(fd_problem_from_model(ctx["model"], ctx["boundary"], ctx["unc"],
-                                             **ctx["fd"]),
-                       x_center=float(ctx["point"].x[0]))
+    template = fd_problem_from_model(ctx["model"], ctx["boundary"], ctx["unc"],
+                                     x_center=float(ctx["point"].x[0]), **ctx["fd"])
     # a bad sweep section or an unstable fd.nt exits here, before any estimate
     plan = plan_epsilon_sweep(template, epsilons, anchor)
     if source == "analytic":
@@ -386,8 +379,7 @@ def _run_fd_solve(ctx) -> dict:
     if ctx["point"].t != 0.0:
         raise ValidationError("fd-solve evaluates at t = 0; set point.t to 0")
     problem = fd_problem_from_model(ctx["model"], ctx["boundary"], ctx["unc"],
-                                    **ctx["fd"])
-    problem = replace(problem, x_center=float(ctx["point"].x[0]))
+                                    x_center=float(ctx["point"].x[0]), **ctx["fd"])
     solution = solve(problem)
     return {"seed": ctx["seed"], "v_fd": solution.at(problem.x_center),
             "x": problem.x_center, "half_width": problem.resolved_half_width(),

@@ -113,37 +113,31 @@ def predicted_complexity(d: int, n_steps: int, m0: int, m1: int) -> int:
     return m0 * d + n * m1 * (m1 + 1) * d + n * m1 * (m1 + 1 + d) * d * d
 
 
-def _check_compatible(model: BaselineModel, boundary: BoundaryFunction,
-                      point: EvalPoint, samples: SampleGrid) -> None:
-    if boundary.dim != model.dim:
-        raise ValidationError(f"boundary dim {boundary.dim} != model dim {model.dim}")
-    if point.x.shape[0] != model.dim:
-        raise ValidationError(f"point dim {point.x.shape[0]} != model dim {model.dim}")
-    sm = samples.model
-    if not (np.array_equal(sm.drift, model.drift) and np.array_equal(sm.vol, model.vol)
-            and sm.horizon == model.horizon):
-        raise ValidationError("samples were drawn for a different model")
+def _check_compatible(boundary: BoundaryFunction, point: EvalPoint,
+                      samples: SampleGrid) -> None:
+    """The boundary and point fit the grid's model; t < horizon follows from the grid."""
+    d = samples.model.dim
+    if boundary.dim != d:
+        raise ValidationError(f"boundary dim {boundary.dim} != model dim {d}")
+    if point.x.shape[0] != d:
+        raise ValidationError(f"point dim {point.x.shape[0]} != model dim {d}")
     if abs(point.t - samples.grid.t_start) > 1e-12 * max(1.0, abs(point.t)):
         raise ValidationError(
             f"point.t={point.t} does not match the sample grid start {samples.grid.t_start}")
-    if point.t >= model.horizon:
-        raise ValidationError(f"need t < horizon, got t={point.t}, T={model.horizon}")
 
 
-def v0_mc(model: BaselineModel, boundary: BoundaryFunction, point: EvalPoint,
-          samples: SampleGrid) -> float:
+def v0_mc(boundary: BoundaryFunction, point: EvalPoint, samples: SampleGrid) -> float:
     """Plain Monte Carlo estimate of the baseline value v0(t, x).
 
     Averages f(x + X_N(j)) over all m0 samples; unbiased since the terminal
-    displacement has the exact law of X_T - x given X_t = 0. The samples are
-    read one Philox block at a time and `boundary.value` sees one row tile
-    at a time; each _V0_BLOCK-row chunk is summed whole, so neither the
-    streaming nor the tiles change a bit.
+    displacement has the exact law of X_T - x given X_t = 0 under the grid's
+    model. The samples are read one Philox block at a time and
+    `boundary.value` sees one row tile at a time; each _V0_BLOCK-row chunk
+    is summed whole, so neither the streaming nor the tiles change a bit.
     """
-    _check_compatible(model, boundary, point, samples)
-    samples.ensure_mixed()
+    _check_compatible(boundary, point, samples)
     n, m0 = samples.grid.n_steps, samples.m0
-    tile = _value_tile(model.dim)
+    tile = _value_tile(samples.model.dim)
     vals = np.empty(min(_V0_BLOCK, m0))
     partials = []
     for lo in range(0, m0, _V0_BLOCK):
@@ -278,10 +272,10 @@ def _ridge_node_terms(ridge, x, out_disp, in_disp, vol_mat, h):
         ridge.d1, ridge.d2, [h * v for v in distinct], h, reduce)
 
 
-def sensitivity_mc(model: BaselineModel, boundary: BoundaryFunction, point: EvalPoint,
-                   samples: SampleGrid, h: float | None = None,
-                   workers: int | None = None) -> tuple[float, float, bool]:
-    """Nested MC estimate of (sens_drift, sens_vol); returns the branch taken.
+def sensitivity_mc(boundary: BoundaryFunction, point: EvalPoint, samples: SampleGrid,
+                   h: float | None = None,
+                   workers: int | None = None) -> tuple[float, float, float | None]:
+    """Nested MC estimate of (sens_drift, sens_vol) under the grid's model, and the bump.
 
     Both factors come from one pass, as they share the inner mean w_hat. The
     boundary picks the path: the Hessian branch if `boundary.hessian` is set
@@ -293,20 +287,21 @@ def sensitivity_mc(model: BaselineModel, boundary: BoundaryFunction, point: Eval
     ----------
     h : FD bump for the Jacobian fallback; default 1e-3 * max(1, |x|_inf).
 
-    Returns (sens_drift, sens_vol, used_hessian_path).
+    Returns (sens_drift, sens_vol, h): h is the FD bump used, None on the
+    Hessian branch.
     """
-    _check_compatible(model, boundary, point, samples)
-    use_hessian = boundary.hessian is not None
-    if not use_hessian:
+    _check_compatible(boundary, point, samples)
+    if boundary.hessian is None:
         h = _check_bump(default_bump(point) if h is None else h)
+    else:
+        h = None
 
     use_ridge = boundary.ridge is not None
     node_terms = _ridge_node_terms if use_ridge else _generic_node_terms
     first_arg = boundary.ridge if use_ridge else boundary
 
-    samples.ensure_mixed()
     n, m1, dt = samples.grid.n_steps, samples.m1, samples.grid.dt
-    x, vol_mat = point.x, model.vol
+    x, vol_mat = point.x, samples.model.vol
 
     def per_node(i: int):
         out_disp = samples.displacement(i, stop=m1)
@@ -331,7 +326,7 @@ def sensitivity_mc(model: BaselineModel, boundary: BoundaryFunction, point: Eval
             pool.shutdown(cancel_futures=True)
     sens_drift = dt * math.fsum(dv for dv, _ in node_vals) / m1
     sens_vol = dt * math.fsum(vv for _, vv in node_vals) / m1
-    return sens_drift, sens_vol, use_hessian
+    return sens_drift, sens_vol, h
 
 
 # --------------------------------------------------------------------------
@@ -466,23 +461,22 @@ def compute_report(model: BaselineModel, boundary: BoundaryFunction, point: Eval
     When `unc` is given with gamma = eta = 0, sensitivity_mc is not called
     (the sensitivity is identically zero at zero weights): both factors are
     0.0, used_hessian_path is False and `h` is None, as it is whenever no FD
-    branch ran. The boundary
-    picks the branch; cfg.kernel="generic" drops its ridge declaration. The
-    worker count is resolved first, so a bad KOLSENS_WORKERS fails early.
+    branch ran. The boundary picks the branch; cfg.kernel="generic" drops
+    its ridge declaration. The worker count is resolved first, so a bad
+    KOLSENS_WORKERS fails early.
     """
     t0 = time.perf_counter()
     workers = _resolve_workers(workers)
     grid = build_time_grid(point.t, model.horizon, cfg.n_steps)
     samples = draw_samples(model, grid, cfg.m0, cfg.m1, cfg.seed)
-    v0 = v0_mc(model, boundary, point, samples)
+    v0 = v0_mc(boundary, point, samples)
     sens_drift, sens_vol, used_hessian, h = 0.0, 0.0, False, None
     if unc is None or unc.gamma != 0.0 or unc.eta != 0.0:
         if cfg.kernel == "generic":
             boundary = replace(boundary, ridge=None)
-        sens_drift, sens_vol, used_hessian = sensitivity_mc(
-            model, boundary, point, samples, h=cfg.h, workers=workers)
-        if not used_hessian:
-            h = default_bump(point) if cfg.h is None else cfg.h
+        sens_drift, sens_vol, h = sensitivity_mc(boundary, point, samples, h=cfg.h,
+                                                 workers=workers)
+        used_hessian = h is None
     runtime = time.perf_counter() - t0
     return SensitivityReport(
         v0=v0, sens_drift=sens_drift, sens_vol=sens_vol,

@@ -53,7 +53,6 @@ class FdProblem1d:
     nx: int = 2001
     nt: int | None = None
     x_center: float = 0.0
-    allow_nonconvex: bool = False
 
     def __post_init__(self):
         for ok, message in (
@@ -65,9 +64,11 @@ class FdProblem1d:
                  f"epsilon must be >= 0, got {self.epsilon}"),
                 (self.boundary.dim == 1,
                  f"FD oracle is 1-D only, boundary has dim {self.boundary.dim}"),
-                (not self.horizon <= 0, f"horizon must be > 0, got {self.horizon}"),
-                (self.half_width is None or not self.half_width <= 0,
-                 f"half_width must be > 0, got {self.half_width}"),
+                (np.isfinite(self.horizon) and self.horizon > 0,
+                 f"horizon must be a finite real > 0, got {self.horizon}"),
+                (self.half_width is None or (np.isfinite(self.half_width)
+                                             and self.half_width > 0),
+                 f"half_width must be a finite real > 0, got {self.half_width}"),
                 (int(self.nx) == self.nx and not self.nx < 3,
                  f"nx must be an integer >= 3, got {self.nx}"),
                 (self.nt is None or (int(self.nt) == self.nt and not self.nt < 1),
@@ -137,8 +138,6 @@ def _terminal_row(problem: FdProblem1d, grid_x: Array) -> Array:
         raise ValidationError("boundary.value must return one value per grid node")
     if not np.isfinite(terminal).all():
         raise NumericError("boundary values non-finite on the FD grid")
-    if problem.allow_nonconvex:
-        return terminal
     second = terminal[2:] - 2.0 * terminal[1:-1] + terminal[:-2]
     tol = _CONVEXITY_TOL * max(1.0, float(np.max(np.abs(terminal))))
     worst = float(np.min(second))
@@ -146,9 +145,8 @@ def _terminal_row(problem: FdProblem1d, grid_x: Array) -> Array:
         j = int(np.argmin(second)) + 1
         raise ValidationError(
             f"boundary is not convex on the grid (second difference {worst:.3e} "
-            f"at node {j}); the FD reference is only valid for convex boundaries "
-            '(override with "fd": {"allow_nonconvex": true} in a CLI config, or '
-            "allow_nonconvex=True in FdProblem1d)")
+            f"at node {j}); the FD reference is only valid for convex boundaries, "
+            "where its volatility vol + eta*eps is the worst case")
     return terminal
 
 

@@ -15,7 +15,7 @@ Carlo engine exploits to make its pairwise work independent of dimension.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -289,21 +289,22 @@ def check_boundary(boundary: BoundaryFunction) -> BoundaryCheck:
 # randomized normalized models
 # --------------------------------------------------------------------------
 
-def generate_normalized_model(dim: int, seed: int, horizon: float = 1.0,
-                              max_redraws: int = 100) -> BaselineModel:
+_MAX_REDRAWS = 100
+
+def generate_normalized_model(dim: int, seed: int, horizon: float = 1.0) -> BaselineModel:
     """Draw a random baseline model normalized so coordinate sums behave like d=1.
 
     Drift entries are U[0,1] rescaled to unit component sum; volatility entries
     are U[-1,1] rescaled so the vector of column sums has unit Euclidean norm.
     Under this normalization the law of sum_i X^i is dimension independent,
     which is what makes the sine-family benchmarks comparable across d.
-    Redraws (up to `max_redraws`) until the volatility is comfortably
+    Redraws (up to _MAX_REDRAWS times) until the volatility is comfortably
     invertible: lambda_min > 1e-12 * ||vol||_F.
     """
     if dim < 1:
         raise ValidationError("dim must be >= 1")
     rng = np.random.default_rng(seed)
-    for _ in range(max_redraws):
+    for _ in range(_MAX_REDRAWS):
         b_raw = rng.uniform(0.0, 1.0, dim)
         s_raw = rng.uniform(-1.0, 1.0, (dim, dim))
         b_sum = np.abs(b_raw).sum()
@@ -317,4 +318,4 @@ def generate_normalized_model(dim: int, seed: int, horizon: float = 1.0,
             continue
         return BaselineModel(drift=b_raw / b_sum, vol=vol, horizon=horizon)
     raise GenerationError(
-        f"no invertible normalized volatility found in {max_redraws} draws (dim={dim}, seed={seed})")
+        f"no invertible normalized volatility found in {_MAX_REDRAWS} draws (dim={dim}, seed={seed})")

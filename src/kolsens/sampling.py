@@ -148,7 +148,8 @@ def draw_samples(model: BaselineModel, grid: TimeGrid, m0: int, m1: int,
     first m1 rows are drawn here and held, in a single (m1, d) array.
     `SampleGrid.displacement` streams rows [m1, m0) from their Philox blocks,
     so the grid's memory does not grow with m0. The grid only fixes the
-    elapsed times at which `displacement` scales a sample.
+    elapsed times at which `displacement` scales a sample; it must end at
+    model.horizon, so its terminal displacements have the law of X_T.
 
     Parameters
     ----------
@@ -159,6 +160,9 @@ def draw_samples(model: BaselineModel, grid: TimeGrid, m0: int, m1: int,
         raise ValidationError(f"need integer m0 >= m1 >= 1, got m0={m0}, m1={m1}")
     if int(seed) != seed or seed < 0:
         raise ValidationError(f"seed must be a nonnegative integer, got {seed}")
+    if grid.t_end != model.horizon:
+        raise ValidationError(f"sample grid ends at {grid.t_end}, "
+                              f"not at the model horizon {model.horizon}")
     m0, m1, seed = int(m0), int(m1), int(seed)
     return SampleGrid(model=model, grid=grid, m0=m0, m1=m1, seed=seed,
                       _w=_draw(seed, 0, np.empty((m1, model.dim))))

@@ -51,7 +51,7 @@ def quartic_sens_runs(quartic_setup):
     t0 = time.perf_counter()
     for seed in range(20, 30):
         samples = draw_samples(model, grid, 3000, 3000, seed)
-        sd, sv, _ = sensitivity_mc(model, boundary, point, samples)
+        sd, sv, _ = sensitivity_mc(boundary, point, samples)
         drifts.append(sd)
         vols.append(sv)
     elapsed = time.perf_counter() - t0
@@ -70,14 +70,14 @@ def sine_suite():
         t0 = time.perf_counter()
         value_samples = draw_samples(model, build_time_grid(0.0, 1.0, 1),
                                      1_000_000, 1, 0)
-        v0 = v0_mc(model, boundary, point, value_samples)
+        v0 = v0_mc(boundary, point, value_samples)
         v0_elapsed = time.perf_counter() - t0
         del value_samples
         grid = build_time_grid(0.0, 1.0, 100)
         drifts, vols = [], []
         for seed in range(10):
             samples = draw_samples(model, grid, 2000, 2000, seed)
-            sd, sv, _ = sensitivity_mc(model, boundary, point, samples)
+            sd, sv, _ = sensitivity_mc(boundary, point, samples)
             drifts.append(sd)
             vols.append(sv)
         out[d] = {"v0": v0, "v0_elapsed": v0_elapsed,
@@ -89,7 +89,7 @@ def test_criterion_01_quartic_baseline_value(quartic_setup):
     model, boundary, point = quartic_setup
     t0 = time.perf_counter()
     samples = draw_samples(model, build_time_grid(0.0, 1.0, 1), 1_000_000, 1, 0)
-    v0 = v0_mc(model, boundary, point, samples)
+    v0 = v0_mc(boundary, point, samples)
     elapsed = time.perf_counter() - t0
     assert abs(v0 - 10.0) < 0.05, f"v0={v0}"
     assert elapsed < 10.0, f"elapsed={elapsed:.2f}s"
@@ -241,7 +241,7 @@ def test_criterion_10_property_suite(quartic_setup):
     pt2 = EvalPoint(t=0.25, x=np.array([0.4, -0.1]))
     samples2 = draw_samples(wide, build_time_grid(0.25, 1.5, 6), 300, 37, 3)
     for bnd in (affine, replace(affine, hessian=None)):     # Hessian and FD branches
-        sd, sv, _ = sensitivity_mc(wide, bnd, pt2, samples2)
+        sd, sv, _ = sensitivity_mc(bnd, pt2, samples2)
         assert sv == 0.0
         assert sd == pytest.approx(1.25 * math.sqrt(2.5), rel=1e-13)
 
@@ -252,7 +252,7 @@ def test_criterion_10_property_suite(quartic_setup):
         gradient=lambda p: np.zeros(np.asarray(p).shape),
     )
     samples1 = draw_samples(model, build_time_grid(0.0, 1.0, 5), 200, 40, 1)
-    assert sensitivity_mc(model, const, point, samples1)[:2] == (0.0, 0.0)
+    assert sensitivity_mc(const, point, samples1)[:2] == (0.0, 0.0)
 
     # translation covariance of the value estimator, bit-identical
     shift = np.array([0.75])
@@ -262,14 +262,14 @@ def test_criterion_10_property_suite(quartic_setup):
     g = BoundaryFunction(dim=1, value=lambda p: f_val(shift + np.asarray(p)),
                          gradient=zero_grad)
     shared = draw_samples(model, build_time_grid(0.0, 1.0, 4), 30_000, 10, 7)
-    assert (v0_mc(model, f, EvalPoint(t=0.0, x=shift), shared)
-            == v0_mc(model, g, EvalPoint(t=0.0, x=np.zeros(1)), shared))
+    assert (v0_mc(f, EvalPoint(t=0.0, x=shift), shared)
+            == v0_mc(g, EvalPoint(t=0.0, x=np.zeros(1)), shared))
 
     # finite-difference branch approaches the exact-Hessian branch at rate h
     samples_h = draw_samples(model, build_time_grid(0.0, 1.0, 6), 500, 300, 9)
-    _, sv_exact, _ = sensitivity_mc(model, boundary, point, samples_h)
+    _, sv_exact, _ = sensitivity_mc(boundary, point, samples_h)
     no_hessian = replace(boundary, hessian=None, ridge=replace(boundary.ridge, d2=None))
-    errs = {h: abs(sensitivity_mc(model, no_hessian, point, samples_h, h=h)[1] - sv_exact)
+    errs = {h: abs(sensitivity_mc(no_hessian, point, samples_h, h=h)[1] - sv_exact)
             for h in (1e-2, 1e-3)}
     assert 3.0 < errs[1e-2] / errs[1e-3] < 30.0
 

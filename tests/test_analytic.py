@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from kolsens import (QuadratureConfig, ValidationError, gauss_abs_expectation,
-                     quartic_sensitivity_quadrature, quartic_v0,
-                     sine_sensitivity_quadrature, sine_v0)
+from kolsens import (ValidationError, gauss_abs_expectation, quartic_sensitivity_quadrature,
+                     quartic_v0, sine_sensitivity_quadrature, sine_v0)
+from kolsens import analytic
 
 
 def _abs_normal_closed_form(mu: float, sigma: float) -> float:
@@ -99,15 +99,17 @@ def test_sine_sensitivity_frozen_values():
         0.5598683800368548, abs=1e-10)
 
 
-def test_sine_sensitivity_doubling_stability():
-    doubled = QuadratureConfig(gauss_order=128, time_panels=400)
-    for kind in ("drift", "vol"):
-        base = sine_sensitivity_quadrature(1.0, 1, kind)
-        fine = sine_sensitivity_quadrature(1.0, 1, kind, doubled)
-        assert abs(base - fine) < 1e-8
-    base = quartic_sensitivity_quadrature("drift")
-    fine = quartic_sensitivity_quadrature("drift", config=doubled)
-    assert abs(base - fine) < 1e-8
+def test_sine_sensitivity_doubling_stability(monkeypatch):
+    def values():
+        return [sine_sensitivity_quadrature(1.0, 1, "drift"),
+                sine_sensitivity_quadrature(1.0, 1, "vol"),
+                quartic_sensitivity_quadrature("drift")]
+
+    base = values()
+    monkeypatch.setattr(analytic, "_GAUSS_ORDER", 2 * analytic._GAUSS_ORDER)
+    monkeypatch.setattr(analytic, "_TIME_PANELS", 2 * analytic._TIME_PANELS)
+    for b, fine in zip(base, values()):
+        assert abs(b - fine) < 1e-8
 
 
 def test_sine_sqrt_dim_factorization_is_exact():
@@ -130,15 +132,6 @@ def test_sine_sensitivity_vs_plain_monte_carlo():
             total += (math.exp(-0.5 * (1.0 - u))
                       * np.mean(np.abs(g(1.0 + math.sqrt(u) * z))) * dt)
         assert sine_sensitivity_quadrature(1.0, 1, kind) == pytest.approx(total, rel=5e-3)
-
-
-def test_quadrature_config_validation():
-    with pytest.raises(ValidationError):
-        QuadratureConfig(gauss_order=1)
-    with pytest.raises(ValidationError):
-        QuadratureConfig(time_panels=1)
-    with pytest.raises(ValidationError):
-        QuadratureConfig(gauss_order=16.5)
 
 
 def test_kind_validation():

@@ -386,7 +386,8 @@ def test_rejected_external_boundary(tmp_path, monkeypatch, capsys):
     {"model": {"kind": "normalized", "dim": 1, "drift": [1.0]}},
     {"model": {"kind": "normalized", "dim": 1, "vol": [[1.0]]}},
     {"model": {"kind": "explicit", "drift": [1.0], "vol": [[1.0]], "dim": 1}},
-    {"model": {"kind": "explicit", "drift": [1.0], "vol": [[1.0]], "seed": 3}}])
+    {"model": {"kind": "explicit", "drift": [1.0], "vol": [[1.0]], "seed": 3}},
+    ({"fd": {"half_width": float("nan")}}, "fd-solve")])
 def test_invalid_mc_section_exits_2(tmp_path, capsys, mc):
     # mc: a malformed value patched into sections or the root of the config,
     # optionally paired with the command to run (default: sensitivity); the
@@ -460,14 +461,12 @@ def test_bad_sweep_exits_2_before_any_estimate(tmp_path, monkeypatch, capsys, sw
 
 @pytest.mark.parametrize("command, extra", [("eps-sweep", {"sweep": _SWEEP}),
                                             ("fd-solve", {})])
-def test_nonconvex_refusal_names_the_config_key(tmp_path, capsys, command, extra):
+def test_nonconvex_refusal_exits_2(tmp_path, capsys, command, extra):
     sine = {"boundary": "sine", "model": {"kind": "normalized", "dim": 1}, **extra}
     cfg = _write_config(tmp_path, _quartic_config(fd={"nx": 201}, **sine))
     assert main(["--config", cfg, "--command", command]) == 2
-    assert '"fd": {"allow_nonconvex": true}' in capsys.readouterr().err
-    allowed = _write_config(tmp_path, _quartic_config(
-        fd={"nx": 201, "allow_nonconvex": True}, **sine), name="allowed.json")
-    assert _run_json(tmp_path, allowed, command)[0] == 0
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "not convex" in err
 
 
 @pytest.mark.parametrize("workers", ["abc", "0"])

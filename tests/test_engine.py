@@ -94,21 +94,21 @@ def test_v0_constant_boundary_is_exact(quartic_setup):
         gradient=lambda p: np.zeros(np.asarray(p).shape),
     )
     s = _samples(model, 4, 70_000, 10, seed=0)   # spans multiple value blocks
-    assert v0_mc(model, const, pt, s) == 3.25
+    assert v0_mc(const, pt, s) == 3.25
 
 
 def test_v0_statistical_accuracy(quartic_setup):
     model, bnd, pt = quartic_setup
     s = _samples(model, 10, 200_000, 1, seed=0)
     # payoff std is sqrt(664) ~ 25.8; allow 4 standard errors
-    assert v0_mc(model, bnd, pt, s) == pytest.approx(10.0, abs=4 * 25.8 / math.sqrt(200_000))
+    assert v0_mc(bnd, pt, s) == pytest.approx(10.0, abs=4 * 25.8 / math.sqrt(200_000))
 
 
 def test_v0_matches_direct_average(quartic_setup):
     model, bnd, pt = quartic_setup
     s = _samples(model, 3, 70_000, 5, seed=2)
     direct = float(np.mean(bnd.value(pt.x + s.displacement(3))))
-    assert v0_mc(model, bnd, pt, s) == pytest.approx(direct, rel=1e-13)
+    assert v0_mc(bnd, pt, s) == pytest.approx(direct, rel=1e-13)
 
 
 @pytest.mark.parametrize("m0", [3 * BLOCK + 5, 100_003])
@@ -123,7 +123,7 @@ def test_streamed_v0_bits_equal_whole_array_reference(d, m0):
     mixed = np.einsum("jk,lk->jl", _philox_normals(13, m0, d), model.vol, optimize=False)
     pts = pt.x + (tau * model.drift + np.sqrt(tau) * mixed)
     chunks = [float(np.sum(bnd.value(pts[lo:lo + (1 << 16)]))) for lo in range(0, m0, 1 << 16)]
-    assert v0_mc(model, bnd, pt, s) == math.fsum(chunks) / m0
+    assert v0_mc(bnd, pt, s) == math.fsum(chunks) / m0
 
 
 def test_value_stage_memory_does_not_grow_with_m0():
@@ -132,7 +132,7 @@ def test_value_stage_memory_does_not_grow_with_m0():
     for m0 in (1 << 16, 1 << 18):
         tracemalloc.start()
         try:
-            v0_mc(model, bnd, pt, _samples(model, 1, m0, 1, seed=0))
+            v0_mc(bnd, pt, _samples(model, 1, m0, 1, seed=0))
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
@@ -153,8 +153,8 @@ def test_v0_translation_covariance_bitwise(quartic_setup):
     g = BoundaryFunction(dim=1, value=lambda p: f_value(shift + np.asarray(p)),
                          gradient=lambda p: np.zeros(np.asarray(p).shape))
     s = _samples(model, 4, 30_000, 10, seed=7)
-    at_x = v0_mc(model, f, EvalPoint(t=0.0, x=shift), s)
-    at_origin = v0_mc(model, g, EvalPoint(t=0.0, x=np.zeros(1)), s)
+    at_x = v0_mc(f, EvalPoint(t=0.0, x=shift), s)
+    at_origin = v0_mc(g, EvalPoint(t=0.0, x=np.zeros(1)), s)
     assert at_x == at_origin
 
 
@@ -167,17 +167,17 @@ def test_v0_rejects_nonfinite_boundary(quartic_setup):
     )
     s = _samples(model, 2, 100, 10, seed=0)
     with pytest.raises(NumericError, match="sample"):
-        v0_mc(model, nan_b, pt, s)
+        v0_mc(nan_b, pt, s)
 
 
 def test_v0_checks_point_and_grid_consistency(quartic_setup):
     model, bnd, _ = quartic_setup
     s = _samples(model, 4, 100, 10, seed=0)
     with pytest.raises(ValidationError):
-        v0_mc(model, bnd, EvalPoint(t=0.5, x=np.zeros(1)), s)   # wrong t_start
-    other = BaselineModel(drift=np.array([0.0]), vol=np.array([[1.0]]))
-    with pytest.raises(ValidationError):
-        v0_mc(other, bnd, EvalPoint(t=0.0, x=np.zeros(1)), s)   # wrong model
+        v0_mc(bnd, EvalPoint(t=0.5, x=np.zeros(1)), s)   # wrong t_start
+    # the estimators read the model from the grid, so the grid must span it
+    with pytest.raises(ValidationError, match="horizon"):
+        draw_samples(model, build_time_grid(0.0, 0.5, 10), 100, 10, seed=0)
 
 
 # --------------------------------------------------------------------------
@@ -211,9 +211,9 @@ def test_affine_boundary_exactness(fd_branch):
     bnd = _affine_boundary(a, 2.0)
     pt = EvalPoint(t=0.25, x=np.array([0.4, -0.1]))
     s = _samples(model, 6, 300, 37, seed=3, t0=0.25)
-    sd, sv, used = sensitivity_mc(model, _without_hessian(bnd) if fd_branch else bnd, pt, s)
+    sd, sv, h = sensitivity_mc(_without_hessian(bnd) if fd_branch else bnd, pt, s)
     assert sv == 0.0
-    assert used is (not fd_branch)
+    assert h == (1e-3 if fd_branch else None)     # the default bump on the FD branch
     expected = (model.horizon - pt.t) * math.sqrt(float(a @ a))
     assert sd == pytest.approx(expected, rel=1e-13)
 
@@ -227,7 +227,7 @@ def test_constant_boundary_sensitivities_vanish(quartic_setup):
         hessian=lambda p: np.zeros(np.asarray(p).shape + (1,)),
     )
     s = _samples(model, 5, 200, 40, seed=1)
-    sd, sv, _ = sensitivity_mc(model, const, pt, s)
+    sd, sv, _ = sensitivity_mc(const, pt, s)
     assert sd == 0.0 and sv == 0.0
 
 
@@ -238,22 +238,22 @@ def test_ridge_kernel_matches_generic():
     ]:
         pt = EvalPoint(t=0.0, x=np.zeros(d))
         s = _samples(model, 8, 400, 200, seed=5)
-        r = sensitivity_mc(model, bnd, pt, s)
-        g = sensitivity_mc(model, replace(bnd, ridge=None), pt, s)
+        r = sensitivity_mc(bnd, pt, s)
+        g = sensitivity_mc(replace(bnd, ridge=None), pt, s)
         assert r[0] == pytest.approx(g[0], rel=1e-10)
         assert r[1] == pytest.approx(g[1], rel=1e-10)
-        assert r[2] and g[2]
+        assert r[2] is None and g[2] is None
 
 
 def test_fd_branch_agrees_with_hessian_at_rate_h(quartic_setup):
     model, bnd, pt = quartic_setup
     s = _samples(model, 6, 500, 300, seed=9)
-    _, sv_exact, used = sensitivity_mc(model, bnd, pt, s)
-    assert used
+    _, sv_exact, no_bump = sensitivity_mc(bnd, pt, s)
+    assert no_bump is None
     errs = {}
     for h in (1e-2, 1e-3):
-        _, sv_fd, used_fd = sensitivity_mc(model, _without_hessian(bnd), pt, s, h=h)
-        assert not used_fd
+        _, sv_fd, bump = sensitivity_mc(_without_hessian(bnd), pt, s, h=h)
+        assert bump == h
         errs[h] = abs(sv_fd - sv_exact)
     # forward differences: error scales linearly with the bump
     assert errs[1e-3] < errs[1e-2]
@@ -265,9 +265,9 @@ def test_fd_branch_validates_bump(quartic_setup):
     s = _samples(model, 2, 60, 30, seed=0)
     for h in (0.0, -1e-3, "0.01", True):
         with pytest.raises(ValidationError):
-            sensitivity_mc(model, _without_hessian(bnd), pt, s, h=h)
+            sensitivity_mc(_without_hessian(bnd), pt, s, h=h)
     # bump is irrelevant (and unchecked) on the Hessian branch
-    sensitivity_mc(model, bnd, pt, s, h=-1e-3)
+    sensitivity_mc(bnd, pt, s, h=-1e-3)
 
 
 def test_sensitivity_nonfinite_names_time_index(quartic_setup):
@@ -279,7 +279,7 @@ def test_sensitivity_nonfinite_names_time_index(quartic_setup):
     )
     s = _samples(model, 3, 50, 20, seed=0)
     with pytest.raises(NumericError, match="time index"):
-        sensitivity_mc(model, bad, pt, s)
+        sensitivity_mc(bad, pt, s)
 
 
 def test_sensitivity_fails_at_first_bad_node(quartic_setup):
@@ -296,11 +296,11 @@ def test_sensitivity_fails_at_first_bad_node(quartic_setup):
                            gradient=gradient,
                            hessian=lambda p: np.full(np.shape(p) + (1,), np.nan))
     with pytest.raises(NumericError, match="time index 0"):
-        sensitivity_mc(model, bnd, pt, s, workers=1)
+        sensitivity_mc(bnd, pt, s, workers=1)
     assert len(calls) == 1     # one tile of node 0; nodes 1..5 never ran
     for workers in (2, 3):
         with pytest.raises(NumericError, match="time index 0$"):
-            sensitivity_mc(model, bnd, pt, s, workers=workers)
+            sensitivity_mc(bnd, pt, s, workers=workers)
 
 
 def _tile_cases(wrap=lambda fn: fn):
@@ -318,7 +318,7 @@ def _all_branches(model, bnd, pt, s):
         for fd_branch in (False, True):
             b = _without_hessian(bnd) if fd_branch else bnd
             b = replace(b, ridge=None) if kernel == "generic" else b
-            out[kernel, fd_branch] = sensitivity_mc(model, b, pt, s, h=1e-3)
+            out[kernel, fd_branch] = sensitivity_mc(b, pt, s, h=1e-3)
     return out
 
 
@@ -377,21 +377,21 @@ def test_tile_arrays_add_up_to_one_tile(monkeypatch):
     generic_fd = replace(_without_hessian(bnd), ridge=None, gradient=rec(bnd.gradient))
     for b, live in ((bnd, 2), (_without_hessian(bnd), 3), (generic_fd, 3)):
         sizes.clear()
-        sensitivity_mc(model, b, pt, s, h=1e-3)
+        sensitivity_mc(b, pt, s, h=1e-3)
         assert sizes and live * max(sizes) <= 500
 
 
 def test_worker_count_is_bit_invariant(quartic_setup, monkeypatch):
     model, bnd, pt = quartic_setup
     s = _samples(model, 7, 300, 150, seed=6)
-    lone = sensitivity_mc(model, bnd, pt, s, workers=1)
-    multi = sensitivity_mc(model, bnd, pt, s, workers=4)
+    lone = sensitivity_mc(bnd, pt, s, workers=1)
+    multi = sensitivity_mc(bnd, pt, s, workers=4)
     assert lone == multi
     monkeypatch.setenv(WORKERS_ENV, "3")
-    from_env = sensitivity_mc(model, bnd, pt, s)
+    from_env = sensitivity_mc(bnd, pt, s)
     assert from_env == lone
     with pytest.raises(ValidationError):
-        sensitivity_mc(model, bnd, pt, s, workers=0)
+        sensitivity_mc(bnd, pt, s, workers=0)
 
 
 def test_sine_sensitivities_near_quadrature_small_scale():
@@ -400,7 +400,7 @@ def test_sine_sensitivities_near_quadrature_small_scale():
     bnd = sine_boundary(1)
     pt = EvalPoint(t=0.0, x=np.zeros(1))
     s = _samples(model, 50, 2000, 1000, seed=0)
-    sd, sv, _ = sensitivity_mc(model, bnd, pt, s)
+    sd, sv, _ = sensitivity_mc(bnd, pt, s)
     assert sd == pytest.approx(sine_sensitivity_quadrature(1.0, 1, "drift"), abs=0.05)
     assert sv == pytest.approx(sine_sensitivity_quadrature(1.0, 1, "vol"), abs=0.05)
 

@@ -51,6 +51,11 @@ def test_problem_validation():
         _quartic_problem(nt=0)
     with pytest.raises(ValidationError):
         _quartic_problem(boundary=sine_boundary(2))
+    # a NaN or infinite size would otherwise fail later, in the grid arithmetic
+    for field in ("half_width", "horizon"):
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValidationError, match=field):
+                _quartic_problem(**{field: bad})
 
 
 def test_derived_discretization_quantities():
@@ -116,12 +121,10 @@ def test_convexity_gate():
     wavy = _quartic_problem(boundary=sine_boundary(1), nx=201)
     with pytest.raises(ValidationError, match="not convex"):
         solve(wavy)
-    solve(replace(wavy, allow_nonconvex=True))
     solve(_quartic_problem(nx=201, half_width=3.0))   # convex passes silently
     # a sweep plan checks the terminal row on its own grid, before any march
     with pytest.raises(ValidationError, match="not convex"):
         plan_epsilon_sweep(wavy, [0.01, 0.02, 0.05])
-    plan_epsilon_sweep(replace(wavy, allow_nonconvex=True), [0.01, 0.02, 0.05])
 
 
 def test_nonfinite_terminal_is_rejected():

@@ -7,6 +7,7 @@ from kolsens import (BaselineModel, EvalPoint, GenerationError, UncertaintySpec,
                      ValidationError, check_boundary, generate_normalized_model,
                      lambda_min, quartic_boundary, ridge_boundary, sine_boundary,
                      validate_expansion_regime)
+from kolsens import model as model_module
 from kolsens.model import BoundaryFunction
 
 
@@ -189,6 +190,7 @@ def test_normalized_model_deterministic_per_seed():
     assert not np.array_equal(a.vol, c.vol)
 
 
-def test_normalized_model_zero_redraws_budget():
+def test_normalized_model_zero_redraws_budget(monkeypatch):
+    monkeypatch.setattr(model_module, "_MAX_REDRAWS", 0)
     with pytest.raises(GenerationError):
-        generate_normalized_model(3, seed=0, max_redraws=0)
+        generate_normalized_model(3, seed=0)
