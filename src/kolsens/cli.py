@@ -29,7 +29,7 @@ from . import __version__
 from .analytic import (quartic_sensitivity_quadrature, quartic_v0, sine_sensitivity_quadrature,
                        sine_v0)
 from .engine import (EstimatorStats, McConfig, compute_report, predicted_complexity,
-                     seeded_runs, v0_mc)
+                     resolve_workers, seeded_runs, v0_mc)
 from .errors import NumericError, ValidationError
 from .fd1d import epsilon_sweep, fd_problem_from_model, plan_epsilon_sweep, solve
 from .model import (BaselineModel, BoundaryFunction, EvalPoint, UncertaintySpec,
@@ -139,7 +139,8 @@ def _external_boundary(ref: str, dim: int) -> BoundaryFunction:
             f"external boundary {ref!r} failed consistency probes: "
             f"gradient err {probe.max_gradient_rel_err:.2e}, "
             f"hessian err {probe.max_hessian_rel_err:.2e}, "
-            f"asymmetry {probe.max_hessian_asym:.2e}")
+            f"asymmetry {probe.max_hessian_asym:.2e}, "
+            f"ridge err {probe.max_ridge_rel_err:.2e}")
     return obj
 
 
@@ -235,6 +236,7 @@ def _report_stats(reports: list) -> dict:
 
 def _run_value(ctx) -> dict:
     t0 = time.perf_counter()
+    resolve_workers(None)   # v0 runs on one thread, but a bad KOLSENS_WORKERS still exits 2
 
     def one(seed: int) -> float:
         grid = build_time_grid(ctx["point"].t, ctx["model"].horizon, ctx["mc"].n_steps)

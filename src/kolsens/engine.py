@@ -27,11 +27,15 @@ alone, so the tile size never changes a bit.
 
 `v0_mc` streams its m0 samples from the sample grid one Philox block at a
 time (the grid holds only the m1 inner rows), so its memory does not grow
-with m0. It evaluates the boundary on power-of-two row tiles of at most
-_PAIR_TILE doubles, the one tile constant of both stages: tiles that small
-keep OpenBLAS single-threaded, whose idle workers would otherwise spin after
-every threaded `pts @ a` of a ridge value, and their power-of-two edges keep
-each row's bits.
+with m0. For a ridge boundary f(x) = phi(a.x) it evaluates the profile phi
+on the scalar projections of `SampleGrid.projection`, which never mix a
+row: the value stage then costs one dot product per sample instead of a
+d x d mix and a dot product. Any other boundary's `value` sees the
+displacements in power-of-two row tiles of at most _PAIR_TILE doubles, the
+one tile constant of both stages: tiles that small keep OpenBLAS
+single-threaded, whose idle workers would otherwise spin after every
+threaded `pts @ a` of a ridge-built value passed without its declaration,
+and their power-of-two edges keep each row's bits.
 
 Nodes are checked for finiteness in index order as they complete, so a
 failure stops the run at the first bad node and names the same time index
@@ -70,7 +74,7 @@ _V0_BLOCK = 1 << 16
 WORKERS_ENV = "KOLSENS_WORKERS"
 
 
-def _resolve_workers(workers: int | None) -> int:
+def resolve_workers(workers: int | None) -> int:
     """The worker count: the argument, else KOLSENS_WORKERS, else 1."""
     if workers is not None:
         if workers < 1:
@@ -131,24 +135,35 @@ def v0_mc(boundary: BoundaryFunction, point: EvalPoint, samples: SampleGrid) -> 
 
     Averages f(x + X_N(j)) over all m0 samples; unbiased since the terminal
     displacement has the exact law of X_T - x given X_t = 0 under the grid's
-    model. The samples are read one Philox block at a time and
-    `boundary.value` sees one row tile at a time; each _V0_BLOCK-row chunk
-    is summed whole, so neither the streaming nor the tiles change a bit.
+    model. The samples are read one Philox block at a time. A ridge
+    boundary's `ridge.profile` sees the block's projections a.(x + X_N(j))
+    (its `value` is not called); any other boundary's `value` sees one row
+    tile of the block at a time. Each _V0_BLOCK-row chunk is summed whole,
+    so neither the streaming nor the tiles change a bit.
     """
     _check_compatible(boundary, point, samples)
-    n, m0 = samples.grid.n_steps, samples.m0
-    tile = _value_tile(samples.model.dim)
+    n, m0, ridge = samples.grid.n_steps, samples.m0, boundary.ridge
+    if ridge is not None:
+        project = samples.projection(n, ridge.direction, point.x)
+
+        def fill(lo, hi, out):
+            out[:] = ridge.profile(project(lo, hi))
+    else:
+        tile = _value_tile(samples.model.dim)
+
+        def fill(lo, hi, out):
+            pts = samples.displacement(n, start=lo, stop=hi)
+            pts += point.x
+            for t_lo in range(0, hi - lo, tile):
+                out[t_lo:t_lo + tile] = boundary.value(pts[t_lo:t_lo + tile])
+
     vals = np.empty(min(_V0_BLOCK, m0))
     partials = []
     for lo in range(0, m0, _V0_BLOCK):
         hi = min(lo + _V0_BLOCK, m0)
         for b_lo in range(lo, hi, BLOCK):
-            pts = samples.displacement(n, start=b_lo, stop=min(b_lo + BLOCK, hi))
-            pts += point.x
-            for t_lo in range(0, pts.shape[0], tile):
-                t_hi = min(t_lo + tile, pts.shape[0])
-                vals[b_lo - lo + t_lo:b_lo - lo + t_hi] = boundary.value(pts[t_lo:t_hi])
-            del pts     # freed before the next block is drawn
+            b_hi = min(b_lo + BLOCK, hi)
+            fill(b_lo, b_hi, vals[b_lo - lo:b_hi - lo])
         chunk = vals[:hi - lo]
         if not np.isfinite(chunk).all():
             j = lo + int(np.flatnonzero(~np.isfinite(chunk))[0])
@@ -158,11 +173,12 @@ def v0_mc(boundary: BoundaryFunction, point: EvalPoint, samples: SampleGrid) -> 
 
 
 def _value_tile(d: int) -> int:
-    """Rows per boundary.value call in v0_mc (see the module docstring).
+    """Rows per boundary.value call in v0_mc, which only non-ridge boundaries get.
 
-    The largest power of two <= BLOCK with rows*d <= _PAIR_TILE: its tile
-    edges fall on multiples of the BLAS kernel's row unroll, so a ridge
-    value's `pts @ a` gives each row the bits of one whole-chunk product.
+    The largest power of two <= BLOCK with rows*d <= _PAIR_TILE (see the
+    module docstring): its tile edges fall on multiples of the BLAS kernel's
+    row unroll, so a ridge-built value's `pts @ a` gives each row the bits
+    of one whole-chunk product.
     """
     return min(BLOCK, 1 << max(0, (_PAIR_TILE // d).bit_length() - 1))
 
@@ -308,7 +324,7 @@ def sensitivity_mc(boundary: BoundaryFunction, point: EvalPoint, samples: Sample
         in_disp = samples.displacement(n - i, stop=m1)
         return node_terms(first_arg, x, out_disp, in_disp, vol_mat, h)
 
-    n_workers = _resolve_workers(workers)
+    n_workers = resolve_workers(workers)
     pool = ThreadPoolExecutor(max_workers=n_workers) if n_workers > 1 else None
     try:
         if pool is None:
@@ -428,7 +444,7 @@ def seeded_runs(job, runs: int, base_seed: int) -> list:
 
 @dataclass(frozen=True)
 class McConfig:
-    """Estimator parameters; kernel="generic" makes compute_report drop the ridge."""
+    """Estimator parameters; kernel="generic" drops the ridge from the whole report."""
 
     n_steps: int = 100
     m0: int = 3_000_000
@@ -462,18 +478,18 @@ def compute_report(model: BaselineModel, boundary: BoundaryFunction, point: Eval
     (the sensitivity is identically zero at zero weights): both factors are
     0.0, used_hessian_path is False and `h` is None, as it is whenever no FD
     branch ran. The boundary picks the branch; cfg.kernel="generic" drops
-    its ridge declaration. The worker count is resolved first, so a bad
-    KOLSENS_WORKERS fails early.
+    its ridge declaration before either estimator runs. The worker count is
+    resolved first, so a bad KOLSENS_WORKERS fails early.
     """
     t0 = time.perf_counter()
-    workers = _resolve_workers(workers)
+    workers = resolve_workers(workers)
+    if cfg.kernel == "generic":
+        boundary = replace(boundary, ridge=None)
     grid = build_time_grid(point.t, model.horizon, cfg.n_steps)
     samples = draw_samples(model, grid, cfg.m0, cfg.m1, cfg.seed)
     v0 = v0_mc(boundary, point, samples)
     sens_drift, sens_vol, used_hessian, h = 0.0, 0.0, False, None
     if unc is None or unc.gamma != 0.0 or unc.eta != 0.0:
-        if cfg.kernel == "generic":
-            boundary = replace(boundary, ridge=None)
         sens_drift, sens_vol, h = sensitivity_mc(boundary, point, samples, h=cfg.h,
                                                  workers=workers)
         used_hessian = h is None

@@ -246,19 +246,26 @@ class BoundaryCheck:
     max_gradient_rel_err: float
     max_hessian_rel_err: float
     max_hessian_asym: float
+    max_ridge_rel_err: float
     ok: bool
 
 
 def check_boundary(boundary: BoundaryFunction) -> BoundaryCheck:
     """Probe gradient/Hessian against central differences of value/gradient.
 
-    Relative errors are measured against 1 + |exact| at 20 seeded Gaussian
-    points of standard deviation 1.5, with step 1e-5; `ok` means every error
-    is below 1e-5. Returns a report; callers decide whether that is fatal.
+    A ridge declaration is probed too, since the engine evaluates it in place
+    of the evaluators: value against profile(x.a), gradient against
+    d1(x.a) a and, when set, Hessian against d2(x.a) a a^T. Relative errors
+    are measured against 1 + |exact| at 20 seeded Gaussian points of
+    standard deviation 1.5, with step 1e-5; `ok` means every error is below
+    1e-5. Returns a report; callers decide whether that is fatal.
     """
     step, tol = 1e-5, 1e-5
     pts = 1.5 * np.random.default_rng(0).standard_normal((20, boundary.dim))
     d = boundary.dim
+
+    def rel_err(got, exact):
+        return float(np.max(np.abs(got - exact) / (1.0 + np.abs(exact))))
 
     grad = boundary.gradient(pts)
     fd_grad = np.empty_like(grad)
@@ -266,10 +273,11 @@ def check_boundary(boundary: BoundaryFunction) -> BoundaryCheck:
         e = np.zeros(d)
         e[k] = step
         fd_grad[:, k] = (boundary.value(pts + e) - boundary.value(pts - e)) / (2 * step)
-    g_err = float(np.max(np.abs(fd_grad - grad) / (1.0 + np.abs(grad))))
+    g_err = rel_err(fd_grad, grad)
 
     h_err = 0.0
     asym = 0.0
+    hess = None
     if boundary.hessian is not None:
         hess = boundary.hessian(pts)
         asym = float(np.max(np.abs(hess - np.swapaxes(hess, -1, -2))))
@@ -278,11 +286,22 @@ def check_boundary(boundary: BoundaryFunction) -> BoundaryCheck:
             e = np.zeros(d)
             e[k] = step
             fd_hess[:, :, k] = (boundary.gradient(pts + e) - boundary.gradient(pts - e)) / (2 * step)
-        h_err = float(np.max(np.abs(fd_hess - hess) / (1.0 + np.abs(hess))))
+        h_err = rel_err(fd_hess, hess)
 
-    ok = g_err < tol and h_err < tol and asym < tol
+    r_err = 0.0
+    ridge = boundary.ridge
+    if ridge is not None:
+        a = ridge.direction
+        s = pts @ a
+        r_err = max(rel_err(boundary.value(pts), ridge.profile(s)),
+                    rel_err(grad, ridge.d1(s)[:, None] * a))
+        if hess is not None:    # ridge.d2 is set exactly when the Hessian is
+            r_err = max(r_err, rel_err(hess, ridge.d2(s)[:, None, None]
+                                       * np.multiply.outer(a, a)))
+
+    ok = g_err < tol and h_err < tol and asym < tol and r_err < tol
     return BoundaryCheck(max_gradient_rel_err=g_err, max_hessian_rel_err=h_err,
-                         max_hessian_asym=asym, ok=ok)
+                         max_hessian_asym=asym, max_ridge_rel_err=r_err, ok=ok)
 
 
 # --------------------------------------------------------------------------

@@ -2,8 +2,9 @@
 
 Sampling is built on numpy's counter-based Philox generator. The master seed
 is the Philox key and 2^14-sample blocks are indexed through counter word 1.
-Blocks are always generated in full and sliced, which gives two properties
-the estimators rely on:
+A block is always read from its start (the rows of its prefix have the
+bits of the same rows of the whole block), which gives two properties the
+estimators rely on:
 
 * prefix reuse — the first M1 samples of an M0-sample grid are bit-identical
   to an M1-sample grid drawn with the same seed, for any M1 <= M0;
@@ -14,14 +15,18 @@ Each sample j owns a single standard normal vector W(j), and its
 displacement at elapsed time tau is b*tau + sqrt(tau) * sigma W(j): all time
 points are comonotone, as in the estimator's derivation. A grid holds only
 the nested estimator's m1 inner rows, as one (m1, d) array: the drawn W(j),
-which the first use overwrites in place with sigma W(j). Rows past m1 are
-never held: `SampleGrid.displacement` draws them from their own Philox
+overwritten in place with sigma W(j) when the grid is built. Rows past m1
+are never held: `SampleGrid.displacement` draws them from their own Philox
 blocks and mixes them on the spot, so memory stays bounded however large m0
 gets. Held and streamed rows go through the same draw and the same per-row
 mix, so every row has the same bits whichever way it is read.
+
+`SampleGrid.projection` reads a ridge's scalar projection
+a.(x + displacement) = a.x + tau a.b + sqrt(tau) W(j).(sigma^T a) without
+building any sigma W(j): it draws every row, held ones included, again from
+its Philox block and takes one dot product per row.
 """
 
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -65,14 +70,20 @@ def build_time_grid(t_start: float, t_end: float, n_steps: int) -> TimeGrid:
 def _draw(seed: int, lo: int, out: Array) -> Array:
     """Fill out with the standard normal d-vectors W(j) of rows lo, lo+1, ...
 
-    Each Philox block the rows touch is generated in full and sliced.
+    Each Philox block the rows touch is read from its start, which gives
+    every row the bits of the same row of the whole block: rows from a
+    block's start are drawn straight into `out`; rows from within a block
+    are drawn after the rows before them, which are dropped.
     """
     hi, d = lo + out.shape[0], out.shape[1]
     for b in range(lo // BLOCK, -(-hi // BLOCK)):
         first, last = max(lo, b * BLOCK), min(hi, (b + 1) * BLOCK)
         gen = np.random.Generator(np.random.Philox(key=seed, counter=[0, b, 0, 0]))
-        out[first - lo:last - lo] = gen.standard_normal((BLOCK, d))[
-            first - b * BLOCK:last - b * BLOCK]
+        if first == b * BLOCK:
+            gen.standard_normal(out=out[first - lo:last - lo])
+        else:
+            out[first - lo:last - lo] = gen.standard_normal((last - b * BLOCK, d))[
+                first - b * BLOCK:]
     return out
 
 
@@ -93,10 +104,10 @@ def _mix(rows: Array, vol: Array) -> Array:
 class SampleGrid:
     """The m1 inner sample rows plus the model/grid that turn samples into displacements.
 
-    `_w` holds the drawn standard normals W(j) of rows [0, m1) until
-    `ensure_mixed` overwrites it with sigma W(j); rows [m1, m0) are drawn
-    and mixed only when `displacement` reads them. Read the samples through
-    `displacement`.
+    `_w` holds sigma W(j) of rows [0, m1), mixed in place when the grid is
+    built; rows [m1, m0) are drawn and mixed only when `displacement` reads
+    them. Read the samples through `displacement`, or through `projection`
+    for a ridge.
     """
 
     model: BaselineModel
@@ -106,14 +117,24 @@ class SampleGrid:
     seed: int
     _w: Array = field(repr=False)
     _mixed: bool = field(default=False, init=False, repr=False)
-    _lock: threading.Lock = field(default_factory=threading.Lock, init=False, repr=False)
+
+    def __post_init__(self):
+        self.ensure_mixed()
 
     def ensure_mixed(self) -> None:
-        """Mix the held rows in place into sigma W(j), exactly once, even under threads."""
-        with self._lock:
-            if not self._mixed:
-                _mix(self._w, self.model.vol)
-                self._mixed = True
+        """Mix the held rows in place into sigma W(j), once; construction calls it."""
+        if not self._mixed:
+            _mix(self._w, self.model.vol)
+            self._mixed = True
+
+    def _check_rows(self, i: int, start: int, stop: int | None) -> int:
+        """The checked row range's stop, for node i and rows [start, stop)."""
+        if not 0 <= i <= self.grid.n_steps:
+            raise ValidationError(f"node index {i} outside 0..{self.grid.n_steps}")
+        stop = self.m0 if stop is None else stop
+        if not 0 <= start <= stop <= self.m0:
+            raise ValidationError(f"row range [{start}, {stop}) outside [0, {self.m0}]")
+        return stop
 
     def displacement(self, i: int, *, start: int = 0, stop: int | None = None) -> Array:
         """Displacement samples b*tau_i + sqrt(tau_i) sigma W at grid node i.
@@ -123,12 +144,7 @@ class SampleGrid:
         drawn from their Philox blocks and mixed on this call, with the same
         bits. The nested estimator's inner samples are rows [0, m1).
         """
-        if not 0 <= i <= self.grid.n_steps:
-            raise ValidationError(f"node index {i} outside 0..{self.grid.n_steps}")
-        stop = self.m0 if stop is None else stop
-        if not 0 <= start <= stop <= self.m0:
-            raise ValidationError(f"row range [{start}, {stop}) outside [0, {self.m0}]")
-        self.ensure_mixed()
+        stop = self._check_rows(i, start, stop)
         mid = min(max(start, self.m1), stop)
         rows = np.empty((stop - start, self.model.dim))
         rows[:mid - start] = self._w[start:mid]
@@ -138,6 +154,34 @@ class SampleGrid:
         rows *= np.sqrt(tau)
         rows += tau * self.model.drift      # the bits of tau*b + sqrt(tau)*row
         return rows
+
+    def projection(self, i: int, direction: Array, x: Array):
+        """The reader `project(start, stop)` of a.(x + displacement) at node i, a = direction.
+
+        It gives rows [start, stop) of ((sqrt(tau_i) p) + tau_i a.b) + a.x,
+        p = W(j).(sigma^T a): the order of `displacement` + x, whose bits it
+        has for d = 1 and a = 1. Every row, held ones included, is drawn again
+        into one reused buffer and never mixed. All products are einsums off
+        BLAS, so a row's bits do not depend on the rows it is read with.
+        """
+        self._check_rows(i, 0, None)
+        a, tau = np.asarray(direction, dtype=float), self.grid.elapsed[i]
+        sig_a = np.einsum("lk,l->k", self.model.vol, a, optimize=False)
+        shift_b = tau * np.einsum("k,k->", a, self.model.drift, optimize=False)
+        shift_x = np.einsum("k,k->", a, x, optimize=False)
+        buf = np.empty((min(BLOCK, self.m0), self.model.dim))
+
+        def project(start: int, stop: int) -> Array:
+            stop = self._check_rows(i, start, stop)
+            n = stop - start
+            w = _draw(self.seed, start, buf[:n] if n <= len(buf) else np.empty((n, len(a))))
+            p = np.einsum("jk,k->j", w, sig_a, optimize=False)
+            p *= np.sqrt(tau)
+            p += shift_b
+            p += shift_x
+            return p
+
+        return project
 
 
 def draw_samples(model: BaselineModel, grid: TimeGrid, m0: int, m1: int,

@@ -372,6 +372,27 @@ def test_rejected_external_boundary(tmp_path, monkeypatch, capsys):
     assert "consistency probes" in capsys.readouterr().err
 
 
+def test_external_ridge_that_disagrees_with_its_evaluators_exits_2(tmp_path, monkeypatch,
+                                                                   capsys):
+    # v0 evaluates ridge.profile in place of value, so a wrong profile must
+    # be refused before it silently changes v0
+    helper = tmp_path / "bad_ridge.py"
+    helper.write_text(textwrap.dedent("""
+        from dataclasses import replace
+        import numpy as np
+        from kolsens import sine_boundary
+
+        def shifted(dim):
+            b = sine_boundary(dim)
+            return replace(b, ridge=replace(b.ridge, profile=lambda s: np.sin(s) + 0.5))
+    """), encoding="utf-8")
+    monkeypatch.syspath_prepend(str(tmp_path))
+    doc = _quartic_config(boundary={"kind": "external", "ref": "bad_ridge:shifted"})
+    cfg = _write_config(tmp_path, doc)
+    assert main(["--config", cfg, "--command", "value"]) == 2
+    assert "ridge err" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("mc", [
     {"mc": {"kernel": "bogus"}}, {"mc": {"kernel": "ridge"}}, {"mc": {"n_steps": 0}},
     {"mc": {"n_steps": 2.5}}, {"mc": {"m1": "many"}}, {"mc": {"h": "small"}},
@@ -475,6 +496,16 @@ def test_bad_worker_count_exits_2_before_sampling(tmp_path, monkeypatch, capsys,
     monkeypatch.setenv("KOLSENS_WORKERS", workers)
     cfg = _write_config(tmp_path, _quartic_config())
     assert main(["--config", cfg, "--command", "sensitivity"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "KOLSENS_WORKERS" in err
+
+
+def test_value_refuses_a_bad_worker_count(tmp_path, monkeypatch, capsys):
+    # v0 runs on one thread, yet the setting is checked as for every command
+    monkeypatch.setattr(cli, "draw_samples", _fail_if_called("draw_samples"))
+    monkeypatch.setenv("KOLSENS_WORKERS", "abc")
+    cfg = _write_config(tmp_path, _quartic_config())
+    assert main(["--config", cfg, "--command", "value"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "KOLSENS_WORKERS" in err
 

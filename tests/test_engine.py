@@ -111,19 +111,98 @@ def test_v0_matches_direct_average(quartic_setup):
     assert v0_mc(bnd, pt, s) == pytest.approx(direct, rel=1e-13)
 
 
+def _v0_reference_case(d, m0):
+    model, bnd = generate_normalized_model(d, 40 + d), sine_boundary(d)
+    pt = EvalPoint(t=0.0, x=np.linspace(-0.4, 0.3, d))
+    return model, bnd, pt, _philox_normals(13, m0, d)
+
+
+def _chunked_mean(vals):
+    m0 = vals.shape[0]
+    return math.fsum(float(np.sum(vals[lo:lo + (1 << 16)])) for lo in range(0, m0, 1 << 16)) / m0
+
+
 @pytest.mark.parametrize("m0", [3 * BLOCK + 5, 100_003])
 @pytest.mark.parametrize("d", [1, 3, 50])
 def test_streamed_v0_bits_equal_whole_array_reference(d, m0):
-    # the reference holds all m0 rows, mixes them in one einsum and sums
-    # boundary values over whole 2^16-row chunks; streaming must not move a bit
-    model, bnd = generate_normalized_model(d, 40 + d), sine_boundary(d)
-    pt = EvalPoint(t=0.0, x=np.linspace(-0.4, 0.3, d))
-    s = _samples(model, 4, m0, 1, seed=13)
-    tau = s.grid.elapsed[-1]
-    mixed = np.einsum("jk,lk->jl", _philox_normals(13, m0, d), model.vol, optimize=False)
-    pts = pt.x + (tau * model.drift + np.sqrt(tau) * mixed)
-    chunks = [float(np.sum(bnd.value(pts[lo:lo + (1 << 16)]))) for lo in range(0, m0, 1 << 16)]
-    assert v0_mc(bnd, pt, s) == math.fsum(chunks) / m0
+    # without a ridge declaration: the reference holds all m0 rows, mixes
+    # them in one einsum and sums boundary values over whole 2^16-row
+    # chunks; streaming must not move a bit, whatever rows the grid holds
+    model, bnd, pt, w = _v0_reference_case(d, m0)
+    generic = replace(bnd, ridge=None)
+    tau = 1.0
+    mixed = np.einsum("jk,lk->jl", w, model.vol, optimize=False)
+    want = _chunked_mean(generic.value(pt.x + (tau * model.drift + np.sqrt(tau) * mixed)))
+    for m1 in (1, 2000):
+        s = _samples(model, 4, m0, m1, seed=13)
+        assert s.grid.elapsed[-1] == tau
+        assert v0_mc(generic, pt, s) == want
+
+
+@pytest.mark.parametrize("m1", [1, 2000])
+@pytest.mark.parametrize("m0", [3 * BLOCK + 5, 100_003])
+@pytest.mark.parametrize("d", [1, 3, 50])
+def test_ridge_v0_bits_equal_whole_array_projection(d, m0, m1):
+    # a ridge reads every row unmixed: s(j) = a.x + tau a.b + sqrt(tau)
+    # W(j).(sigma^T a) over all m0 rows at once, one profile call, then
+    # the same 2^16-row chunk sums
+    model, bnd, pt, w = _v0_reference_case(d, m0)
+    a, tau = bnd.ridge.direction, 1.0
+    sig_a = np.einsum("lk,l->k", model.vol, a, optimize=False)
+    p = np.einsum("jk,k->j", w, sig_a, optimize=False)
+    proj = ((np.sqrt(tau) * p) + tau * np.einsum("k,k->", a, model.drift, optimize=False)
+            + np.einsum("k,k->", a, pt.x, optimize=False))
+    s = _samples(model, 4, m0, m1, seed=13)
+    assert v0_mc(bnd, pt, s) == _chunked_mean(bnd.ridge.profile(proj))
+
+
+def test_ridge_v0_agrees_with_the_generic_path():
+    # the projection and the mixed rows round differently for d > 1 only
+    for seed in range(10):
+        d = 1 + 7 * seed
+        model, bnd = generate_normalized_model(d, seed), sine_boundary(d)
+        pt = EvalPoint(t=0.0, x=np.full(d, 0.1))
+        s = _samples(model, 2, 20_000, 5, seed=seed)
+        ridge, generic = v0_mc(bnd, pt, s), v0_mc(replace(bnd, ridge=None), pt, s)
+        assert abs(ridge - generic) <= 1e-14 * abs(generic)
+    model, bnd, pt = (BaselineModel(drift=np.array([0.3]), vol=np.array([[1.2]])),
+                      quartic_boundary(), EvalPoint(t=0.0, x=np.array([0.4])))
+    for seed in range(10):
+        s = _samples(model, 3, 40_000, 7, seed=seed)
+        assert v0_mc(bnd, pt, s) == v0_mc(replace(bnd, ridge=None), pt, s)
+
+
+def test_ridge_v0_rejects_nonfinite_profile():
+    model = BaselineModel(drift=np.zeros(2), vol=np.eye(2))
+    s = _samples(model, 2, 3 * BLOCK, 10, seed=0)
+    bad = 2 * BLOCK + 17
+    proj = s.projection(2, np.ones(2), np.zeros(2))(2 * BLOCK, bad + 1)[-1]
+
+    def profile(v):
+        return np.where(v == proj, np.inf, v)
+
+    bnd = ridge_boundary(np.ones(2), profile, np.ones_like)
+    with pytest.raises(NumericError, match=f"non-finite at sample {bad}$"):
+        v0_mc(bnd, EvalPoint(t=0.0, x=np.zeros(2)), s)
+
+
+def test_ridge_v0_mixes_only_the_held_rows(monkeypatch):
+    import kolsens.sampling as smp
+    mixed = []
+
+    def counting_mix(rows, vol):
+        mixed.append(rows.shape[0])
+        return real_mix(rows, vol)
+
+    real_mix = smp._mix
+    monkeypatch.setattr(smp, "_mix", counting_mix)
+    model, bnd = generate_normalized_model(4, 3), sine_boundary(4)
+    s = _samples(model, 2, 2 * BLOCK + 9, 300, seed=1)
+    v0_mc(bnd, EvalPoint(t=0.0, x=np.zeros(4)), s)
+    assert sum(mixed) == 300
+    # the generic path mixes every row it streams past the held ones
+    v0_mc(replace(bnd, ridge=None), EvalPoint(t=0.0, x=np.zeros(4)), s)
+    assert sum(mixed) == 2 * BLOCK + 9
 
 
 def test_value_stage_memory_does_not_grow_with_m0():

@@ -137,6 +137,17 @@ def test_check_boundary_flags_wrong_gradient():
     assert rep.max_gradient_rel_err > 1e-2
 
 
+def test_check_boundary_flags_a_ridge_that_disagrees():
+    good = sine_boundary(3)
+    wrong = {"profile": lambda s: np.sin(s) + 1e-3, "d1": lambda s: 1.01 * np.cos(s),
+             "d2": lambda s: -1.01 * np.sin(s)}
+    for name, fn in wrong.items():
+        rep = check_boundary(replace(good, ridge=replace(good.ridge, **{name: fn})))
+        assert not rep.ok and rep.max_ridge_rel_err > 1e-4, name
+        assert rep.max_gradient_rel_err < 1e-5 and rep.max_hessian_rel_err < 1e-5
+    assert check_boundary(good).max_ridge_rel_err == 0.0
+
+
 def test_check_boundary_flags_asymmetric_hessian():
     skew = np.array([[1.0, 0.5], [-0.5, 1.0]])
 

@@ -161,6 +161,29 @@ def test_displacement_edge_row_ranges(model2):
         assert np.array_equal(s.displacement(3, start=start, stop=stop), full[start:stop])
 
 
+def test_projection_reads_any_rows_with_the_same_bits():
+    model = _centered_model(3, 5)
+    g = build_time_grid(0.0, 1.0, 4)
+    s = draw_samples(model, g, BLOCK * 2 + 40, 30, seed=8)
+    a, x = np.array([1.0, -0.5, 2.0]), np.array([0.1, 0.2, -0.3])
+    project = s.projection(3, a, x)
+    whole = project(0, s.m0)
+    for start, stop in ((0, 30), (29, 31), (BLOCK - 5, BLOCK + 7), (BLOCK, 2 * BLOCK),
+                        (2 * BLOCK + 39, 2 * BLOCK + 40), (7, 7)):
+        assert np.array_equal(project(start, stop), whole[start:stop])
+    with pytest.raises(ValidationError, match="row range"):
+        project(0, s.m0 + 1)
+
+
+def test_projection_of_one_dimension_has_the_displacement_bits():
+    model = BaselineModel(drift=np.array([0.7]), vol=np.array([[1.3]]), horizon=1.0)
+    s = draw_samples(model, build_time_grid(0.0, 1.0, 3), BLOCK + 9, 5, seed=2)
+    x = np.array([0.25])
+    for i in (1, 3):
+        assert np.array_equal(s.projection(i, np.ones(1), x)(0, s.m0),
+                              (s.displacement(i) + x)[:, 0])
+
+
 @pytest.mark.parametrize("d", [1, 50])
 def test_in_place_mix_equals_whole_array_einsum(d):
     # the block-by-block in-place mix gives every row the bits of one einsum
@@ -175,8 +198,9 @@ def test_in_place_mix_equals_whole_array_einsum(d):
 
 
 def test_concurrent_first_use_mixes_once():
-    # threads racing into the first displacement call must all see the
-    # serial result: a second mix of any row would change its bits
+    # a grid is mixed when it is built, so threads racing into their first
+    # displacement call read an already-mixed grid and all see the serial
+    # result: a second mix of any row would change its bits
     model, g = _centered_model(10, 3), build_time_grid(0.0, 1.0, 4)
     m0, n_threads = BLOCK * 4, 8
     serial = draw_samples(model, g, m0, 100, seed=12).displacement(3)
