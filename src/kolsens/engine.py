@@ -26,16 +26,18 @@ computed in cache-sized row tiles; a row's inner mean depends on that row
 alone, so the tile size never changes a bit.
 
 `v0_mc` streams its m0 samples from the sample grid one Philox block at a
-time (the grid holds only the m1 inner rows), so its memory does not grow
-with m0. For a ridge boundary f(x) = phi(a.x) it evaluates the profile phi
-on the scalar projections of `SampleGrid.projection`, which never mix a
-row: the value stage then costs one dot product per sample instead of a
-d x d mix and a dot product. Any other boundary's `value` sees the
-displacements in power-of-two row tiles of at most _PAIR_TILE doubles, the
-one tile constant of both stages: tiles that small keep OpenBLAS
-single-threaded, whose idle workers would otherwise spin after every
-threaded `pts @ a` of a ridge-built value passed without its declaration,
-and their power-of-two edges keep each row's bits.
+time (the grid holds only the m1 inner rows), through the grid's sub-block
+reader, so its memory grows neither with m0 nor with d: at d = 100 it peaks
+at about 1.6 MB of arrays for a ridge boundary and 2.2 MB for any other.
+For a ridge boundary f(x) = phi(a.x) it evaluates the profile phi on the
+scalar projections of `SampleGrid.projection`, which never mix a row: the
+value stage then costs one dot product per sample instead of a d x d mix
+and a dot product. Any other boundary's `value` sees the displacement tiles
+of `SampleGrid.tiles`, power-of-two row tiles of at most _PAIR_TILE
+doubles, the one tile constant of both stages: tiles that small keep
+OpenBLAS single-threaded, whose idle workers would otherwise spin after
+every threaded `pts @ a` of a ridge-built value passed without its
+declaration, and their power-of-two edges keep each row's bits.
 
 Nodes are checked for finiteness in index order as they complete, so a
 failure stops the run at the first bad node and names the same time index
@@ -55,7 +57,7 @@ import numpy as np
 from .errors import NumericError, ValidationError
 from .model import (BaselineModel, BoundaryFunction, EvalPoint, UncertaintySpec,
                     validate_expansion_regime)
-from .sampling import BLOCK, SampleGrid, build_time_grid, draw_samples
+from .sampling import BLOCK, TILE, SampleGrid, build_time_grid, draw_samples
 
 Array = np.ndarray
 
@@ -64,11 +66,12 @@ Array = np.ndarray
 # so this constant is part of the determinism contract. The pairwise
 # temporaries that a tile holds at once add up to at most about _PAIR_TILE
 # doubles (1 MB) per thread, or one row when a row is larger, so together
-# they stay in a 2 MB L2 cache; v0_mc's boundary calls take at most that
-# many. The tile never changes a bit. _V0_BLOCK rows of values are summed
+# they stay in a 2 MB L2 cache. It is the sampling sub-block's TILE, so
+# v0_mc's boundary calls, one sub-block each, take at most that many. The
+# tile never changes a bit. _V0_BLOCK rows of values are summed
 # at a time, which fixes v0's summation order.
 _PAIR_BUDGET = 1 << 23
-_PAIR_TILE = 1 << 17
+_PAIR_TILE = TILE
 _V0_BLOCK = 1 << 16
 
 WORKERS_ENV = "KOLSENS_WORKERS"
@@ -137,9 +140,10 @@ def v0_mc(boundary: BoundaryFunction, point: EvalPoint, samples: SampleGrid) -> 
     displacement has the exact law of X_T - x given X_t = 0 under the grid's
     model. The samples are read one Philox block at a time. A ridge
     boundary's `ridge.profile` sees the block's projections a.(x + X_N(j))
-    (its `value` is not called); any other boundary's `value` sees one row
-    tile of the block at a time. Each _V0_BLOCK-row chunk is summed whole,
-    so neither the streaming nor the tiles change a bit.
+    (its `value` is not called); any other boundary's `value` sees one
+    displacement tile of `SampleGrid.tiles` at a time. Each _V0_BLOCK-row
+    chunk is summed whole, so neither the streaming nor the tiles change a
+    bit.
     """
     _check_compatible(boundary, point, samples)
     n, m0, ridge = samples.grid.n_steps, samples.m0, boundary.ridge
@@ -149,13 +153,12 @@ def v0_mc(boundary: BoundaryFunction, point: EvalPoint, samples: SampleGrid) -> 
         def fill(lo, hi, out):
             out[:] = ridge.profile(project(lo, hi))
     else:
-        tile = _value_tile(samples.model.dim)
+        read = samples.tiles(n)
 
         def fill(lo, hi, out):
-            pts = samples.displacement(n, start=lo, stop=hi)
-            pts += point.x
-            for t_lo in range(0, hi - lo, tile):
-                out[t_lo:t_lo + tile] = boundary.value(pts[t_lo:t_lo + tile])
+            for j, pts in read(lo, hi):
+                pts += point.x
+                out[j - lo:j - lo + len(pts)] = boundary.value(pts)
 
     vals = np.empty(min(_V0_BLOCK, m0))
     partials = []
@@ -170,17 +173,6 @@ def v0_mc(boundary: BoundaryFunction, point: EvalPoint, samples: SampleGrid) -> 
             raise NumericError(f"boundary value non-finite at sample {j}")
         partials.append(float(np.sum(chunk)))
     return math.fsum(partials) / m0
-
-
-def _value_tile(d: int) -> int:
-    """Rows per boundary.value call in v0_mc, which only non-ridge boundaries get.
-
-    The largest power of two <= BLOCK with rows*d <= _PAIR_TILE (see the
-    module docstring): its tile edges fall on multiples of the BLAS kernel's
-    row unroll, so a ridge-built value's `pts @ a` gives each row the bits
-    of one whole-chunk product.
-    """
-    return min(BLOCK, 1 << max(0, (_PAIR_TILE // d).bit_length() - 1))
 
 
 def _norm_rows(a: Array) -> Array:

@@ -16,15 +16,22 @@ displacement at elapsed time tau is b*tau + sqrt(tau) * sigma W(j): all time
 points are comonotone, as in the estimator's derivation. A grid holds only
 the nested estimator's m1 inner rows, as one (m1, d) array: the drawn W(j),
 overwritten in place with sigma W(j) when the grid is built. Rows past m1
-are never held: `SampleGrid.displacement` draws them from their own Philox
-blocks and mixes them on the spot, so memory stays bounded however large m0
-gets. Held and streamed rows go through the same draw and the same per-row
-mix, so every row has the same bits whichever way it is read.
+are never held: they are drawn from their own Philox blocks and mixed when
+read, so memory stays bounded however large m0 gets. Held and streamed rows
+go through the same draw and the same per-row mix, so every row has the same
+bits whichever way it is read.
 
-`SampleGrid.projection` reads a ridge's scalar projection
-a.(x + displacement) = a.x + tau a.b + sqrt(tau) W(j).(sigma^T a) without
-building any sigma W(j): it draws every row, held ones included, again from
-its Philox block and takes one dot product per row.
+All rows are drawn by one reader, `_read`. It opens each Philox block once
+and draws it from its start in sub-blocks of at most TILE doubles into one
+reused buffer; rows before the first one asked for are drawn a sub-block at
+a time and dropped. `SampleGrid.tiles` reads displacements through it a
+sub-block at a time, mixing in that buffer, and `displacement` copies those
+tiles into one array. `SampleGrid.projection` reads a ridge's scalar
+projection a.(x + displacement) = a.x + tau a.b + sqrt(tau) W(j).(sigma^T a)
+without building any sigma W(j): one dot product per row of each sub-block.
+So no read holds more than a few TILE-sized arrays, whatever d and m0 are:
+at d = 100 a value stage peaks at about 1.6 MB of arrays with a ridge and
+2.2 MB without one.
 """
 
 from dataclasses import dataclass, field
@@ -37,6 +44,7 @@ from .model import BaselineModel
 Array = np.ndarray
 
 BLOCK = 1 << 14          # samples per Philox block; fixed, part of the stream contract
+TILE = 1 << 17           # doubles (1 MB) per row sub-block; the engine's pairwise tile too
 
 
 @dataclass(frozen=True)
@@ -67,35 +75,56 @@ def build_time_grid(t_start: float, t_end: float, n_steps: int) -> TimeGrid:
                     dt=dt, elapsed=elapsed)
 
 
-def _draw(seed: int, lo: int, out: Array) -> Array:
-    """Fill out with the standard normal d-vectors W(j) of rows lo, lo+1, ...
+def _sub_block(d: int) -> int:
+    """Rows per sub-block of `_read`: the largest power of two <= BLOCK with rows*d <= TILE.
 
-    Each Philox block the rows touch is read from its start, which gives
-    every row the bits of the same row of the whole block: rows from a
-    block's start are drawn straight into `out`; rows from within a block
-    are drawn after the rows before them, which are dropped.
+    Sub-blocks start at multiples of this, which are multiples of the BLAS
+    kernel's row unroll, so a ridge-built value's `pts @ a` over one
+    sub-block gives each row the bits of one whole-block product.
     """
-    hi, d = lo + out.shape[0], out.shape[1]
+    return min(BLOCK, 1 << max(0, (TILE // d).bit_length() - 1))
+
+
+def _buffer(d: int, rows: int) -> Array:
+    """A `_read` buffer that serves any range of rows below `rows`."""
+    return np.empty((min(_sub_block(d), rows), d))
+
+
+def _read(seed: int, lo: int, hi: int, buf: Array):
+    """Yield (j, W) in order: W holds the standard normal d-vectors of rows [j, j + len(W)).
+
+    The rows [lo, hi) come one sub-block at a time. Each Philox block is
+    opened once and drawn from its start in sub-blocks of _sub_block(d)
+    rows into buf, row j into buf[j % _sub_block(d)]; W is the view of buf
+    that holds the sub-block's rows in [lo, hi), overwritten by the next
+    step. The rows of lo's block before lo are drawn and dropped. Pieces of
+    a block continue one Philox stream, so every row has the bits of the
+    same row of the whole block. buf needs min(_sub_block(d), hi - BLOCK *
+    (lo // BLOCK)) rows; `_buffer(d, hi)` has enough.
+    """
+    if lo >= hi:
+        return
+    tile = _sub_block(buf.shape[1])
     for b in range(lo // BLOCK, -(-hi // BLOCK)):
-        first, last = max(lo, b * BLOCK), min(hi, (b + 1) * BLOCK)
         gen = np.random.Generator(np.random.Philox(key=seed, counter=[0, b, 0, 0]))
-        if first == b * BLOCK:
-            gen.standard_normal(out=out[first - lo:last - lo])
-        else:
-            out[first - lo:last - lo] = gen.standard_normal((last - b * BLOCK, d))[
-                first - b * BLOCK:]
-    return out
+        for s in range(b * BLOCK, min(hi, (b + 1) * BLOCK), tile):
+            e = min(s + tile, hi)
+            gen.standard_normal(out=buf[:e - s])
+            if e > lo:
+                yield max(s, lo), buf[max(s, lo) - s:e - s]
 
 
 def _mix(rows: Array, vol: Array) -> Array:
-    """Overwrite rows W(j) with sigma W(j), one block of rows at a time.
+    """Overwrite rows W(j) with sigma W(j), one sub-block of rows at a time.
 
     einsum with optimize=False stays off BLAS, whose threaded reductions are
     not bit-stable across worker counts, and gives each row the bits of a
-    whole-array einsum, whatever rows it is mixed with.
+    whole-array einsum, whatever rows it is mixed with. Its temporary holds
+    at most TILE doubles.
     """
-    for lo in range(0, rows.shape[0], BLOCK):
-        part = rows[lo:lo + BLOCK]
+    step = _sub_block(rows.shape[1])
+    for lo in range(0, rows.shape[0], step):
+        part = rows[lo:lo + step]
         part[...] = np.einsum("jk,lk->jl", part, vol, optimize=False)
     return rows
 
@@ -105,9 +134,10 @@ class SampleGrid:
     """The m1 inner sample rows plus the model/grid that turn samples into displacements.
 
     `_w` holds sigma W(j) of rows [0, m1), mixed in place when the grid is
-    built; rows [m1, m0) are drawn and mixed only when `displacement` reads
-    them. Read the samples through `displacement`, or through `projection`
-    for a ridge.
+    built; rows [m1, m0) are drawn and mixed only when they are read. Read
+    the samples through `displacement` or `tiles`, or through `projection`
+    for a ridge. Every read keeps its buffers to itself, so `_w` is the
+    only array a grid holds.
     """
 
     model: BaselineModel
@@ -136,46 +166,86 @@ class SampleGrid:
             raise ValidationError(f"row range [{start}, {stop}) outside [0, {self.m0}]")
         return stop
 
+    def _vector(self, v, name: str) -> Array:
+        v = np.asarray(v, dtype=float)
+        if v.shape != (self.model.dim,) or not np.isfinite(v).all():
+            raise ValidationError(f"{name} must be a finite vector of length "
+                                  f"{self.model.dim}, got shape {v.shape}")
+        return v
+
+    def tiles(self, i: int):
+        """The reader `read(start, stop)` of node i's displacement samples, one tile at a time.
+
+        `read` yields (j, rows) in order, rows holding the samples [j, j +
+        len(rows)) of [start, stop), 0 <= start <= stop <= m0, in tiles of at
+        most _sub_block(d) rows (at most TILE doubles) that start at
+        multiples of it. `rows` is a view of one buffer, reused by every
+        step and every call. Rows below m1 come from the held array; the
+        rest are read through `_read` and mixed in the buffer, with the same
+        bits.
+        """
+        self._check_rows(i, 0, None)
+        buf = _buffer(self.model.dim, self.m0)
+        return lambda start, stop: self._tiles(i, start, stop, buf)
+
+    def _tiles(self, i: int, start: int, stop: int, buf: Array):
+        """The tiles of rows [start, stop) at node i (see `tiles`), read through buf."""
+        stop = self._check_rows(i, start, stop)
+        tile, tau = _sub_block(self.model.dim), self.grid.elapsed[i]
+        streamed = _read(self.seed, min(max(start, self.m1), stop), stop, buf)
+        lo = start
+        while lo < stop:
+            hi = min(lo - lo % tile + tile, stop)
+            held = min(max(lo, self.m1), hi)
+            if held < hi:
+                # `_read` draws the whole tile into buf: before the held rows go in
+                _mix(next(streamed)[1], self.model.vol)
+            rows = buf[lo % tile:lo % tile + hi - lo]
+            rows[:held - lo] = self._w[lo:held]
+            rows *= np.sqrt(tau)
+            rows += tau * self.model.drift      # the bits of tau*b + sqrt(tau)*row
+            yield lo, rows
+            lo = hi
+
     def displacement(self, i: int, *, start: int = 0, stop: int | None = None) -> Array:
         """Displacement samples b*tau_i + sqrt(tau_i) sigma W at grid node i.
 
-        Rows [start, stop) of the m0 samples, 0 <= start <= stop <= m0; a
-        fresh array. Rows below m1 come from the held array, the rest are
-        drawn from their Philox blocks and mixed on this call, with the same
-        bits. The nested estimator's inner samples are rows [0, m1).
+        Rows [start, stop) of the m0 samples, 0 <= start <= stop <= m0, as
+        one fresh array, copied from the tiles that `tiles` reads, through a
+        buffer of at most stop rows. The nested estimator's inner samples
+        are rows [0, m1).
         """
         stop = self._check_rows(i, start, stop)
-        mid = min(max(start, self.m1), stop)
-        rows = np.empty((stop - start, self.model.dim))
-        rows[:mid - start] = self._w[start:mid]
-        if mid < stop:
-            _mix(_draw(self.seed, mid, rows[mid - start:]), self.model.vol)
-        tau = self.grid.elapsed[i]
-        rows *= np.sqrt(tau)
-        rows += tau * self.model.drift      # the bits of tau*b + sqrt(tau)*row
-        return rows
+        out = np.empty((stop - start, self.model.dim))
+        for j, rows in self._tiles(i, start, stop, _buffer(self.model.dim, stop)):
+            out[j - start:j - start + len(rows)] = rows
+        return out
 
     def projection(self, i: int, direction: Array, x: Array):
         """The reader `project(start, stop)` of a.(x + displacement) at node i, a = direction.
 
         It gives rows [start, stop) of ((sqrt(tau_i) p) + tau_i a.b) + a.x,
         p = W(j).(sigma^T a): the order of `displacement` + x, whose bits it
-        has for d = 1 and a = 1. Every row, held ones included, is drawn again
-        into one reused buffer and never mixed. All products are einsums off
+        has for d = 1 and a = 1. Every row, held ones included, is drawn
+        again through `_read` into one buffer of at most TILE doubles,
+        reused by every call, and never mixed. All products are einsums off
         BLAS, so a row's bits do not depend on the rows it is read with.
+        `direction` and `x` must be finite vectors of length d.
         """
         self._check_rows(i, 0, None)
-        a, tau = np.asarray(direction, dtype=float), self.grid.elapsed[i]
+        a, x = self._vector(direction, "direction"), self._vector(x, "x")
+        tau = self.grid.elapsed[i]
         sig_a = np.einsum("lk,l->k", self.model.vol, a, optimize=False)
         shift_b = tau * np.einsum("k,k->", a, self.model.drift, optimize=False)
         shift_x = np.einsum("k,k->", a, x, optimize=False)
-        buf = np.empty((min(BLOCK, self.m0), self.model.dim))
+        buf = _buffer(len(a), self.m0)
 
         def project(start: int, stop: int) -> Array:
             stop = self._check_rows(i, start, stop)
-            n = stop - start
-            w = _draw(self.seed, start, buf[:n] if n <= len(buf) else np.empty((n, len(a))))
-            p = np.einsum("jk,k->j", w, sig_a, optimize=False)
+            p = np.empty(stop - start)
+            for j, w in _read(self.seed, start, stop, buf):
+                np.einsum("jk,k->j", w, sig_a, optimize=False,
+                          out=p[j - start:j - start + len(w)])
             p *= np.sqrt(tau)
             p += shift_b
             p += shift_x
@@ -208,5 +278,7 @@ def draw_samples(model: BaselineModel, grid: TimeGrid, m0: int, m1: int,
         raise ValidationError(f"sample grid ends at {grid.t_end}, "
                               f"not at the model horizon {model.horizon}")
     m0, m1, seed = int(m0), int(m1), int(seed)
-    return SampleGrid(model=model, grid=grid, m0=m0, m1=m1, seed=seed,
-                      _w=_draw(seed, 0, np.empty((m1, model.dim))))
+    w = np.empty((m1, model.dim))
+    for j, rows in _read(seed, 0, m1, _buffer(model.dim, m1)):
+        w[j:j + len(rows)] = rows
+    return SampleGrid(model=model, grid=grid, m0=m0, m1=m1, seed=seed, _w=w)

@@ -205,18 +205,38 @@ def test_ridge_v0_mixes_only_the_held_rows(monkeypatch):
     assert sum(mixed) == 2 * BLOCK + 9
 
 
+def _v0_peak(kind, d, m0):
+    """tracemalloc peak of v0_mc on the d-dim sine, with its ridge or without (generic)."""
+    model, bnd = generate_normalized_model(d, 150), sine_boundary(d)
+    bnd = bnd if kind == "ridge" else replace(bnd, ridge=None)
+    tracemalloc.start()
+    try:
+        v0_mc(bnd, EvalPoint(0.0, np.zeros(d)), _samples(model, 1, m0, 1, seed=0))
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_value_stage_memory_does_not_grow_with_m0():
-    model, bnd, pt = generate_normalized_model(50, 150), sine_boundary(50), EvalPoint(0.0, np.zeros(50))
-    peaks = []
-    for m0 in (1 << 16, 1 << 18):
-        tracemalloc.start()
-        try:
-            v0_mc(bnd, pt, _samples(model, 1, m0, 1, seed=0))
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
-    assert peaks[1] <= 1.1 * peaks[0]
-    assert peaks[0] <= 1.1 * peaks[1]
+    for kind in ("ridge", "generic"):
+        small, large = (_v0_peak(kind, 50, m0) for m0 in (1 << 16, 1 << 18))
+        assert large <= 1.1 * small
+        assert small <= 1.1 * large
+
+
+@pytest.mark.parametrize("kind", ["ridge", "generic"])
+def test_value_stage_memory_does_not_grow_with_d(kind):
+    # The value stage holds one _V0_BLOCK chunk of values, the reader's
+    # sub-block buffer, the mix temporary (generic) and the boundary's
+    # temporaries of one sub-block or one Philox block, each at most
+    # _PAIR_TILE doubles. A sub-block's rows round down to a power of two,
+    # so it holds between _PAIR_TILE / 2 and _PAIR_TILE doubles at any d:
+    # from d = 10 to d = 100 the two sub-block arrays may gain _PAIR_TILE
+    # doubles together, not the BLOCK * 90 doubles per array of a block read.
+    from kolsens.engine import _PAIR_TILE, _V0_BLOCK
+    peaks = {d: _v0_peak(kind, d, 1 << 16) for d in (10, 100)}
+    assert peaks[100] <= 1.1 * peaks[10] + 8 * _PAIR_TILE
+    assert max(peaks.values()) <= 8 * (_V0_BLOCK + 3 * _PAIR_TILE)
 
 
 def test_v0_translation_covariance_bitwise(quartic_setup):

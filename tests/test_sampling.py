@@ -1,10 +1,11 @@
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from kolsens import BaselineModel, ValidationError, build_time_grid, draw_samples
-from kolsens.sampling import BLOCK
+from kolsens.sampling import BLOCK, TILE, _read, _sub_block
 
 
 def _philox_normals(seed, m, d):
@@ -182,6 +183,65 @@ def test_projection_of_one_dimension_has_the_displacement_bits():
     for i in (1, 3):
         assert np.array_equal(s.projection(i, np.ones(1), x)(0, s.m0),
                               (s.displacement(i) + x)[:, 0])
+
+
+@pytest.mark.parametrize("direction, x", [
+    (np.ones(3), np.zeros(2)), (np.ones(2), np.zeros(1)), (np.ones((2, 1)), np.zeros(2)),
+    (np.array([1.0, np.nan]), np.zeros(2)), (np.ones(2), np.array([0.0, np.inf])),
+])
+def test_projection_refuses_a_direction_or_point_that_is_not_a_finite_d_vector(model2, direction, x):
+    s = draw_samples(model2, build_time_grid(0.0, 1.0, 3), 100, 10, seed=0)
+    with pytest.raises(ValidationError, match="finite vector of length 2"):
+        s.projection(3, direction, x)
+
+
+def _read_all(seed, lo, hi, buf):
+    parts, tile = [], _sub_block(buf.shape[1])
+    for j, w in _read(seed, lo, hi, buf):
+        assert j == lo + sum(map(len, parts)) and 0 < len(w) <= tile
+        assert (j + len(w)) % tile == 0 or j + len(w) == hi     # sub-block edges
+        parts.append(w.copy())
+    return np.concatenate(parts) if parts else np.empty((0, buf.shape[1]))
+
+
+@pytest.mark.parametrize("d", [1, 3, 50, 100])
+def test_reader_has_the_bits_of_whole_block_draws(d):
+    # rows read in sub-blocks, from any start inside a Philox block or a
+    # sub-block, equal the rows of whole-block standard_normal draws;
+    # m0 is not a multiple of BLOCK
+    m0, sub = 2 * BLOCK + 77, _sub_block(d)
+    want = _philox_normals(3, m0, d)
+    buf = np.empty((min(sub, m0), d))
+    ranges = [(0, m0), (5, sub + 3), (sub, 2 * sub), (BLOCK - 1, BLOCK + 1),
+              (BLOCK + sub + 7, 2 * BLOCK + 11), (m0 - 1, m0), (9, 9)]
+    for lo, hi in ranges:
+        assert np.array_equal(_read_all(3, lo, hi, buf), want[lo:hi])
+    # every read path has these bits: held and streamed rows, mixed or projected
+    model = _centered_model(d, d)
+    s = draw_samples(model, build_time_grid(0.0, 1.0, 2), m0, 40, seed=3)
+    mixed = np.einsum("jk,lk->jl", want, model.vol, optimize=False)
+    sig_a = np.einsum("lk,l->k", model.vol, np.ones(d), optimize=False)
+    project = s.projection(2, np.ones(d), np.zeros(d))
+    for lo, hi in ranges + [(39, 41)]:
+        assert np.array_equal(s.displacement(2, start=lo, stop=hi), mixed[lo:hi])
+        assert np.array_equal(project(lo, hi),
+                              np.einsum("jk,k->j", want[lo:hi], sig_a, optimize=False))
+
+
+def test_displacement_past_a_block_start_holds_one_sub_block():
+    # reading rows BLOCK - 1 and BLOCK draws the BLOCK - 1 rows before them
+    # one sub-block at a time: the read holds its buffer and the mix
+    # temporary, at most TILE doubles each, not a (BLOCK - 1)-row prefix
+    d = 50
+    s = draw_samples(_centered_model(d, 0), build_time_grid(0.0, 1.0, 2), 2 * BLOCK, 1, seed=5)
+    tracemalloc.start()
+    try:
+        rows = s.displacement(2, start=BLOCK - 1, stop=BLOCK + 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(rows, s.displacement(2)[BLOCK - 1:BLOCK + 1])
+    assert peak <= 3 * 8 * TILE < 8 * (BLOCK - 1) * d
 
 
 @pytest.mark.parametrize("d", [1, 50])
