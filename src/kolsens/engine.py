@@ -12,7 +12,9 @@ baseline volatility. Both are computed by a nested estimator: for each grid
 node i an inner sample mean over m approximates w (and its Jacobian, either
 from the boundary Hessian or by a forward-difference bump of size h), and an
 outer mean over j approximates the s-expectation. The time integral is a
-left-endpoint Riemann sum over i = 0..N-1.
+left-endpoint Riemann sum over i = 0..N-1. One node kernel computes every
+inner mean; a ridge boundary f(x) = phi(a.x) runs it on the scalar points
+a.(x + X_i(j) + X_{N-i}(m)), so its pairwise work does not grow with d.
 
 The perturbation weights never enter the estimators; a SensitivityReport
 recombines the two factors linearly for any (gamma, eta, epsilon).
@@ -59,8 +61,6 @@ from .model import (BaselineModel, BoundaryFunction, EvalPoint, UncertaintySpec,
                     validate_expansion_regime)
 from .sampling import BLOCK, TILE, SampleGrid, build_time_grid, draw_samples
 
-Array = np.ndarray
-
 # Outer rows per reduction block: _PAIR_BUDGET // (doubles per row of the
 # largest pairwise temporary). The block grouping fixes the summation order,
 # so this constant is part of the determinism contract. The pairwise
@@ -80,9 +80,9 @@ WORKERS_ENV = "KOLSENS_WORKERS"
 def resolve_workers(workers: int | None) -> int:
     """The worker count: the argument, else KOLSENS_WORKERS, else 1."""
     if workers is not None:
-        if workers < 1:
-            raise ValidationError(f"worker count must be >= 1, got {workers}")
-        return workers
+        if isinstance(workers, bool) or not isinstance(workers, numbers.Integral) or workers < 1:
+            raise ValidationError(f"worker count must be an integer >= 1, got {workers!r}")
+        return int(workers)
     raw = os.environ.get(WORKERS_ENV, "1")
     try:
         workers = int(raw)
@@ -175,10 +175,6 @@ def v0_mc(boundary: BoundaryFunction, point: EvalPoint, samples: SampleGrid) -> 
     return math.fsum(partials) / m0
 
 
-def _norm_rows(a: Array) -> Array:
-    return np.sqrt(np.sum(a * a, axis=-1))
-
-
 def _tiled_node_sums(pairs, m1, row_elems, live, grad, hess, shifts, h, reduce):
     """Sum one node's (drift, vol) terms over the outer pool, inner means tiled.
 
@@ -221,63 +217,30 @@ def _tiled_node_sums(pairs, m1, row_elems, live, grad, hess, shifts, h, reduce):
     return math.fsum(drift_parts), math.fsum(vol_parts)
 
 
-def _generic_node_terms(boundary, x, out_disp, in_disp, vol_mat, h):
-    """One grid node of the nested estimator, black-box boundary evaluators.
+def _node_terms(grad, hess, out_pts, in_pts, vol_rows, shifts, h, scale):
+    """One grid node of the nested estimator on the points out_pts[j] + in_pts[m].
 
-    Returns (sum_j |w_hat(j)|, sum_j ||Jw_hat(j) vol||_F) over the outer pool;
-    the Jacobian comes from boundary.hessian when set, else from shifts by h.
+    Returns scale times (sum_j |w_hat(j)|, sum_j ||J_hat(j) vol_rows||_F) over
+    the outer pool, where w_hat(j) is the inner mean of grad and J_hat(j) that
+    of hess, or, when hess is None, the matrix whose column k is the
+    forward-difference slope of w_hat along shifts[k], whose size is h. Each
+    reduction block's sums are scaled before they are added up.
     """
-    m1, d = out_disp.shape
-    hess = boundary.hessian
-    shifts = () if hess is not None else np.eye(d) * h
+    m1, d = out_pts.shape
+    if hess is None:    # live per tile: the points, the shifted points, the gradients
+        row_elems, live = m1 * d, 3
+    else:               # the Hessians, and the points when they are as large (d = 1)
+        row_elems, live = m1 * d * d, 1 + (d == 1)
 
     def reduce(w, jac):
         jw = jac if hess is not None else np.stack(jac, axis=-1)
-        js = np.einsum("bkl,lm->bkm", jw, vol_mat, optimize=False)
-        return (float(np.sum(_norm_rows(w))),
-                float(np.sum(np.sqrt(np.sum(js * js, axis=(-2, -1))))))
+        js = np.einsum("bkl,lm->bkm", jw, vol_rows, optimize=False)
+        return (scale * float(np.sum(np.sqrt(np.sum(w * w, axis=-1)))),
+                scale * float(np.sum(np.sqrt(np.sum(js * js, axis=(-2, -1))))))
 
-    # Live per tile: the Hessians (the points are d times smaller), or the
-    # points, the shifted points and the gradients.
     return _tiled_node_sums(
-        lambda lo, hi: x + out_disp[lo:hi, None, :] + in_disp[None, :, :], m1,
-        m1 * d * (d if hess is not None else 1), 1 if hess is not None else 3,
-        boundary.gradient, hess, shifts, h, reduce)
-
-
-def _ridge_node_terms(ridge, x, out_disp, in_disp, vol_mat, h):
-    """Same sums as the generic kernel for ridge boundaries f(x) = phi(a.x).
-
-    Everything factors through the scalar projection s = a.(x + X_i(j) +
-    X_{N-i}(m)): w_hat = mean(phi'(s)) a, Jw_hat = mean(phi''(s)) a a^T, so
-    |w_hat| = |mean phi'| |a| and ||Jw_hat vol||_F = |mean phi''| |a| |vol^T a|.
-    The pairwise work is then independent of the dimension. Without ridge.d2
-    the FD branch makes one shifted pass per *distinct* direction entry, then
-    expands.
-    """
-    a = ridge.direction
-    m1 = out_disp.shape[0]
-    anorm = math.sqrt(float(a @ a))
-    sig_a = np.einsum("lk,l->k", vol_mat, a, optimize=False)     # vol^T a
-    signorm = math.sqrt(float(sig_a @ sig_a))
-    s_out = float(x @ a) + np.einsum("jd,d->j", out_disp, a, optimize=False)
-    s_in = np.einsum("jd,d->j", in_disp, a, optimize=False)
-    fd = ridge.d2 is None
-    distinct, entry = np.unique(a, return_inverse=True) if fd else ((), None)
-
-    def reduce(u, jac):
-        drift = anorm * float(np.sum(np.abs(u)))
-        if not fd:
-            return drift, anorm * signorm * float(np.sum(np.abs(jac)))
-        g = np.stack([jac[k] for k in entry], axis=1)   # (b, d)
-        gs = np.einsum("bl,lm->bm", g, vol_mat, optimize=False)
-        return drift, anorm * float(np.sum(_norm_rows(gs)))
-
-    # Live per tile: the pairwise sums and one derivative, plus the shifted
-    # sums on the FD branch.
-    return _tiled_node_sums(
-        lambda lo, hi: s_out[lo:hi, None] + s_in[None, :], m1, m1, 3 if fd else 2,
-        ridge.d1, ridge.d2, [h * v for v in distinct], h, reduce)
+        lambda lo, hi: out_pts[lo:hi, None, :] + in_pts[None, :, :], m1, row_elems, live,
+        grad, hess, shifts, h, reduce)
 
 
 def sensitivity_mc(boundary: BoundaryFunction, point: EvalPoint, samples: SampleGrid,
@@ -287,8 +250,9 @@ def sensitivity_mc(boundary: BoundaryFunction, point: EvalPoint, samples: Sample
 
     Both factors come from one pass, as they share the inner mean w_hat. The
     boundary picks the path: the Hessian branch if `boundary.hessian` is set
-    (else forward differences), the ridge kernel if `boundary.ridge` is.
-    For the FD branch or the generic kernel pass replace(b, hessian=None,
+    (else forward differences), and the node kernel runs on the scalar points
+    a.x of a ridge if `boundary.ridge` is (else on the d-vectors x). For the
+    FD branch or the d-vector points pass replace(b, hessian=None,
     ridge=replace(b.ridge, d2=None)) or replace(b, ridge=None).
 
     Parameters
@@ -304,17 +268,41 @@ def sensitivity_mc(boundary: BoundaryFunction, point: EvalPoint, samples: Sample
     else:
         h = None
 
-    use_ridge = boundary.ridge is not None
-    node_terms = _ridge_node_terms if use_ridge else _generic_node_terms
-    first_arg = boundary.ridge if use_ridge else boundary
-
     n, m1, dt = samples.grid.n_steps, samples.m1, samples.grid.dt
-    x, vol_mat = point.x, samples.model.vol
+    x, vol, ridge = point.x, samples.model.vol, boundary.ridge
+    if ridge is None:
+        grad, hess, vol_rows, scale = boundary.gradient, boundary.hessian, vol, 1.0
+        shifts = () if h is None else np.eye(len(x)) * h
+
+        def points(i):
+            return x + samples.displacement(i, stop=m1), samples.displacement(n - i, stop=m1)
+    else:
+        # f = phi(a.x) sees x only through s = a.x: w = phi'(s) a and J = a c^T,
+        # where c = phi''(s) a, or c_l is the FD slope along a_l. So |w| = |a|
+        # |phi'(s)| and ||J vol||_F = |a| |vol^T c|: the kernel runs on the 1-D
+        # points s, and |a| scales its sums.
+        a, grad = ridge.direction, ridge.d1
+        scale = math.sqrt(float(a @ a))
+        if h is None:
+            hess, shifts = (lambda s: ridge.d2(s)[..., None]), ()
+            vol_rows = np.einsum("lk,l->k", vol, a, optimize=False)[None, :]    # vol^T a
+        else:   # one shift per distinct entry v_u; its row sums vol's rows l with a_l = v_u
+            hess = None
+            distinct, entry = np.unique(a, return_inverse=True)
+            shifts = h * distinct[:, None]
+            vol_rows = np.zeros((len(distinct), len(a)))
+            np.add.at(vol_rows, entry, vol)
+        xa = float(x @ a)
+
+        def project(i):
+            return np.einsum("jd,d->j", samples.displacement(i, stop=m1), a,
+                             optimize=False)[:, None]
+
+        def points(i):
+            return xa + project(i), project(n - i)
 
     def per_node(i: int):
-        out_disp = samples.displacement(i, stop=m1)
-        in_disp = samples.displacement(n - i, stop=m1)
-        return node_terms(first_arg, x, out_disp, in_disp, vol_mat, h)
+        return _node_terms(grad, hess, *points(i), vol_rows, shifts, h, scale)
 
     n_workers = resolve_workers(workers)
     pool = ThreadPoolExecutor(max_workers=n_workers) if n_workers > 1 else None

@@ -331,17 +331,76 @@ def test_constant_boundary_sensitivities_vanish(quartic_setup):
 
 
 def test_ridge_kernel_matches_generic():
+    # a direction with a repeated and a negative entry gives the FD branch
+    # two shifts, one of whose volatility rows sums two rows of vol
+    mixed = BaselineModel(drift=np.full(3, 0.2), vol=np.eye(3) + 0.1)
     for model, bnd, d in [
         (BaselineModel(drift=np.array([1.0]), vol=np.array([[1.0]])), quartic_boundary(), 1),
-        (BaselineModel(drift=np.full(3, 0.2), vol=np.eye(3) + 0.1), sine_boundary(3), 3),
+        (mixed, sine_boundary(3), 3),
+        (mixed, ridge_boundary(np.array([1.0, -0.5, 1.0]), np.sin, np.cos,
+                               lambda s: -np.sin(s)), 3),
     ]:
         pt = EvalPoint(t=0.0, x=np.zeros(d))
         s = _samples(model, 8, 400, 200, seed=5)
-        r = sensitivity_mc(bnd, pt, s)
-        g = sensitivity_mc(replace(bnd, ridge=None), pt, s)
-        assert r[0] == pytest.approx(g[0], rel=1e-10)
-        assert r[1] == pytest.approx(g[1], rel=1e-10)
-        assert r[2] is None and g[2] is None
+        for b in (bnd, _without_hessian(bnd)):
+            r = sensitivity_mc(b, pt, s)
+            g = sensitivity_mc(replace(b, ridge=None), pt, s)
+            assert r[0] == pytest.approx(g[0], rel=1e-10)
+            assert r[1] == pytest.approx(g[1], rel=1e-10)
+            assert r[2] == g[2]
+
+
+@pytest.mark.parametrize("bnd", [quartic_boundary(), sine_boundary(1)], ids=["quartic", "sine"])
+def test_ridge_in_one_dimension_is_the_generic_path_bit_for_bit(bnd):
+    # with a = 1 a ridge's scalar points are the generic path's points, so the
+    # one node kernel sees the same arrays on both branches
+    model = BaselineModel(drift=np.array([0.3]), vol=np.array([[1.3]]))
+    pt = EvalPoint(t=0.0, x=np.array([0.2]))
+    s = _samples(model, 5, 300, 120, seed=8)
+    for b in (bnd, _without_hessian(bnd)):
+        assert sensitivity_mc(b, pt, s) == sensitivity_mc(replace(b, ridge=None), pt, s)
+
+
+def _factored_ridge_sums(bnd, pt, s, h=None):
+    """The ridge factors in factored form, a reference that rounds S_s
+    differently: |a| sum |mean phi'| for S_b, and |a| |vol^T a| sum |mean
+    phi''| (or |a| sum |vol^T c|, c_l the FD slope along a_l, one column per
+    entry of a) for S_s."""
+    ridge, vol = bnd.ridge, s.model.vol
+    a, n, m1 = ridge.direction, s.grid.n_steps, s.m1
+    anorm = math.sqrt(float(a @ a))
+    sig_a = np.einsum("lk,l->k", vol, a, optimize=False)
+    drift, vol_terms = [], []
+    for i in range(n):
+        y = float(pt.x @ a) + np.einsum("jd,d->j", s.displacement(i, stop=m1), a,
+                                        optimize=False)
+        z = np.einsum("jd,d->j", s.displacement(n - i, stop=m1), a, optimize=False)
+        p = y[:, None] + z[None, :]
+        u = ridge.d1(p).mean(axis=1)
+        drift.append(anorm * float(np.sum(np.abs(u))))
+        if h is None:
+            jac = np.abs(ridge.d2(p).mean(axis=1))
+            vol_terms.append(anorm * math.sqrt(float(sig_a @ sig_a)) * float(np.sum(jac)))
+        else:
+            c = np.stack([(ridge.d1(p + h * v).mean(axis=1) - u) / h for v in a], axis=1)
+            gs = np.einsum("bl,lm->bm", c, vol, optimize=False)
+            vol_terms.append(anorm * float(np.sum(np.sqrt(np.sum(gs * gs, axis=1)))))
+    dt = s.grid.dt
+    return dt * math.fsum(drift) / m1, dt * math.fsum(vol_terms) / m1
+
+
+def test_ridge_scalar_points_round_like_the_factored_form():
+    # The kernel takes ||J vol||_F of J = a c^T as |a| |vol^T c| row by row,
+    # with one vol row per distinct entry of a on the FD branch, where the
+    # factored form multiplies |vol^T a| out of the sum: only S_s may round
+    # differently, and by less than 1e-15 relative.
+    model, bnd, pt, _ = _tile_cases()
+    s = _samples(model, 4, 400, 300, seed=5)
+    for b, h in ((bnd, None), (_without_hessian(bnd), 1e-3)):
+        sd, sv, _ = sensitivity_mc(b, pt, s, h=h)
+        ref_sd, ref_sv = _factored_ridge_sums(b, pt, s, h)
+        assert sd == ref_sd
+        assert abs(sv - ref_sv) <= 1e-15 * ref_sv
 
 
 def test_fd_branch_agrees_with_hessian_at_rate_h(quartic_setup):
@@ -458,10 +517,9 @@ def test_boundary_calls_stay_within_one_tile(monkeypatch, tile):
 
 
 def test_tile_arrays_add_up_to_one_tile(monkeypatch):
-    # A tile counts every array of its row size that it holds at once: the
-    # ridge kernel holds the pairwise sums and one derivative, plus the
-    # shifted sums on the FD branch; the generic FD branch holds the points,
-    # the shifted points and the gradients.
+    # A tile counts every array of its row size that it holds at once: a
+    # ridge's 1-D Hessian tile holds the pairwise sums and one derivative,
+    # and an FD tile holds the points, the shifted points and the gradients.
     import kolsens.engine as eng
     monkeypatch.setattr(eng, "_PAIR_TILE", 500)
     sizes = []
@@ -478,6 +536,16 @@ def test_tile_arrays_add_up_to_one_tile(monkeypatch):
         sizes.clear()
         sensitivity_mc(b, pt, s, h=1e-3)
         assert sizes and live * max(sizes) <= 500
+    # at d = 1 the points are as large as the Hessians, so a Hessian tile
+    # holds two arrays on either path
+    quartic = quartic_boundary()
+    model = BaselineModel(drift=np.array([1.0]), vol=np.array([[1.0]]))
+    s = _samples(model, 3, 60, 47, seed=11)
+    for b in (replace(quartic, ridge=replace(quartic.ridge, d1=rec(quartic.ridge.d1))),
+              replace(quartic, ridge=None, gradient=rec(quartic.gradient))):
+        sizes.clear()
+        sensitivity_mc(b, EvalPoint(t=0.0, x=np.zeros(1)), s)
+        assert sizes and 2 * max(sizes) <= 500
 
 
 def test_worker_count_is_bit_invariant(quartic_setup, monkeypatch):
@@ -489,8 +557,10 @@ def test_worker_count_is_bit_invariant(quartic_setup, monkeypatch):
     monkeypatch.setenv(WORKERS_ENV, "3")
     from_env = sensitivity_mc(bnd, pt, s)
     assert from_env == lone
-    with pytest.raises(ValidationError):
-        sensitivity_mc(bnd, pt, s, workers=0)
+    assert sensitivity_mc(bnd, pt, s, workers=np.int64(2)) == lone
+    for bad in (0, 2.5, True, "3"):
+        with pytest.raises(ValidationError, match="worker count"):
+            sensitivity_mc(bnd, pt, s, workers=bad)
 
 
 def test_sine_sensitivities_near_quadrature_small_scale():

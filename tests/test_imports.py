@@ -1,7 +1,9 @@
-"""Every name a kolsens module imports is used in that module.
+"""Every name a kolsens module imports is used in that module, and every
+private top-level name of the package is read somewhere in it.
 
-No linter ships with the test environment, so this stdlib `ast` check stands
-in for an unused-import rule. `__init__` is exempt: it imports to re-export.
+No linter ships with the test environment, so these stdlib `ast` checks stand
+in for unused-import and dead-code rules. `__init__` is exempt from the first:
+it imports to re-export.
 """
 
 import ast
@@ -11,8 +13,8 @@ import pytest
 
 import kolsens
 
-MODULES = sorted(p for p in Path(kolsens.__file__).parent.glob("*.py")
-                 if p.name != "__init__.py")
+PACKAGE = sorted(Path(kolsens.__file__).parent.glob("*.py"))
+MODULES = [p for p in PACKAGE if p.name != "__init__.py"]
 
 
 def _unused_imports(tree: ast.Module) -> list:
@@ -38,3 +40,42 @@ def test_every_import_is_used(path):
 def test_the_check_sees_an_unused_import():
     tree = ast.parse("import os\nfrom math import pi, tau\nprint(os.sep, tau)\n")
     assert _unused_imports(tree) == [(2, "pi")]
+
+
+def _unread_private_names(trees: dict) -> list:
+    """(module, line, name) of each private top-level def, class or constant
+    of `trees` (module name -> ast.Module) that no module reads."""
+    defined = []
+    for mod, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                names = []
+            defined += [(mod, node.lineno, name) for name in names
+                        if name.startswith("_") and not name.startswith("__")]
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    return sorted(entry for entry in defined if entry[2] not in read)
+
+
+def test_every_private_name_is_read():
+    trees = {p.stem: ast.parse(p.read_text(encoding="utf-8")) for p in PACKAGE}
+    unread = _unread_private_names(trees)
+    assert not unread, "private names nothing reads: " + ", ".join(
+        f"{mod}.{name} (line {line})" for mod, line, name in unread)
+
+
+def test_the_check_sees_an_unread_private_name():
+    trees = {"a": ast.parse("_A = 1\n_B: int = 2\ndef _f():\n    return _A\n"
+                            "class _C:\n    pass\n"),
+             "b": ast.parse("import a\nfrom a import _C\nx = _C(), a._B\n_y = 3\n")}
+    assert _unread_private_names(trees) == [("a", 3, "_f"), ("b", 4, "_y")]
