@@ -15,17 +15,25 @@ outer mean over j approximates the s-expectation. The time integral is a
 left-endpoint Riemann sum over i = 0..N-1. One node kernel computes every
 inner mean; a ridge boundary f(x) = phi(a.x) runs it on the scalar points
 a.(x + X_i(j) + X_{N-i}(m)), so its pairwise work does not grow with d.
+The outer and inner pools are the same sample rows, so node N-i reads node
+i's points transposed: for 0 < i < N/2 one unit of work evaluates them once
+and gives both nodes their terms. Node 0 (its partner N is not summed) and
+node N/2 (its own partner) run alone.
 
 The perturbation weights never enter the estimators; a SensitivityReport
 recombines the two factors linearly for any (gamma, eta, epsilon).
 
 Determinism contract: given a fixed seed, results are bit-identical for any
 worker count (KOLSENS_WORKERS or the `workers` argument). Per-node partial
-results are combined in index order with compensated summation, inner/outer
+results are combined in index order with compensated summation, outer
 reductions use numpy's pairwise sums over fixed block shapes, and matrix
-mixes avoid BLAS (see sampling module). The inner means of a block are
+mixes avoid BLAS (see sampling module). The inner means of node i (a row
+node, or a lone node) are numpy's means over its inner pool,
 computed in cache-sized row tiles; a row's inner mean depends on that row
-alone, so the tile size never changes a bit.
+alone. The inner sums of its mirror node N-i add node i's values one outer
+row at a time in index order. Neither depends on the tile size, so the tile
+size never changes a bit. At x != 0 a mirror node reads node i's
+association (x + X_i(m)) + X_{N-i}(j) of its points.
 
 `v0_mc` streams its m0 samples from the sample grid one Philox block at a
 time (the grid holds only the m1 inner rows), through the grid's sub-block
@@ -41,9 +49,10 @@ OpenBLAS single-threaded, whose idle workers would otherwise spin after
 every threaded `pts @ a` of a ridge-built value passed without its
 declaration, and their power-of-two edges keep each row's bits.
 
-Nodes are checked for finiteness in index order as they complete, so a
-failure stops the run at the first bad node and names the same time index
-at every worker count.
+Nodes are checked for finiteness in index order as their units complete,
+so a failure stops the run at the first bad node and names the same time
+index at every worker count; a mirror node is checked after every lower
+node, whose units are done by then.
 """
 
 import math
@@ -111,6 +120,9 @@ def predicted_complexity(d: int, n_steps: int, m0: int, m1: int) -> int:
     Three components: the plain value estimate (m0*d), the inner/outer
     gradient stage (N*M1*(M1+1)*d) and the Jacobian stage
     (N*M1*(M1+1+d)*d^2). Python integers, so there is no overflow to guard.
+    This is the nominal count of the nested scheme: sensitivity_mc
+    evaluates each pairwise point once for the node pair (i, N-i) that
+    shares it, so it makes about half of the N*M1^2 boundary evaluations.
     """
     vals = {"d": d, "n_steps": n_steps, "m0": m0, "m1": m1}
     for name, v in vals.items():
@@ -175,56 +187,85 @@ def v0_mc(boundary: BoundaryFunction, point: EvalPoint, samples: SampleGrid) -> 
     return math.fsum(partials) / m0
 
 
-def _tiled_node_sums(pairs, m1, row_elems, live, grad, hess, shifts, h, reduce):
+def _tiled_node_sums(out_pts, in_pts, row_elems, live, grad, hess, shifts, h, reduce,
+                     mirror=False):
     """Sum one node's (drift, vol) terms over the outer pool, inner means tiled.
 
-    `pairs(lo, hi)` builds the pairwise array of outer rows lo..hi-1 against
-    the whole inner pool (inner samples on axis 1). Outer rows are grouped in
-    blocks of _PAIR_BUDGET // row_elems rows, which fix the reduction order.
-    Within a block, the inner means of `grad`, of `hess` (unless None) and of
-    `grad` at each FD shift are computed one tile of
-    _PAIR_TILE // (live * row_elems) rows at a time. `live` is how many
+    The node's points are out_pts[j] + in_pts[m], outer rows j on axis 0 and
+    inner samples m on axis 1. Outer rows are grouped in blocks of
+    _PAIR_BUDGET // row_elems rows, which fix the reduction order. Within a
+    block, the inner means of `grad`, of `hess` (unless None) and of `grad`
+    at each FD shift are computed one tile of _PAIR_TILE // (live *
+    row_elems) rows at a time, by numpy's mean. `live` is how many
     arrays of row_elems doubles per outer row a tile holds at once, so the
-    arrays of one tile add up to about _PAIR_TILE doubles. `reduce(w, jac)`
-    turns a block's means into its (drift, vol) partial sums; jac is the
-    mean Hessian, or the list of
-    forward-difference slopes (mean(grad(p + shift)) - mean(grad(p))) / h,
-    one per shift.
+    arrays of one tile add up to about _PAIR_TILE doubles. The tile's points,
+    and its FD-shifted points, are filled into buffers that this call owns.
+    `reduce(w, jac)` turns a block's means into its (drift, vol) partial
+    sums; jac is the mean Hessian, or the list of forward-difference slopes
+    (mean(grad(p + shift)) - mean(grad(p))) / h, one per shift.
+
+    With `mirror`, the same values also give the mirror node, whose points
+    are in_pts[j] + out_pts[m]: its outer row j is this node's inner column
+    j. Each tile's values are added into its inner sums one outer row at a
+    time, in index order, which no tile size changes; after the tile loop
+    its means go through the same blocks and `reduce`.
+
+    Returns [(drift, vol)] of the node, followed by the mirror's with `mirror`.
     """
+    m1 = len(out_pts)
+    block = max(1, _PAIR_BUDGET // row_elems)
+    tile = max(1, _PAIR_TILE // (live * row_elems))
+    pts = np.empty((min(tile, block, m1),) + in_pts.shape)
     means = {"w": grad}
     if hess is not None:
         means["jw"] = hess
+    if len(shifts):
+        shifted = np.empty_like(pts)
     for k, shift in enumerate(shifts):
-        means[k] = lambda p, shift=shift: grad(p + shift)
-    block = max(1, _PAIR_BUDGET // row_elems)
-    tile = max(1, _PAIR_TILE // (live * row_elems))
-    drift_parts, vol_parts = [], []
+        means[k] = lambda p, shift=shift: grad(np.add(p, shift, out=shifted[:len(p)]))
+
+    def terms(m):
+        jac = [(m[k] - m["w"]) / h for k in range(len(shifts))]
+        return reduce(m["w"], m.get("jw", jac))
+
+    parts, sums = [], {}
     for lo in range(0, m1, block):
         hi = min(lo + block, m1)
         m = {}
         for t_lo in range(lo, hi, tile):
             t_hi = min(t_lo + tile, hi)
-            p = pairs(t_lo, t_hi)
+            p = np.add(out_pts[t_lo:t_hi, None, :], in_pts[None, :, :],
+                       out=pts[:t_hi - t_lo])
             for name, fn in means.items():
-                mean = fn(p).mean(axis=1)
+                v = fn(p)
                 if name not in m:
-                    m[name] = np.empty((hi - lo,) + mean.shape[1:])
-                m[name][t_lo - lo:t_hi - lo] = mean
-        jac = [(m[k] - m["w"]) / h for k in range(len(shifts))]
-        dp, vp = reduce(m["w"], m.get("jw", jac))
-        drift_parts.append(dp)
-        vol_parts.append(vp)
-    return math.fsum(drift_parts), math.fsum(vol_parts)
+                    m[name] = np.empty((hi - lo,) + v.shape[2:])
+                m[name][t_lo - lo:t_hi - lo] = v.mean(axis=1)
+                if mirror:
+                    acc = sums.get(name)
+                    if acc is None:
+                        acc = sums[name] = np.zeros(v.shape[1:])
+                    for row in v:
+                        acc += row
+        parts.append(terms(m))
+    nodes = [parts]
+    if mirror:
+        w = {name: acc / m1 for name, acc in sums.items()}
+        nodes.append([terms({name: v[lo:lo + block] for name, v in w.items()})
+                      for lo in range(0, m1, block)])
+    return [(math.fsum(dp for dp, _ in ps), math.fsum(vp for _, vp in ps)) for ps in nodes]
 
 
-def _node_terms(grad, hess, out_pts, in_pts, vol_rows, shifts, h, scale):
+def _node_terms(grad, hess, out_pts, in_pts, vol_rows, shifts, h, scale, mirror=False):
     """One grid node of the nested estimator on the points out_pts[j] + in_pts[m].
 
-    Returns scale times (sum_j |w_hat(j)|, sum_j ||J_hat(j) vol_rows||_F) over
-    the outer pool, where w_hat(j) is the inner mean of grad and J_hat(j) that
-    of hess, or, when hess is None, the matrix whose column k is the
+    Returns [scale times (sum_j |w_hat(j)|, sum_j ||J_hat(j) vol_rows||_F)]
+    over the outer pool, where w_hat(j) is the inner mean of grad and J_hat(j)
+    that of hess, or, when hess is None, the matrix whose column k is the
     forward-difference slope of w_hat along shifts[k], whose size is h. Each
-    reduction block's sums are scaled before they are added up.
+    reduction block's sums are scaled before they are added up. With
+    `mirror`, the same terms of the node on the points in_pts[j] + out_pts[m]
+    follow, from the same values (see _tiled_node_sums).
     """
     m1, d = out_pts.shape
     if hess is None:    # live per tile: the points, the shifted points, the gradients
@@ -238,37 +279,18 @@ def _node_terms(grad, hess, out_pts, in_pts, vol_rows, shifts, h, scale):
         return (scale * float(np.sum(np.sqrt(np.sum(w * w, axis=-1)))),
                 scale * float(np.sum(np.sqrt(np.sum(js * js, axis=(-2, -1))))))
 
-    return _tiled_node_sums(
-        lambda lo, hi: out_pts[lo:hi, None, :] + in_pts[None, :, :], m1, row_elems, live,
-        grad, hess, shifts, h, reduce)
+    return _tiled_node_sums(out_pts, in_pts, row_elems, live, grad, hess, shifts, h, reduce,
+                            mirror)
 
 
-def sensitivity_mc(boundary: BoundaryFunction, point: EvalPoint, samples: SampleGrid,
-                   h: float | None = None,
-                   workers: int | None = None) -> tuple[float, float, float | None]:
-    """Nested MC estimate of (sens_drift, sens_vol) under the grid's model, and the bump.
+def _pair_kernel(boundary, point, samples, h):
+    """The work unit of sensitivity_mc: `unit(i, mirror)` runs _node_terms on node i.
 
-    Both factors come from one pass, as they share the inner mean w_hat. The
-    boundary picks the path: the Hessian branch if `boundary.hessian` is set
-    (else forward differences), and the node kernel runs on the scalar points
-    a.x of a ridge if `boundary.ridge` is (else on the d-vectors x). For the
-    FD branch or the d-vector points pass replace(b, hessian=None,
-    ridge=replace(b.ridge, d2=None)) or replace(b, ridge=None).
-
-    Parameters
-    ----------
-    h : FD bump for the Jacobian fallback; default 1e-3 * max(1, |x|_inf).
-
-    Returns (sens_drift, sens_vol, h): h is the FD bump used, None on the
-    Hessian branch.
+    Node i's points are x + X_i(j) + X_{N-i}(m), or their scalar projections
+    on a's direction for a ridge; with `mirror` the unit also returns node
+    N-i's terms, whose points are node i's transposed.
     """
-    _check_compatible(boundary, point, samples)
-    if boundary.hessian is None:
-        h = _check_bump(default_bump(point) if h is None else h)
-    else:
-        h = None
-
-    n, m1, dt = samples.grid.n_steps, samples.m1, samples.grid.dt
+    n, m1 = samples.grid.n_steps, samples.m1
     x, vol, ridge = point.x, samples.model.vol, boundary.ridge
     if ridge is None:
         grad, hess, vol_rows, scale = boundary.gradient, boundary.hessian, vol, 1.0
@@ -301,21 +323,64 @@ def sensitivity_mc(boundary: BoundaryFunction, point: EvalPoint, samples: Sample
         def points(i):
             return xa + project(i), project(n - i)
 
-    def per_node(i: int):
-        return _node_terms(grad, hess, *points(i), vol_rows, shifts, h, scale)
+    def unit(i, mirror):
+        return _node_terms(grad, hess, *points(i), vol_rows, shifts, h, scale, mirror)
+
+    return unit
+
+
+def sensitivity_mc(boundary: BoundaryFunction, point: EvalPoint, samples: SampleGrid,
+                   h: float | None = None,
+                   workers: int | None = None) -> tuple[float, float, float | None]:
+    """Nested MC estimate of (sens_drift, sens_vol) under the grid's model, and the bump.
+
+    Both factors come from one pass, as they share the inner mean w_hat. The
+    work unit is node i together with node N-i for 0 < i < N/2 (nodes 0 and
+    N/2 alone), from one evaluation of their shared points; units run on
+    `workers` threads and every node's terms are checked in index order, so
+    a non-finite node is named the same at any worker count. The
+    boundary picks the path: the Hessian branch if `boundary.hessian` is set
+    (else forward differences), and the node kernel runs on the scalar points
+    a.x of a ridge if `boundary.ridge` is (else on the d-vectors x). For the
+    FD branch or the d-vector points pass replace(b, hessian=None,
+    ridge=replace(b.ridge, d2=None)) or replace(b, ridge=None).
+
+    Parameters
+    ----------
+    h : FD bump for the Jacobian fallback; default 1e-3 * max(1, |x|_inf).
+
+    Returns (sens_drift, sens_vol, h): h is the FD bump used, None on the
+    Hessian branch.
+    """
+    _check_compatible(boundary, point, samples)
+    if boundary.hessian is None:
+        h = _check_bump(default_bump(point) if h is None else h)
+    else:
+        h = None
+
+    n, m1, dt = samples.grid.n_steps, samples.m1, samples.grid.dt
+    unit = _pair_kernel(boundary, point, samples, h)
+
+    def per_unit(i: int):   # node i, and node n - i when that is another summed node
+        return unit(i, 0 < i < n - i)
 
     n_workers = resolve_workers(workers)
     pool = ThreadPoolExecutor(max_workers=n_workers) if n_workers > 1 else None
     try:
+        units = range(n // 2 + 1)
         if pool is None:
-            results = map(per_node, range(n))
+            results = map(per_unit, units)
         else:
-            futures = [pool.submit(per_node, i) for i in range(n)]
+            futures = [pool.submit(per_unit, i) for i in units]
             results = (f.result() for f in futures)
-        node_vals = []
-        for i, (dv, vv) in enumerate(results):
+        done, node_vals = [], []
+        for k in range(n):   # node k is in unit min(k, n - k), fetched in unit order
+            i = min(k, n - k)
+            while len(done) <= i:
+                done.append(next(results))
+            dv, vv = done[i][k != i]
             if not (math.isfinite(dv) and math.isfinite(vv)):
-                raise NumericError(f"non-finite sensitivity contribution at time index {i}")
+                raise NumericError(f"non-finite sensitivity contribution at time index {k}")
             node_vals.append((dv, vv))
     finally:
         if pool is not None:

@@ -209,13 +209,35 @@ def ridge_boundary(direction, profile, d1, d2=None, *, growth_alpha=1.0,
                             ridge=ridge, name=name)
 
 
+def _quartic_phi(s):
+    """(s * s) * (s * s), with one array allocated."""
+    t = s * s
+    t *= t
+    return t
+
+
+def _quartic_d1(s):
+    """4.0 * (s * s) * s, with one array allocated."""
+    t = s * s
+    t *= 4.0
+    t *= s
+    return t
+
+
+def _quartic_d2(s):
+    """12.0 * (s * s), with one array allocated."""
+    t = s * s
+    t *= 12.0
+    return t
+
+
 def quartic_boundary() -> BoundaryFunction:
     """One-dimensional boundary f(x) = x^4 (Hessian 12 x^2 grows quadratically)."""
     return ridge_boundary(
         np.ones(1),
-        profile=lambda s: (s * s) * (s * s),
-        d1=lambda s: 4.0 * (s * s) * s,
-        d2=lambda s: 12.0 * (s * s),
+        profile=_quartic_phi,
+        d1=_quartic_d1,
+        d2=_quartic_d2,
         # sup_s (s^4 + 4|s|^3 + 12 s^2) / (1 + s^4) is ~8.6, attained near |s|=1.2
         growth_alpha=4.0,
         growth_const=9.0,

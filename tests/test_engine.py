@@ -365,24 +365,31 @@ def _factored_ridge_sums(bnd, pt, s, h=None):
     """The ridge factors in factored form, a reference that rounds S_s
     differently: |a| sum |mean phi'| for S_b, and |a| |vol^T a| sum |mean
     phi''| (or |a| sum |vol^T c|, c_l the FD slope along a_l, one column per
-    entry of a) for S_s."""
+    entry of a) for S_s. Node N-i of a pair (0 < i < N-i) reads node i's
+    points transposed: its inner means sum node i's values over node i's
+    outer rows in index order."""
     ridge, vol = bnd.ridge, s.model.vol
     a, n, m1 = ridge.direction, s.grid.n_steps, s.m1
     anorm = math.sqrt(float(a @ a))
     sig_a = np.einsum("lk,l->k", vol, a, optimize=False)
     drift, vol_terms = [], []
-    for i in range(n):
+    for k in range(n):
+        i = n - k if 0 < n - k < k else k
         y = float(pt.x @ a) + np.einsum("jd,d->j", s.displacement(i, stop=m1), a,
                                         optimize=False)
         z = np.einsum("jd,d->j", s.displacement(n - i, stop=m1), a, optimize=False)
         p = y[:, None] + z[None, :]
-        u = ridge.d1(p).mean(axis=1)
+
+        def mean(v):
+            return v.mean(axis=1) if i == k else np.add.accumulate(v, axis=0)[-1] / m1
+
+        u = mean(ridge.d1(p))
         drift.append(anorm * float(np.sum(np.abs(u))))
         if h is None:
-            jac = np.abs(ridge.d2(p).mean(axis=1))
+            jac = np.abs(mean(ridge.d2(p)))
             vol_terms.append(anorm * math.sqrt(float(sig_a @ sig_a)) * float(np.sum(jac)))
         else:
-            c = np.stack([(ridge.d1(p + h * v).mean(axis=1) - u) / h for v in a], axis=1)
+            c = np.stack([(mean(ridge.d1(p + h * v)) - u) / h for v in a], axis=1)
             gs = np.einsum("bl,lm->bm", c, vol, optimize=False)
             vol_terms.append(anorm * float(np.sum(np.sqrt(np.sum(gs * gs, axis=1)))))
     dt = s.grid.dt
@@ -393,7 +400,8 @@ def test_ridge_scalar_points_round_like_the_factored_form():
     # The kernel takes ||J vol||_F of J = a c^T as |a| |vol^T c| row by row,
     # with one vol row per distinct entry of a on the FD branch, where the
     # factored form multiplies |vol^T a| out of the sum: only S_s may round
-    # differently, and by less than 1e-15 relative.
+    # differently, and by less than 1e-15 relative. N = 4 pairs nodes 1 and
+    # 3 and x.a != 0, so node 3 reads node 1's association of its points.
     model, bnd, pt, _ = _tile_cases()
     s = _samples(model, 4, 400, 300, seed=5)
     for b, h in ((bnd, None), (_without_hessian(bnd), 1e-3)):
@@ -459,6 +467,84 @@ def test_sensitivity_fails_at_first_bad_node(quartic_setup):
     for workers in (2, 3):
         with pytest.raises(NumericError, match="time index 0$"):
             sensitivity_mc(bnd, pt, s, workers=workers)
+
+
+def _poisoned_pair_kernel(monkeypatch, bad, calls):
+    """Make sensitivity_mc's units report node k's drift term as NaN for k in
+    `bad`, and record the node i of every unit that runs."""
+    import kolsens.engine as eng
+    real = eng._pair_kernel
+
+    def pair_kernel(boundary, point, samples, h):
+        unit, n = real(boundary, point, samples, h), samples.grid.n_steps
+
+        def poisoned(i, mirror):
+            calls.append(i)
+            nodes = unit(i, mirror)
+            return [(math.nan if k in bad else dv, vv)
+                    for k, (dv, vv) in zip((i, n - i), nodes)]
+        return poisoned
+
+    monkeypatch.setattr(eng, "_pair_kernel", pair_kernel)
+
+
+@pytest.mark.parametrize("n, bad, named", [
+    (5, {4}, 4), (5, {3, 4}, 3), (5, {2, 4}, 2), (5, {1, 4}, 1),
+    (6, {5}, 5), (6, {4, 5}, 4), (6, {3, 5}, 3), (6, {1, 5}, 1),
+])
+def test_the_lowest_bad_node_is_named_when_a_mirror_is_bad(monkeypatch, quartic_setup,
+                                                           n, bad, named):
+    # node N-i comes from the unit of node i (0 < i < N/2), so the check
+    # waits for every unit of a lower node before it names a mirror
+    model, bnd, pt = quartic_setup
+    s = _samples(model, n, 50, 20, seed=0)
+    _poisoned_pair_kernel(monkeypatch, bad, [])
+    for workers in (1, 2, 3):
+        with pytest.raises(NumericError, match=f"time index {named}$"):
+            sensitivity_mc(bnd, pt, s, workers=workers)
+
+
+def test_a_bad_row_node_stops_the_serial_run_at_its_unit(monkeypatch, quartic_setup):
+    model, bnd, pt = quartic_setup
+    s = _samples(model, 6, 50, 20, seed=0)
+    calls = []
+    _poisoned_pair_kernel(monkeypatch, {1}, calls)
+    with pytest.raises(NumericError, match="time index 1$"):
+        sensitivity_mc(bnd, pt, s, workers=1)
+    assert calls == [0, 1]      # units 2 and 3 never ran
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 6])
+@pytest.mark.parametrize("at_origin", [True, False], ids=["x=0", "x!=0"])
+def test_node_pairs_match_their_nodes_alone(n, at_origin):
+    # a unit evaluates node i's points once and gives node N-i the same
+    # values transposed: node i and the lone nodes 0 and N/2 keep every bit,
+    # and node N-i differs from its own run only in the order of its inner
+    # sums (and, at x != 0, in the association of x + X_i + X_{N-i})
+    import kolsens.engine as eng
+    model, bnd, pt, _ = _tile_cases()
+    if at_origin:
+        pt = EvalPoint(t=0.0, x=np.zeros(3))
+    s = _samples(model, n, 60, 47, seed=11)
+    for kernel in ("ridge", "generic"):
+        for h in (None, 1e-3):
+            b = bnd if h is None else _without_hessian(bnd)
+            b = replace(b, ridge=None) if kernel == "generic" else b
+            unit = eng._pair_kernel(b, pt, s, h)
+            nodes = {}
+            for i in range(n // 2 + 1):
+                got = unit(i, 0 < i < n - i)
+                assert len(got) == 1 + (0 < i < n - i)
+                assert got[0] == unit(i, False)[0]
+                nodes[i] = got[0]
+                if len(got) == 2:
+                    assert got[1] == pytest.approx(unit(n - i, False)[0], rel=1e-13, abs=0.0)
+                    nodes[n - i] = got[1]
+            assert sorted(nodes) == list(range(n))
+            dt, m1 = s.grid.dt, s.m1
+            want = (dt * math.fsum(nodes[k][0] for k in range(n)) / m1,
+                    dt * math.fsum(nodes[k][1] for k in range(n)) / m1, h)
+            assert sensitivity_mc(b, pt, s, h=h) == want
 
 
 def _tile_cases(wrap=lambda fn: fn):
@@ -549,11 +635,15 @@ def test_tile_arrays_add_up_to_one_tile(monkeypatch):
 
 
 def test_worker_count_is_bit_invariant(quartic_setup, monkeypatch):
+    # N = 6 has a self-paired node 3, N = 7 none; units may finish out of order
     model, bnd, pt = quartic_setup
-    s = _samples(model, 7, 300, 150, seed=6)
+    for n in (6, 7):
+        s = _samples(model, n, 300, 150, seed=6)
+        for b in (bnd, _without_hessian(bnd)):
+            lone = sensitivity_mc(b, pt, s, workers=1)
+            for workers in (2, 3, 4):
+                assert sensitivity_mc(b, pt, s, workers=workers) == lone
     lone = sensitivity_mc(bnd, pt, s, workers=1)
-    multi = sensitivity_mc(bnd, pt, s, workers=4)
-    assert lone == multi
     monkeypatch.setenv(WORKERS_ENV, "3")
     from_env = sensitivity_mc(bnd, pt, s)
     assert from_env == lone

@@ -87,6 +87,29 @@ def test_quartic_boundary_closed_forms():
     assert np.allclose(b.hessian(pts)[:, 0, 0], 12.0 * pts[:, 0] ** 2)
 
 
+def test_quartic_profile_rounds_like_its_expressions():
+    # the in-place profile callables take the same operations in the same
+    # order as these expressions, so every bit matches, and never touch s
+    ridge = quartic_boundary().ridge
+    want = {ridge.profile: lambda s: (s * s) * (s * s),
+            ridge.d1: lambda s: 4.0 * (s * s) * s,
+            ridge.d2: lambda s: 12.0 * (s * s)}
+    rng = np.random.default_rng(3)
+    special = np.array([0.0, -0.0, 1e-160, -3e-155, 5e-324, 1e77, -2e80, 1e155,
+                        np.inf, -np.inf, np.nan])
+    grid = np.concatenate([special, rng.standard_normal(89) * 10.0 ** rng.integers(-3, 4, 89)])
+    cases = [float(v) for v in special] + [np.float64(-1.7), np.array(2.3), np.array(-0.0)]
+    cases += [grid.reshape(4, 25, 1), rng.standard_normal((3, 7, 1))]
+    for fn, expr in want.items():
+        for s in cases:
+            before = np.array(s, copy=True)
+            with np.errstate(over="ignore"):
+                got, ref = np.asarray(fn(s), dtype=float), np.asarray(expr(s), dtype=float)
+            assert got.shape == ref.shape
+            assert np.array_equal(got.view(np.int64), ref.view(np.int64))
+            assert np.array_equal(np.asarray(s).view(np.int64), before.view(np.int64))
+
+
 def test_sine_boundary_closed_forms():
     d = 4
     b = sine_boundary(d)
