@@ -29,13 +29,12 @@ from . import __version__
 from .analytic import (quartic_sensitivity_quadrature, quartic_v0, sine_sensitivity_quadrature,
                        sine_v0)
 from .engine import (EstimatorStats, McConfig, compute_report, predicted_complexity,
-                     resolve_workers, seeded_runs, v0_mc)
+                     seeded_runs)
 from .errors import NumericError, ValidationError
 from .fd1d import epsilon_sweep, fd_problem_from_model, plan_epsilon_sweep, solve
 from .model import (BaselineModel, BoundaryFunction, EvalPoint, UncertaintySpec,
                     check_boundary, generate_normalized_model, lambda_min, quartic_boundary,
                     sine_boundary, validate_expansion_regime)
-from .sampling import build_time_grid, draw_samples
 
 COMMANDS = ("value", "sensitivity", "approx", "eps-sweep", "dim-sweep",
             "fd-solve", "complexity")
@@ -235,15 +234,14 @@ def _report_stats(reports: list) -> dict:
 
 
 def _run_value(ctx) -> dict:
+    """v0 alone through compute_report (zero weights, m1 = 1), which picks the kernel."""
     t0 = time.perf_counter()
-    resolve_workers(None)   # v0 runs on one thread, but a bad KOLSENS_WORKERS still exits 2
-
-    def one(seed: int) -> float:
-        grid = build_time_grid(ctx["point"].t, ctx["model"].horizon, ctx["mc"].n_steps)
-        samples = draw_samples(ctx["model"], grid, ctx["mc"].m0, 1, seed)
-        return v0_mc(ctx["boundary"], ctx["point"], samples)
-
-    stats = EstimatorStats.of(seeded_runs(one, ctx["runs"], ctx["seed"]))
+    v0_only = UncertaintySpec(gamma=0.0, eta=0.0, epsilon=0.0)
+    reports = seeded_runs(
+        lambda seed: compute_report(ctx["model"], ctx["boundary"], ctx["point"],
+                                    replace(ctx["mc"], m1=1, seed=seed), unc=v0_only),
+        ctx["runs"], ctx["seed"])
+    stats = EstimatorStats.of([r.v0 for r in reports])
     return {"seed": ctx["seed"], "d": ctx["model"].dim, "N": ctx["mc"].n_steps,
             "M0": ctx["mc"].m0,
             "stats": asdict(stats),

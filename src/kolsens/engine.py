@@ -35,19 +35,19 @@ row at a time in index order. Neither depends on the tile size, so the tile
 size never changes a bit. At x != 0 a mirror node reads node i's
 association (x + X_i(m)) + X_{N-i}(j) of its points.
 
-`v0_mc` streams its m0 samples from the sample grid one Philox block at a
-time (the grid holds only the m1 inner rows), through the grid's sub-block
-reader, so its memory grows neither with m0 nor with d: at d = 100 it peaks
-at about 1.6 MB of arrays for a ridge boundary and 2.2 MB for any other.
-For a ridge boundary f(x) = phi(a.x) it evaluates the profile phi on the
-scalar projections of `SampleGrid.projection`, which never mix a row: the
-value stage then costs one dot product per sample instead of a d x d mix
-and a dot product. Any other boundary's `value` sees the displacement tiles
-of `SampleGrid.tiles`, power-of-two row tiles of at most _PAIR_TILE
-doubles, the one tile constant of both stages: tiles that small keep
-OpenBLAS single-threaded, whose idle workers would otherwise spin after
-every threaded `pts @ a` of a ridge-built value passed without its
-declaration, and their power-of-two edges keep each row's bits.
+`v0_mc` picks a tile reader and an evaluator once and loops over its m0
+samples one sub-block tile at a time (the grid holds only the m1 inner
+rows), so its memory grows neither with m0 nor with d: at d = 100 it peaks
+at about 1.4 MB of arrays for a ridge boundary and 2.2 MB for any other.
+A ridge f(x) = phi(a.x) reads the scalar projections of
+`SampleGrid.projection`, which never mix a row: one dot product per sample
+instead of a d x d mix and a dot product. Any other boundary's `value`
+reads the displacement tiles of `SampleGrid.tiles`. Both readers' tiles
+hold at most _PAIR_TILE doubles, the one tile constant of both stages:
+tiles that small keep OpenBLAS single-threaded, whose idle workers would
+otherwise spin after every threaded `pts @ a` of a ridge-built value
+passed without its declaration, and their power-of-two edges keep each
+row's bits.
 
 Nodes are checked for finiteness in index order as their units complete,
 so a failure stops the run at the first bad node and names the same time
@@ -68,7 +68,7 @@ import numpy as np
 from .errors import NumericError, ValidationError
 from .model import (BaselineModel, BoundaryFunction, EvalPoint, UncertaintySpec,
                     validate_expansion_regime)
-from .sampling import BLOCK, TILE, SampleGrid, build_time_grid, draw_samples
+from .sampling import TILE, SampleGrid, build_time_grid, draw_samples
 
 # Outer rows per reduction block: _PAIR_BUDGET // (doubles per row of the
 # largest pairwise temporary). The block grouping fixes the summation order,
@@ -76,8 +76,8 @@ from .sampling import BLOCK, TILE, SampleGrid, build_time_grid, draw_samples
 # temporaries that a tile holds at once add up to at most about _PAIR_TILE
 # doubles (1 MB) per thread, or one row when a row is larger, so together
 # they stay in a 2 MB L2 cache. It is the sampling sub-block's TILE, so
-# v0_mc's boundary calls, one sub-block each, take at most that many. The
-# tile never changes a bit. _V0_BLOCK rows of values are summed
+# v0_mc's value and profile calls, one reader tile each, take at most that
+# many. The tile never changes a bit. _V0_BLOCK rows of values are summed
 # at a time, which fixes v0's summation order.
 _PAIR_BUDGET = 1 << 23
 _PAIR_TILE = TILE
@@ -150,35 +150,25 @@ def v0_mc(boundary: BoundaryFunction, point: EvalPoint, samples: SampleGrid) -> 
 
     Averages f(x + X_N(j)) over all m0 samples; unbiased since the terminal
     displacement has the exact law of X_T - x given X_t = 0 under the grid's
-    model. The samples are read one Philox block at a time. A ridge
-    boundary's `ridge.profile` sees the block's projections a.(x + X_N(j))
-    (its `value` is not called); any other boundary's `value` sees one
-    displacement tile of `SampleGrid.tiles` at a time. Each _V0_BLOCK-row
-    chunk is summed whole, so neither the streaming nor the tiles change a
-    bit.
+    model. The samples are read one sub-block tile at a time: a ridge
+    boundary's `ridge.profile` sees the projections a.(x + X_N(j)) of
+    `SampleGrid.projection` (its `value` is not called); any other
+    boundary's `value` sees the displacement tiles of `SampleGrid.tiles`,
+    x added in place. Each _V0_BLOCK-row chunk is summed whole, so neither
+    the streaming nor the tiles change a bit.
     """
     _check_compatible(boundary, point, samples)
     n, m0, ridge = samples.grid.n_steps, samples.m0, boundary.ridge
     if ridge is not None:
-        project = samples.projection(n, ridge.direction, point.x)
-
-        def fill(lo, hi, out):
-            out[:] = ridge.profile(project(lo, hi))
-    else:
-        read = samples.tiles(n)
-
-        def fill(lo, hi, out):
-            for j, pts in read(lo, hi):
-                pts += point.x
-                out[j - lo:j - lo + len(pts)] = boundary.value(pts)
-
+        read, value = samples.projection(n, ridge.direction, point.x), ridge.profile
+    else:   # x is added to the reader's tile in place
+        read, value = samples.tiles(n), (lambda p: boundary.value(np.add(p, point.x, out=p)))
     vals = np.empty(min(_V0_BLOCK, m0))
     partials = []
     for lo in range(0, m0, _V0_BLOCK):
         hi = min(lo + _V0_BLOCK, m0)
-        for b_lo in range(lo, hi, BLOCK):
-            b_hi = min(b_lo + BLOCK, hi)
-            fill(b_lo, b_hi, vals[b_lo - lo:b_hi - lo])
+        for j, p in read(lo, hi):
+            vals[j - lo:j - lo + len(p)] = value(p)
         chunk = vals[:hi - lo]
         if not np.isfinite(chunk).all():
             j = lo + int(np.flatnonzero(~np.isfinite(chunk))[0])
@@ -187,22 +177,19 @@ def v0_mc(boundary: BoundaryFunction, point: EvalPoint, samples: SampleGrid) -> 
     return math.fsum(partials) / m0
 
 
-def _tiled_node_sums(out_pts, in_pts, row_elems, live, grad, hess, shifts, h, reduce,
-                     mirror=False):
+def _tiled_node_sums(out_pts, in_pts, row_elems, live, evaluators, reduce, mirror=False):
     """Sum one node's (drift, vol) terms over the outer pool, inner means tiled.
 
     The node's points are out_pts[j] + in_pts[m], outer rows j on axis 0 and
     inner samples m on axis 1. Outer rows are grouped in blocks of
     _PAIR_BUDGET // row_elems rows, which fix the reduction order. Within a
-    block, the inner means of `grad`, of `hess` (unless None) and of `grad`
-    at each FD shift are computed one tile of _PAIR_TILE // (live *
-    row_elems) rows at a time, by numpy's mean. `live` is how many
-    arrays of row_elems doubles per outer row a tile holds at once, so the
-    arrays of one tile add up to about _PAIR_TILE doubles. The tile's points,
-    and its FD-shifted points, are filled into buffers that this call owns.
-    `reduce(w, jac)` turns a block's means into its (drift, vol) partial
-    sums; jac is the mean Hessian, or the list of forward-difference slopes
-    (mean(grad(p + shift)) - mean(grad(p))) / h, one per shift.
+    block, the inner mean of every function of `evaluators(pts)` is
+    computed one tile of _PAIR_TILE // (live * row_elems) rows at a time, by
+    numpy's mean. `live` is how many arrays of row_elems doubles per outer
+    row a tile holds at once, so the arrays of one tile add up to about
+    _PAIR_TILE doubles. The tile's points go to the buffer pts, which this
+    call owns, as do any buffers that `evaluators` sizes like it.
+    `reduce(*means)` turns a block's means into its (drift, vol) sums.
 
     With `mirror`, the same values also give the mirror node, whose points
     are in_pts[j] + out_pts[m]: its outer row j is this node's inner column
@@ -216,85 +203,51 @@ def _tiled_node_sums(out_pts, in_pts, row_elems, live, grad, hess, shifts, h, re
     block = max(1, _PAIR_BUDGET // row_elems)
     tile = max(1, _PAIR_TILE // (live * row_elems))
     pts = np.empty((min(tile, block, m1),) + in_pts.shape)
-    means = {"w": grad}
-    if hess is not None:
-        means["jw"] = hess
-    if len(shifts):
-        shifted = np.empty_like(pts)
-    for k, shift in enumerate(shifts):
-        means[k] = lambda p, shift=shift: grad(np.add(p, shift, out=shifted[:len(p)]))
-
-    def terms(m):
-        jac = [(m[k] - m["w"]) / h for k in range(len(shifts))]
-        return reduce(m["w"], m.get("jw", jac))
-
-    parts, sums = [], {}
+    fns = evaluators(pts)
+    parts, sums = [], [None] * len(fns)
     for lo in range(0, m1, block):
         hi = min(lo + block, m1)
-        m = {}
+        means = [None] * len(fns)
         for t_lo in range(lo, hi, tile):
             t_hi = min(t_lo + tile, hi)
             p = np.add(out_pts[t_lo:t_hi, None, :], in_pts[None, :, :],
                        out=pts[:t_hi - t_lo])
-            for name, fn in means.items():
+            for k, fn in enumerate(fns):
                 v = fn(p)
-                if name not in m:
-                    m[name] = np.empty((hi - lo,) + v.shape[2:])
-                m[name][t_lo - lo:t_hi - lo] = v.mean(axis=1)
+                if means[k] is None:
+                    means[k] = np.empty((hi - lo,) + v.shape[2:])
+                means[k][t_lo - lo:t_hi - lo] = v.mean(axis=1)
                 if mirror:
-                    acc = sums.get(name)
+                    acc = sums[k]
                     if acc is None:
-                        acc = sums[name] = np.zeros(v.shape[1:])
+                        acc = sums[k] = np.zeros(v.shape[1:])
                     for row in v:
                         acc += row
-        parts.append(terms(m))
+        parts.append(reduce(*means))
     nodes = [parts]
     if mirror:
-        w = {name: acc / m1 for name, acc in sums.items()}
-        nodes.append([terms({name: v[lo:lo + block] for name, v in w.items()})
-                      for lo in range(0, m1, block)])
+        means = [acc / m1 for acc in sums]
+        nodes.append([reduce(*(v[lo:lo + block] for v in means)) for lo in range(0, m1, block)])
     return [(math.fsum(dp for dp, _ in ps), math.fsum(vp for _, vp in ps)) for ps in nodes]
 
 
-def _node_terms(grad, hess, out_pts, in_pts, vol_rows, shifts, h, scale, mirror=False):
-    """One grid node of the nested estimator on the points out_pts[j] + in_pts[m].
-
-    Returns [scale times (sum_j |w_hat(j)|, sum_j ||J_hat(j) vol_rows||_F)]
-    over the outer pool, where w_hat(j) is the inner mean of grad and J_hat(j)
-    that of hess, or, when hess is None, the matrix whose column k is the
-    forward-difference slope of w_hat along shifts[k], whose size is h. Each
-    reduction block's sums are scaled before they are added up. With
-    `mirror`, the same terms of the node on the points in_pts[j] + out_pts[m]
-    follow, from the same values (see _tiled_node_sums).
-    """
-    m1, d = out_pts.shape
-    if hess is None:    # live per tile: the points, the shifted points, the gradients
-        row_elems, live = m1 * d, 3
-    else:               # the Hessians, and the points when they are as large (d = 1)
-        row_elems, live = m1 * d * d, 1 + (d == 1)
-
-    def reduce(w, jac):
-        jw = jac if hess is not None else np.stack(jac, axis=-1)
-        js = np.einsum("bkl,lm->bkm", jw, vol_rows, optimize=False)
-        return (scale * float(np.sum(np.sqrt(np.sum(w * w, axis=-1)))),
-                scale * float(np.sum(np.sqrt(np.sum(js * js, axis=(-2, -1))))))
-
-    return _tiled_node_sums(out_pts, in_pts, row_elems, live, grad, hess, shifts, h, reduce,
-                            mirror)
-
-
 def _pair_kernel(boundary, point, samples, h):
-    """The work unit of sensitivity_mc: `unit(i, mirror)` runs _node_terms on node i.
+    """The work unit of sensitivity_mc: `unit(i, mirror)` sums node i's terms.
 
     Node i's points are x + X_i(j) + X_{N-i}(m), or their scalar projections
     on a's direction for a ridge; with `mirror` the unit also returns node
-    N-i's terms, whose points are node i's transposed.
+    N-i's terms, whose points are node i's transposed. A node's terms are
+    scale * (sum_j |w_hat(j)|, sum_j ||J_hat(j) vol_rows||_F), w_hat(j) the
+    inner mean of grad and J_hat(j) that of hess or, with h, the FD slopes
+    (mean(grad(p + shifts[k])) - w_hat) / h as its columns. The branch is
+    decided once per call: the evaluators, tile sizes and `reduce`.
     """
     n, m1 = samples.grid.n_steps, samples.m1
     x, vol, ridge = point.x, samples.model.vol, boundary.ridge
+    dim = len(x) if ridge is None else 1    # of the kernel's points
     if ridge is None:
         grad, hess, vol_rows, scale = boundary.gradient, boundary.hessian, vol, 1.0
-        shifts = () if h is None else np.eye(len(x)) * h
+        shifts = None if h is None else np.eye(dim) * h
 
         def points(i):
             return x + samples.displacement(i, stop=m1), samples.displacement(n - i, stop=m1)
@@ -306,10 +259,9 @@ def _pair_kernel(boundary, point, samples, h):
         a, grad = ridge.direction, ridge.d1
         scale = math.sqrt(float(a @ a))
         if h is None:
-            hess, shifts = (lambda s: ridge.d2(s)[..., None]), ()
+            hess = (lambda s: ridge.d2(s)[..., None])     # the 1 x 1 Hessian phi''(s)
             vol_rows = np.einsum("lk,l->k", vol, a, optimize=False)[None, :]    # vol^T a
         else:   # one shift per distinct entry v_u; its row sums vol's rows l with a_l = v_u
-            hess = None
             distinct, entry = np.unique(a, return_inverse=True)
             shifts = h * distinct[:, None]
             vol_rows = np.zeros((len(distinct), len(a)))
@@ -323,8 +275,29 @@ def _pair_kernel(boundary, point, samples, h):
         def points(i):
             return xa + project(i), project(n - i)
 
+    def sums(w, jw):
+        js = np.einsum("bkl,lm->bkm", jw, vol_rows, optimize=False)
+        return (scale * float(np.sum(np.sqrt(np.sum(w * w, axis=-1)))),
+                scale * float(np.sum(np.sqrt(np.sum(js * js, axis=(-2, -1))))))
+
+    if h is None:   # live per tile: the Hessians, and the points when they are as large
+        row_elems, live, reduce = m1 * dim * dim, 1 + (dim == 1), sums
+
+        def evaluators(pts):
+            return grad, hess
+    else:           # live per tile: the points, the shifted points, the gradients
+        row_elems, live = m1 * dim, 3
+
+        def evaluators(pts):    # the shifted points go to a buffer of the caller's
+            shifted = np.empty_like(pts)
+            return [grad] + [lambda p, s=s: grad(np.add(p, s, out=shifted[:len(p)]))
+                             for s in shifts]
+
+        def reduce(w, *g):
+            return sums(w, np.stack([(gk - w) / h for gk in g], axis=-1))
+
     def unit(i, mirror):
-        return _node_terms(grad, hess, *points(i), vol_rows, shifts, h, scale, mirror)
+        return _tiled_node_sums(*points(i), row_elems, live, evaluators, reduce, mirror)
 
     return unit
 

@@ -28,9 +28,10 @@ a time and dropped. `SampleGrid.tiles` reads displacements through it a
 sub-block at a time, mixing in that buffer, and `displacement` copies those
 tiles into one array. `SampleGrid.projection` reads a ridge's scalar
 projection a.(x + displacement) = a.x + tau a.b + sqrt(tau) W(j).(sigma^T a)
-without building any sigma W(j): one dot product per row of each sub-block.
+the same way, without building any sigma W(j): one dot product per row of
+each sub-block, into one reused buffer of at most a sub-block's values.
 So no read holds more than a few TILE-sized arrays, whatever d and m0 are:
-at d = 100 a value stage peaks at about 1.6 MB of arrays with a ridge and
+at d = 100 a value stage peaks at about 1.4 MB of arrays with a ridge and
 2.2 MB without one.
 """
 
@@ -224,11 +225,13 @@ class SampleGrid:
     def projection(self, i: int, direction: Array, x: Array):
         """The reader `project(start, stop)` of a.(x + displacement) at node i, a = direction.
 
-        It gives rows [start, stop) of ((sqrt(tau_i) p) + tau_i a.b) + a.x,
-        p = W(j).(sigma^T a): the order of `displacement` + x, whose bits it
-        has for d = 1 and a = 1. Every row, held ones included, is drawn
-        again through `_read` into one buffer of at most TILE doubles,
-        reused by every call, and never mixed. All products are einsums off
+        `project` yields (j, p) in order, as `tiles` does: p holds rows [j, j
+        + len(p)) of [start, stop) of ((sqrt(tau_i) q) + tau_i a.b) + a.x,
+        q = W(j).(sigma^T a), the order of `displacement` + x, whose bits it
+        has for d = 1 and a = 1. The tiles are `_read`'s sub-blocks, and p is
+        a view of one buffer of at most _sub_block(d) values, reused by
+        every step and every call. Every row, held ones included, is drawn
+        again through `_read` and never mixed. All products are einsums off
         BLAS, so a row's bits do not depend on the rows it is read with.
         `direction` and `x` must be finite vectors of length d.
         """
@@ -239,17 +242,16 @@ class SampleGrid:
         shift_b = tau * np.einsum("k,k->", a, self.model.drift, optimize=False)
         shift_x = np.einsum("k,k->", a, x, optimize=False)
         buf = _buffer(len(a), self.m0)
+        out = np.empty(len(buf))
 
-        def project(start: int, stop: int) -> Array:
+        def project(start: int, stop: int):
             stop = self._check_rows(i, start, stop)
-            p = np.empty(stop - start)
             for j, w in _read(self.seed, start, stop, buf):
-                np.einsum("jk,k->j", w, sig_a, optimize=False,
-                          out=p[j - start:j - start + len(w)])
-            p *= np.sqrt(tau)
-            p += shift_b
-            p += shift_x
-            return p
+                p = np.einsum("jk,k->j", w, sig_a, optimize=False, out=out[:len(w)])
+                p *= np.sqrt(tau)
+                p += shift_b
+                p += shift_x
+                yield j, p
 
         return project
 

@@ -9,9 +9,9 @@ import kolsens
 import kolsens.cli as cli
 import kolsens.engine as engine
 from kolsens import (BaselineModel, EstimatorStats, EvalPoint, FdProblem1d, McConfig,
-                     UncertaintySpec, compute_report, generate_normalized_model,
-                     plan_epsilon_sweep, predicted_complexity, quartic_boundary,
-                     sine_boundary)
+                     UncertaintySpec, build_time_grid, compute_report, draw_samples,
+                     generate_normalized_model, plan_epsilon_sweep, predicted_complexity,
+                     quartic_boundary, sine_boundary, v0_mc)
 from kolsens.cli import DIM_SWEEP_HEADER, EPS_SWEEP_HEADER, main
 
 REPORT_KEYS = {"v0", "sens_drift", "sens_vol", "gamma", "eta", "epsilon", "approx",
@@ -57,6 +57,26 @@ def test_value_command(tmp_path):
     assert doc["stats"]["runs"] == 2
     assert np.isfinite(doc["stats"]["mean"])
     assert doc["d"] == 1 and doc["M0"] == 400
+
+
+def test_value_follows_the_kernel_setting(tmp_path):
+    # "generic" drops the ridge for the whole run, the value stage included:
+    # v0 then reads the mixed displacements, not the ridge's projections,
+    # and the two round differently at d = 7
+    values = {}
+    for kernel in ("auto", "generic"):
+        cfg = _write_config(tmp_path, {"model": {"kind": "normalized", "dim": 7, "seed": 3},
+                                       "boundary": "sine", "runs": 1,
+                                       "mc": {"m0": 20_000, "kernel": kernel}})
+        code, doc = _run_json(tmp_path, cfg, "value", "--seed", "4")
+        assert code == 0
+        values[kernel] = doc["stats"]["mean"]
+    model, bnd = generate_normalized_model(7, 3), sine_boundary(7)
+    samples = draw_samples(model, build_time_grid(0.0, 1.0, 100), 20_000, 1, 4)
+    pt = EvalPoint(t=0.0, x=np.zeros(7))
+    assert values["auto"] == v0_mc(bnd, pt, samples)
+    assert values["generic"] == v0_mc(replace(bnd, ridge=None), pt, samples)
+    assert values["auto"] != values["generic"]
 
 
 def test_sensitivity_report_shape(tmp_path):
@@ -502,7 +522,7 @@ def test_bad_worker_count_exits_2_before_sampling(tmp_path, monkeypatch, capsys,
 
 def test_value_refuses_a_bad_worker_count(tmp_path, monkeypatch, capsys):
     # v0 runs on one thread, yet the setting is checked as for every command
-    monkeypatch.setattr(cli, "draw_samples", _fail_if_called("draw_samples"))
+    monkeypatch.setattr(engine, "draw_samples", _fail_if_called("draw_samples"))
     monkeypatch.setenv("KOLSENS_WORKERS", "abc")
     cfg = _write_config(tmp_path, _quartic_config())
     assert main(["--config", cfg, "--command", "value"]) == 2

@@ -14,7 +14,7 @@ from kolsens import (BaselineModel, BoundaryFunction, EstimatorStats, EvalPoint,
 from kolsens.engine import WORKERS_ENV
 from kolsens.model import generate_normalized_model
 from kolsens.sampling import BLOCK
-from test_sampling import _philox_normals
+from test_sampling import _philox_normals, _projected
 
 
 @pytest.fixture
@@ -176,7 +176,7 @@ def test_ridge_v0_rejects_nonfinite_profile():
     model = BaselineModel(drift=np.zeros(2), vol=np.eye(2))
     s = _samples(model, 2, 3 * BLOCK, 10, seed=0)
     bad = 2 * BLOCK + 17
-    proj = s.projection(2, np.ones(2), np.zeros(2))(2 * BLOCK, bad + 1)[-1]
+    proj = _projected(s.projection(2, np.ones(2), np.zeros(2)), 2 * BLOCK, bad + 1)[-1]
 
     def profile(v):
         return np.where(v == proj, np.inf, v)
@@ -651,6 +651,55 @@ def test_worker_count_is_bit_invariant(quartic_setup, monkeypatch):
     for bad in (0, 2.5, True, "3"):
         with pytest.raises(ValidationError, match="worker count"):
             sensitivity_mc(bnd, pt, s, workers=bad)
+
+
+# Recorded before the value stage read tiles through one loop and the node
+# kernel decided its branch once per call. Per case: v0 on the ridge and
+# generic paths, and (S_b, S_s) of the ridge and generic kernels on the
+# Hessian and FD (h = 1e-3) branches, N = 5, M0 = 70003, M1 = 23, 2 workers.
+_GOLDEN_ESTIMATES = {
+    ("v0", "ridge3", "ridge"): ("0x1.5a55914c25694p-3",),
+    ("v0", "ridge3", "generic"): ("0x1.5a55914c25693p-3",),
+    ("sens", "ridge3", "ridge", "hessian"): ("0x1.651927294e7f8p-1", "0x1.71cf352ad8f13p-1"),
+    ("sens", "ridge3", "generic", "hessian"): ("0x1.651927294e7f8p-1", "0x1.71cf352ad8f13p-1"),
+    ("sens", "ridge3", "ridge", "fd"): ("0x1.651927294e7f8p-1", "0x1.71de0bf74d06fp-1"),
+    ("sens", "ridge3", "generic", "fd"): ("0x1.651927294e7f8p-1", "0x1.71de0bf74d000p-1"),
+    ("v0", "quartic", "ridge"): ("0x1.f2446021e6ad4p+3",),
+    ("v0", "quartic", "generic"): ("0x1.f2446021e6ad4p+3",),
+    ("sens", "quartic", "ridge", "hessian"): ("0x1.032a5f19ad271p+4", "0x1.8de3317a1dde3p+4"),
+    ("sens", "quartic", "generic", "hessian"): ("0x1.032a5f19ad271p+4", "0x1.8de3317a1dde3p+4"),
+    ("sens", "quartic", "ridge", "fd"): ("0x1.032a5f19ad271p+4", "0x1.8e1d72284e572p+4"),
+    ("sens", "quartic", "generic", "fd"): ("0x1.032a5f19ad271p+4", "0x1.8e1d72284e572p+4"),
+    ("v0", "sine5", "ridge"): ("0x1.04769b7db6d43p-1",),
+    ("v0", "sine5", "generic"): ("0x1.04769b7db6d43p-1",),
+    ("sens", "sine5", "ridge", "hessian"): ("0x1.00c2563f728edp+0", "0x1.032494268288ap+0"),
+    ("sens", "sine5", "generic", "hessian"): ("0x1.00c2563f728edp+0", "0x1.0324942682889p+0"),
+    ("sens", "sine5", "ridge", "fd"): ("0x1.00c2563f728edp+0", "0x1.033346fc41d0ap+0"),
+    ("sens", "sine5", "generic", "fd"): ("0x1.00c2563f728edp+0", "0x1.033346fc41ec1p+0"),
+}
+
+
+def _golden_cases():
+    model3, bnd3, pt3, _ = _tile_cases()
+    return {"ridge3": (model3, bnd3, pt3.x),
+            "quartic": (BaselineModel(drift=np.array([1.0]), vol=np.array([[1.0]])),
+                        quartic_boundary(), np.array([0.3])),
+            "sine5": (generate_normalized_model(5, 4), sine_boundary(5),
+                      np.linspace(-0.2, 0.2, 5))}
+
+
+def test_estimator_bits_are_pinned():
+    got = {}
+    for name, (model, bnd, x) in _golden_cases().items():
+        pt, s = EvalPoint(t=0.0, x=x), _samples(model, 5, 70_003, 23, seed=17)
+        for fd in (False, True):
+            b = _without_hessian(bnd) if fd else bnd
+            for kernel, kb in (("ridge", b), ("generic", replace(b, ridge=None))):
+                if not fd:
+                    got["v0", name, kernel] = (v0_mc(kb, pt, s).hex(),)
+                sd, sv, _ = sensitivity_mc(kb, pt, s, h=1e-3 if fd else None, workers=2)
+                got["sens", name, kernel, "fd" if fd else "hessian"] = (sd.hex(), sv.hex())
+    assert got == _GOLDEN_ESTIMATES
 
 
 def test_sine_sensitivities_near_quadrature_small_scale():

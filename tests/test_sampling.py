@@ -162,18 +162,42 @@ def test_displacement_edge_row_ranges(model2):
         assert np.array_equal(s.displacement(3, start=start, stop=stop), full[start:stop])
 
 
+def _projected(project, start, stop):
+    """Rows [start, stop) of a projection reader: its tiles, copied in order into one array."""
+    parts = []
+    for j, p in project(start, stop):
+        assert j == start + sum(map(len, parts))
+        parts.append(p.copy())
+    return np.concatenate(parts) if parts else np.empty(0)
+
+
 def test_projection_reads_any_rows_with_the_same_bits():
     model = _centered_model(3, 5)
     g = build_time_grid(0.0, 1.0, 4)
     s = draw_samples(model, g, BLOCK * 2 + 40, 30, seed=8)
     a, x = np.array([1.0, -0.5, 2.0]), np.array([0.1, 0.2, -0.3])
     project = s.projection(3, a, x)
-    whole = project(0, s.m0)
+    whole = _projected(project, 0, s.m0)
     for start, stop in ((0, 30), (29, 31), (BLOCK - 5, BLOCK + 7), (BLOCK, 2 * BLOCK),
                         (2 * BLOCK + 39, 2 * BLOCK + 40), (7, 7)):
-        assert np.array_equal(project(start, stop), whole[start:stop])
+        assert np.array_equal(_projected(project, start, stop), whole[start:stop])
     with pytest.raises(ValidationError, match="row range"):
-        project(0, s.m0 + 1)
+        _projected(project, 0, s.m0 + 1)
+
+
+def test_projection_tiles_are_sub_blocks_of_one_buffer():
+    # like `tiles`, the reader yields `_read`'s sub-blocks, each a view of one
+    # buffer of at most _sub_block(d) values that every step and call reuses
+    d = 50
+    s = draw_samples(_centered_model(d, 2), build_time_grid(0.0, 1.0, 2), 2 * BLOCK + 9, 4,
+                     seed=1)
+    project, sub = s.projection(2, np.ones(d), np.zeros(d)), _sub_block(d)
+    seen = []
+    for start, stop in ((3, 3 * sub + 5), (BLOCK - 2, s.m0)):
+        for j, p in project(start, stop):
+            assert 0 < len(p) <= sub and (j == start or j % sub == 0)
+            seen.append(p)
+    assert len(seen) > 4 and all(np.shares_memory(p, seen[0]) for p in seen)
 
 
 def test_projection_of_one_dimension_has_the_displacement_bits():
@@ -181,7 +205,7 @@ def test_projection_of_one_dimension_has_the_displacement_bits():
     s = draw_samples(model, build_time_grid(0.0, 1.0, 3), BLOCK + 9, 5, seed=2)
     x = np.array([0.25])
     for i in (1, 3):
-        assert np.array_equal(s.projection(i, np.ones(1), x)(0, s.m0),
+        assert np.array_equal(_projected(s.projection(i, np.ones(1), x), 0, s.m0),
                               (s.displacement(i) + x)[:, 0])
 
 
@@ -224,7 +248,7 @@ def test_reader_has_the_bits_of_whole_block_draws(d):
     project = s.projection(2, np.ones(d), np.zeros(d))
     for lo, hi in ranges + [(39, 41)]:
         assert np.array_equal(s.displacement(2, start=lo, stop=hi), mixed[lo:hi])
-        assert np.array_equal(project(lo, hi),
+        assert np.array_equal(_projected(project, lo, hi),
                               np.einsum("jk,k->j", want[lo:hi], sig_a, optimize=False))
 
 
