@@ -22,7 +22,7 @@ from functools import lru_cache
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .errors import ValidationError
+from .errors import ValidationError, count, real
 
 _TAIL_SIGMAS = 13.0
 _PANEL_ORDER = 8     # Gauss-Legendre order inside each time panel
@@ -51,6 +51,7 @@ def gauss_abs_expectation(func, zeros, mean: float, std: float, order: int) -> f
     integrated with an `order`-point Gauss-Legendre rule against the normal
     density. A zero `std` collapses to the point mass |func(mean)|.
     """
+    mean, std, order = real(mean, "mean"), real(std, "std", low=0.0), count(order, "order")
     if std == 0.0:
         return abs(float(func(np.asarray([mean]))[0]))
     lo = mean - _TAIL_SIGMAS * std
@@ -69,12 +70,12 @@ def gauss_abs_expectation(func, zeros, mean: float, std: float, order: int) -> f
     return math.fsum(parts)
 
 
-def _time_integral(integrand, upper: float, panels: int) -> float:
+def _time_integral(integrand, upper: float) -> float:
     """Composite Gauss-Legendre integral of a scalar function over [0, upper]."""
     nodes, weights = _leggauss(_PANEL_ORDER)
-    width = upper / panels
+    width = upper / _TIME_PANELS
     parts = []
-    for p in range(panels):
+    for p in range(_TIME_PANELS):
         mid = (p + 0.5) * width
         half = 0.5 * width
         parts.append(half * math.fsum(
@@ -93,9 +94,9 @@ def quartic_v0(t: float, x: float, drift: float, vol: float, horizon: float) -> 
     so this is the fourth moment mu^4 + 6 mu^2 s^2 + 3 s^4 of a normal with
     mean mu = x + drift*theta and variance s^2 = vol^2*theta.
     """
-    theta = horizon - t
-    if theta < 0:
-        raise ValidationError(f"need t <= horizon, got t={t}, horizon={horizon}")
+    t, x, drift, vol = (real(v, name) for v, name in
+                        ((t, "t"), (x, "x"), (drift, "drift"), (vol, "vol")))
+    theta = real(horizon, "horizon", low=t) - t
     mu = x + drift * theta
     s2 = vol * vol * theta
     return mu ** 4 + 6.0 * mu ** 2 * s2 + 3.0 * s2 ** 2
@@ -112,9 +113,9 @@ def quartic_sensitivity_quadrature(kind: str, t: float = 0.0, x: float = 0.0,
     the second derivative 12*(a^2 + vol^2*rem) is nonnegative, and E[a^2]
     integrates in closed form to 12*|vol|*theta*(mu0^2 + vol^2*theta).
     """
-    theta = horizon - t
-    if theta <= 0:
-        raise ValidationError(f"need t < horizon, got t={t}, horizon={horizon}")
+    t, x, drift, vol = (real(v, name) for v, name in
+                        ((t, "t"), (x, "x"), (drift, "drift"), (vol, "vol")))
+    theta = real(horizon, "horizon", low=t, above=True) - t
     mu0 = x + drift * theta
     if kind == "vol":
         return 12.0 * abs(vol) * theta * (mu0 ** 2 + vol ** 2 * theta)
@@ -129,7 +130,7 @@ def quartic_sensitivity_quadrature(kind: str, t: float = 0.0, x: float = 0.0,
             return [0.0] if lo < 0.0 < hi else []
         return gauss_abs_expectation(g, zeros, mu0, abs(vol) * math.sqrt(u), _GAUSS_ORDER)
 
-    return _time_integral(integrand, theta, _TIME_PANELS)
+    return _time_integral(integrand, theta)
 
 
 # --------------------------------------------------------------------------
@@ -143,8 +144,7 @@ def sine_v0(horizon: float) -> float:
     N(horizon, horizon) regardless of dimension, hence
     E[sin(sum X_T)] = sin(horizon) * exp(-horizon / 2).
     """
-    if horizon <= 0:
-        raise ValidationError(f"horizon must be > 0, got {horizon}")
+    horizon = real(horizon, "horizon", low=0.0, above=True)
     return math.sin(horizon) * math.exp(-0.5 * horizon)
 
 
@@ -158,10 +158,7 @@ def sine_sensitivity_quadrature(horizon: float, dim: int, kind: str) -> float:
     with g = cos for the drift factor and g = sin for the volatility factor;
     the sqrt(dim) factor multiplies the same scalar integral bit-for-bit.
     """
-    if horizon <= 0:
-        raise ValidationError(f"horizon must be > 0, got {horizon}")
-    if int(dim) != dim or dim < 1:
-        raise ValidationError(f"dim must be an integer >= 1, got {dim}")
+    horizon, dim = real(horizon, "horizon", low=0.0, above=True), count(dim, "dim")
     if kind == "drift":
         g, offset = np.cos, 0.5 * math.pi
     elif kind == "vol":
@@ -175,4 +172,4 @@ def sine_sensitivity_quadrature(horizon: float, dim: int, kind: str) -> float:
         expect = gauss_abs_expectation(g, zeros, horizon, math.sqrt(u), _GAUSS_ORDER)
         return math.exp(-0.5 * (horizon - u)) * expect
 
-    return math.sqrt(dim) * _time_integral(integrand, horizon, _TIME_PANELS)
+    return math.sqrt(dim) * _time_integral(integrand, horizon)

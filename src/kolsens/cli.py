@@ -30,7 +30,7 @@ from .analytic import (quartic_sensitivity_quadrature, quartic_v0, sine_sensitiv
                        sine_v0)
 from .engine import (EstimatorStats, McConfig, compute_report, predicted_complexity,
                      seeded_runs)
-from .errors import NumericError, ValidationError
+from .errors import NumericError, ValidationError, count, real
 from .fd1d import epsilon_sweep, fd_problem_from_model, plan_epsilon_sweep, solve
 from .model import (BaselineModel, BoundaryFunction, EvalPoint, UncertaintySpec,
                     check_boundary, generate_normalized_model, lambda_min, quartic_boundary,
@@ -72,20 +72,9 @@ def load_config(path: str) -> dict:
     return raw
 
 
-def _count(v, name: str) -> int:
-    """An integer config value; integral floats are accepted, nothing else."""
-    if isinstance(v, float) and v.is_integer():
-        v = int(v)
-    if isinstance(v, bool) or not isinstance(v, int):
-        raise ValidationError(f"{name} must be an integer, got {v!r}")
-    return v
-
-
-def _real(v, name: str) -> float:
-    """A real config value: a JSON number, never a string or a bool."""
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ValidationError(f"{name} must be a number, got {v!r}")
-    return float(v)
+def _count(v, name: str, low: int = 1) -> int:
+    """An integer config value >= low; JSON's integral floats such as 2.0 count too."""
+    return count(int(v) if isinstance(v, float) and v.is_integer() else v, name, low)
 
 
 def _array(v, name: str) -> np.ndarray:
@@ -96,7 +85,8 @@ def _array(v, name: str) -> np.ndarray:
         raise ValidationError(f"{name} must be an array of numbers, got {v!r}") from None
 
 
-def _build_model(raw: dict):
+def _build_model(raw: dict, command: str):
+    """The config's model and its kind; dim-sweep builds its own normalized models."""
     spec = raw.get("model")
     if not isinstance(spec, dict):
         raise ValidationError(f"config needs a 'model' object, got {spec!r}")
@@ -104,7 +94,7 @@ def _build_model(raw: dict):
     if kind not in ("explicit", "normalized"):
         raise ValidationError(f"model kind must be 'explicit' or 'normalized', got {kind!r}")
     _expect_keys(spec, _MODEL_KEYS[kind], f"{kind} model")
-    horizon = _real(spec.get("horizon", 1.0), "model.horizon")
+    horizon = real(spec.get("horizon", 1.0), "model.horizon")
     if kind == "explicit":
         for key in ("drift", "vol"):
             if key not in spec:
@@ -112,11 +102,11 @@ def _build_model(raw: dict):
         model = BaselineModel(drift=_array(spec["drift"], "model.drift"),
                               vol=_array(spec["vol"], "model.vol"), horizon=horizon)
     else:
-        if "dim" not in spec:
+        if "dim" not in spec and command != "dim-sweep":
             raise ValidationError("normalized model needs 'dim'")
-        model = generate_normalized_model(_count(spec["dim"], "model.dim"),
-                                          _count(spec.get("seed", 0), "model.seed"),
-                                          horizon=horizon)
+        dim = _count(spec.get("dim", 1), "model.dim")
+        model = None if command == "dim-sweep" else generate_normalized_model(
+            dim, _count(spec.get("seed", 0), "model.seed", low=0), horizon=horizon)
     return model, kind
 
 
@@ -166,22 +156,23 @@ def _make_boundary(kind: str, ref, dim: int) -> BoundaryFunction:
     return _external_boundary(ref, dim)
 
 
-def _build_point(raw: dict, dim: int) -> EvalPoint:
+def _build_point(raw: dict, dim: int | None) -> EvalPoint:
+    """The evaluation point; with dim None (dim-sweep) x may have any length."""
     spec = raw.get("point", {})
     _expect_keys(spec, {"t", "x"}, "point")
-    x = np.atleast_1d(_array(spec.get("x", np.zeros(dim)), "point.x"))
-    if x.shape != (dim,):
+    x = np.atleast_1d(_array(spec.get("x", np.zeros(dim or 1)), "point.x"))
+    if dim is not None and x.shape != (dim,):
         raise ValidationError(f"point.x must be a list of {dim} numbers (the model dim), "
                               f"got {spec['x']!r}")
-    return EvalPoint(t=_real(spec.get("t", 0.0), "point.t"), x=x)
+    return EvalPoint(t=real(spec.get("t", 0.0), "point.t"), x=x)
 
 
 def _build_unc(raw: dict) -> UncertaintySpec:
     spec = raw.get("uncertainty", {})
     _expect_keys(spec, {"gamma", "eta", "epsilon"}, "uncertainty")
-    return UncertaintySpec(gamma=_real(spec.get("gamma", 1.0), "uncertainty.gamma"),
-                           eta=_real(spec.get("eta", 1.0), "uncertainty.eta"),
-                           epsilon=_real(spec.get("epsilon", 0.05), "uncertainty.epsilon"))
+    return UncertaintySpec(gamma=real(spec.get("gamma", 1.0), "uncertainty.gamma"),
+                           eta=real(spec.get("eta", 1.0), "uncertainty.eta"),
+                           epsilon=real(spec.get("epsilon", 0.05), "uncertainty.epsilon"))
 
 
 def _build_mc(raw: dict, seed: int) -> McConfig:
@@ -193,7 +184,7 @@ def _build_mc(raw: dict, seed: int) -> McConfig:
         n_steps=_count(spec.get("n_steps", 100), "mc.n_steps"),
         m0=_count(spec.get("m0", 3_000_000), "mc.m0"),
         m1=_count(spec["m1"], "mc.m1") if "m1" in spec else None,
-        h=None if h is None else _real(h, "mc.h"),
+        h=None if h is None else real(h, "mc.h"),
         seed=seed,
         kernel=spec.get("kernel", "auto"))
 
@@ -203,7 +194,7 @@ def _fd_params(raw: dict) -> dict:
     _expect_keys(spec, {"half_width", "nx", "nt"}, "fd")
     out = {}
     if spec.get("half_width") is not None:
-        out["half_width"] = _real(spec["half_width"], "fd.half_width")
+        out["half_width"] = real(spec["half_width"], "fd.half_width")
     if "nx" in spec:
         out["nx"] = _count(spec["nx"], "fd.nx")
     if spec.get("nt") is not None:
@@ -215,6 +206,8 @@ def config_hash(raw: dict, command: str, seed: int, runs: int, mc: McConfig) -> 
     """Hash of everything that can change a result; seed and runs enter only
     as the values in effect, whether the config or a flag gave them."""
     semantic = {k: v for k, v in raw.items() if k not in ("seed", "runs")}
+    if command == "dim-sweep":    # its models are built at the entries of dims, not model.dim
+        semantic["model"] = {k: v for k, v in raw["model"].items() if k != "dim"}
     semantic["_effective"] = {
         "command": command, "seed": seed, "runs": runs,
         "h": mc.h, "kernel": mc.kernel,
@@ -307,7 +300,7 @@ def _run_eps_sweep(ctx) -> dict:
     _expect_keys(spec, {"epsilons", "approx_source", "anchor"}, "sweep")
     if not isinstance(spec.get("epsilons"), list):
         raise ValidationError("eps-sweep needs a sweep.epsilons list in the config")
-    epsilons = [_real(e, "sweep.epsilons") for e in spec["epsilons"]]
+    epsilons = [real(e, "sweep.epsilons") for e in spec["epsilons"]]
     anchor = spec.get("anchor", "fd")
     source = spec.get("approx_source",
                       "analytic" if ctx["boundary_kind"] in ("quartic", "sine")
@@ -343,8 +336,6 @@ def _run_dim_sweep(ctx) -> dict:
     if not (isinstance(dims, list) and dims):
         raise ValidationError("dim-sweep needs a nonempty 'dims' list in the config")
     dims = [_count(d, "dims") for d in dims]
-    if min(dims) < 1:
-        raise ValidationError(f"every entry of dims must be >= 1, got {min(dims)}")
     if ctx["boundary_kind"] == "quartic":
         raise ValidationError("dim-sweep needs a dimension-parametric boundary "
                               "(sine or external factory)")
@@ -355,8 +346,8 @@ def _run_dim_sweep(ctx) -> dict:
         raise ValidationError("dim-sweep evaluates every dimension at (t, x) = (0, 0); "
                               "drop the point section or set point.t and point.x to 0")
     model_spec = raw.get("model", {})
-    model_seed = _count(model_spec.get("seed", 0), "model.seed")
-    horizon = _real(model_spec.get("horizon", 1.0), "model.horizon")
+    model_seed = _count(model_spec.get("seed", 0), "model.seed", low=0)
+    horizon = real(model_spec.get("horizon", 1.0), "model.horizon")
     rows = []
     for d in dims:
         model = generate_normalized_model(d, model_seed + d, horizon=horizon)
@@ -465,16 +456,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _build_context(args) -> dict:
     raw = load_config(args.config)
-    model, model_kind = _build_model(raw)
+    model, model_kind = _build_model(raw, args.command)
     boundary_kind, boundary_ref = _boundary_spec(raw)
-    boundary = (None if args.command == "dim-sweep"
-                else _make_boundary(boundary_kind, boundary_ref, model.dim))
-    point = _build_point(raw, model.dim)
-    seed = args.seed if args.seed is not None else _count(raw.get("seed", 0), "seed")
+    dim = None if args.command == "dim-sweep" else model.dim   # the sweep sets d per row
+    boundary = None if dim is None else _make_boundary(boundary_kind, boundary_ref, dim)
+    point = _build_point(raw, dim)
+    seed = args.seed if args.seed is not None else _count(raw.get("seed", 0), "seed", low=0)
     mc = _build_mc(raw, seed)
-    runs = args.runs if args.runs is not None else _count(raw.get("runs", 10), "runs")
-    if runs < 1:
-        raise ValidationError(f"runs must be >= 1, got {runs}")
+    runs = _count(args.runs if args.runs is not None else raw.get("runs", 10), "runs")
     return {"raw": raw, "model": model, "model_kind": model_kind,
             "boundary": boundary, "boundary_kind": boundary_kind,
             "boundary_ref": boundary_ref, "point": point,

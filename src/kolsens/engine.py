@@ -56,7 +56,6 @@ node, whose units are done by then.
 """
 
 import math
-import numbers
 import os
 import time
 import warnings
@@ -65,7 +64,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import NumericError, ValidationError
+from .errors import NumericError, ValidationError, count, real
 from .model import (BaselineModel, BoundaryFunction, EvalPoint, UncertaintySpec,
                     validate_expansion_regime)
 from .sampling import TILE, SampleGrid, build_time_grid, draw_samples
@@ -89,29 +88,18 @@ WORKERS_ENV = "KOLSENS_WORKERS"
 def resolve_workers(workers: int | None) -> int:
     """The worker count: the argument, else KOLSENS_WORKERS, else 1."""
     if workers is not None:
-        if isinstance(workers, bool) or not isinstance(workers, numbers.Integral) or workers < 1:
-            raise ValidationError(f"worker count must be an integer >= 1, got {workers!r}")
-        return int(workers)
+        return count(workers, "workers (the worker count)")
     raw = os.environ.get(WORKERS_ENV, "1")
     try:
-        workers = int(raw)
+        raw = int(raw)
     except ValueError:
-        workers = 0
-    if workers < 1:
-        raise ValidationError(f"{WORKERS_ENV} must be an integer >= 1, got {raw!r}")
-    return workers
+        pass    # count refuses the string and names it
+    return count(raw, WORKERS_ENV)
 
 
 def default_bump(point: EvalPoint) -> float:
     """Default FD bump for the Jacobian branch: 1e-3 * max(1, |x|_inf)."""
     return 1e-3 * max(1.0, float(np.max(np.abs(point.x))) if point.x.size else 1.0)
-
-
-def _check_bump(h):
-    """The FD bump h, checked to be a finite real > 0 and not a bool."""
-    if isinstance(h, bool) or not isinstance(h, numbers.Real) or not math.isfinite(h) or h <= 0:
-        raise ValidationError(f"FD bump h must be a real > 0, got {h!r}")
-    return h
 
 
 def predicted_complexity(d: int, n_steps: int, m0: int, m1: int) -> int:
@@ -124,11 +112,8 @@ def predicted_complexity(d: int, n_steps: int, m0: int, m1: int) -> int:
     evaluates each pairwise point once for the node pair (i, N-i) that
     shares it, so it makes about half of the N*M1^2 boundary evaluations.
     """
-    vals = {"d": d, "n_steps": n_steps, "m0": m0, "m1": m1}
-    for name, v in vals.items():
-        if int(v) != v or v < 1:
-            raise ValidationError(f"{name} must be an integer >= 1, got {v}")
-    d, n, m0, m1 = int(d), int(n_steps), int(m0), int(m1)
+    d, n, m0, m1 = (count(v, name) for v, name in
+                    ((d, "d"), (n_steps, "n_steps"), (m0, "m0"), (m1, "m1")))
     return m0 * d + n * m1 * (m1 + 1) * d + n * m1 * (m1 + 1 + d) * d * d
 
 
@@ -327,7 +312,7 @@ def sensitivity_mc(boundary: BoundaryFunction, point: EvalPoint, samples: Sample
     """
     _check_compatible(boundary, point, samples)
     if boundary.hessian is None:
-        h = _check_bump(default_bump(point) if h is None else h)
+        h = real(default_bump(point) if h is None else h, "h", low=0.0, above=True)
     else:
         h = None
 
@@ -447,10 +432,9 @@ def seeded_runs(job, runs: int, base_seed: int) -> list:
     Any single-run failure aborts with the offending seed in the message;
     a ValidationError passes through unchanged (it is a configuration fault).
     """
-    if int(runs) != runs or runs < 1:
-        raise ValidationError(f"runs must be an integer >= 1, got {runs}")
+    runs, base_seed = count(runs, "runs"), count(base_seed, "base_seed", low=0)
     results = []
-    for seed in range(base_seed, base_seed + int(runs)):
+    for seed in range(base_seed, base_seed + runs):
         try:
             results.append(job(seed))
         except ValidationError:
@@ -472,16 +456,13 @@ class McConfig:
     kernel: str = "auto"
 
     def __post_init__(self):
-        for name, low in (("n_steps", 1), ("m0", 1), ("m1", 1), ("seed", 0)):
-            if name == "m1" and self.m1 is None:   # m0 is a checked count by now
-                object.__setattr__(self, "m1", min(30_000, self.m0))
-            v = getattr(self, name)
-            if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or v < low:
-                raise ValidationError(f"{name} must be an integer >= {low}, got {v!r}")
-        if self.m0 < self.m1:
-            raise ValidationError(f"need m0 >= m1, got m0={self.m0}, m1={self.m1}")
+        count(self.n_steps, "n_steps")
+        count(self.seed, "seed", low=0)
+        if self.m1 is None:
+            object.__setattr__(self, "m1", min(30_000, count(self.m0, "m0")))
+        count(self.m0, "m0", low=count(self.m1, "m1"))
         if self.h is not None:
-            _check_bump(self.h)
+            real(self.h, "h", low=0.0, above=True)
         if self.kernel not in ("auto", "generic"):
             raise ValidationError(f"kernel must be one of ('auto', 'generic'), "
                                   f"got {self.kernel!r}")

@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import NumericError, StabilityError, ValidationError
+from .errors import NumericError, StabilityError, ValidationError, count, real
 from .model import BaselineModel, BoundaryFunction, UncertaintySpec
 
 Array = np.ndarray
@@ -55,26 +55,20 @@ class FdProblem1d:
     x_center: float = 0.0
 
     def __post_init__(self):
-        for ok, message in (
-                (np.isfinite(self.vol) and self.vol > 0, f"vol must be > 0, got {self.vol}"),
-                (np.isfinite(self.drift), "drift must be finite"),
-                (0.0 <= self.gamma <= 1.0, f"gamma must lie in [0, 1], got {self.gamma}"),
-                (0.0 <= self.eta <= 1.0, f"eta must lie in [0, 1], got {self.eta}"),
-                (np.isfinite(self.epsilon) and self.epsilon >= 0,
-                 f"epsilon must be >= 0, got {self.epsilon}"),
-                (self.boundary.dim == 1,
-                 f"FD oracle is 1-D only, boundary has dim {self.boundary.dim}"),
-                (np.isfinite(self.horizon) and self.horizon > 0,
-                 f"horizon must be a finite real > 0, got {self.horizon}"),
-                (self.half_width is None or (np.isfinite(self.half_width)
-                                             and self.half_width > 0),
-                 f"half_width must be a finite real > 0, got {self.half_width}"),
-                (int(self.nx) == self.nx and not self.nx < 3,
-                 f"nx must be an integer >= 3, got {self.nx}"),
-                (self.nt is None or (int(self.nt) == self.nt and not self.nt < 1),
-                 f"nt must be an integer >= 1, got {self.nt}")):
-            if not ok:
-                raise ValidationError(message)
+        real(self.drift, "drift")
+        real(self.vol, "vol", low=0.0, above=True)
+        real(self.gamma, "gamma", 0.0, 1.0)
+        real(self.eta, "eta", 0.0, 1.0)
+        real(self.epsilon, "epsilon", low=0.0)
+        real(self.horizon, "horizon", low=0.0, above=True)
+        real(self.x_center, "x_center")
+        if self.half_width is not None:
+            real(self.half_width, "half_width", low=0.0, above=True)
+        count(self.nx, "nx", low=3)
+        if self.nt is not None:
+            count(self.nt, "nt")
+        if self.boundary.dim != 1:
+            raise ValidationError(f"FD oracle is 1-D only, boundary has dim {self.boundary.dim}")
 
     @property
     def sigma_eff(self) -> float:
@@ -266,7 +260,7 @@ def plan_epsilon_sweep(problem: FdProblem1d, epsilons, anchor: str = "fd") -> Sw
     anchor="value" keeps v0. Needs >= 3 strictly increasing positive
     epsilons below min(1, vol), the expansion regime.
     """
-    eps = tuple(float(e) for e in epsilons)
+    eps = tuple(real(e, "epsilons") for e in epsilons)
     if len(eps) < 3:
         raise ValidationError(f"need at least 3 epsilons, got {len(eps)}")
     if any(e <= 0 for e in eps) or any(b <= a for a, b in zip(eps, eps[1:])):
@@ -286,12 +280,11 @@ def plan_epsilon_sweep(problem: FdProblem1d, epsilons, anchor: str = "fd") -> Sw
 def epsilon_sweep(plan: SweepPlan, *, v0: float, sensitivity: float) -> EpsSweepResult:
     """March all rows of the plan in one solve; tabulate |v_fd - (v0 + eps*sens)|
     and fit their log-log slope over the positive errors (NaN below 3)."""
-    if not (math.isfinite(v0) and math.isfinite(sensitivity)):
-        raise ValidationError("v0 and sensitivity must be finite")
+    v0, sensitivity = real(v0, "v0"), real(sensitivity, "sensitivity")
     sol = solve(plan.problem, epsilons=plan.rows)
     fd_vals = [float(np.interp(plan.problem.x_center, sol.grid_x, r)) for r in sol.values]
-    anchor_value = fd_vals.pop(0) if plan.anchor == "fd" else float(v0)
-    approx = [anchor_value + e * float(sensitivity) for e in plan.epsilons]
+    anchor_value = fd_vals.pop(0) if plan.anchor == "fd" else v0
+    approx = [anchor_value + e * sensitivity for e in plan.epsilons]
     errors = [abs(v - a) for v, a in zip(fd_vals, approx)]
     return EpsSweepResult(plan.epsilons, tuple(fd_vals), tuple(approx), tuple(errors),
                           fit_loglog_slope(plan.epsilons, errors), plan.problem.half_width,

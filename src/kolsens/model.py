@@ -20,7 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import GenerationError, ValidationError
+from .errors import GenerationError, ValidationError, count, real
 
 Array = np.ndarray
 
@@ -49,13 +49,12 @@ class BaselineModel:
             raise ValidationError(f"vol must have shape ({d}, {d}), got {vol.shape}")
         if not (np.isfinite(drift).all() and np.isfinite(vol).all()):
             raise ValidationError("model coefficients must be finite")
-        if not (math.isfinite(self.horizon) and self.horizon > 0):
-            raise ValidationError("horizon must be a positive finite real")
+        horizon = real(self.horizon, "horizon", low=0.0, above=True)
         if np.linalg.svd(vol, compute_uv=False)[-1] <= 0.0:
             raise ValidationError("vol must be invertible (singular matrix given)")
         object.__setattr__(self, "drift", drift)
         object.__setattr__(self, "vol", vol)
-        object.__setattr__(self, "horizon", float(self.horizon))
+        object.__setattr__(self, "horizon", horizon)
 
     @property
     def dim(self) -> int:
@@ -76,12 +75,9 @@ class UncertaintySpec:
     epsilon: float
 
     def __post_init__(self):
-        for name in ("gamma", "eta"):
-            v = getattr(self, name)
-            if not (math.isfinite(v) and 0.0 <= v <= 1.0):
-                raise ValidationError(f"{name} must lie in [0, 1], got {v}")
-        if not (math.isfinite(self.epsilon) and self.epsilon >= 0.0):
-            raise ValidationError(f"epsilon must be a finite nonnegative real, got {self.epsilon}")
+        real(self.gamma, "gamma", 0.0, 1.0)
+        real(self.eta, "eta", 0.0, 1.0)
+        real(self.epsilon, "epsilon", low=0.0)
 
 
 @dataclass(frozen=True)
@@ -95,10 +91,8 @@ class EvalPoint:
         x = _as_readonly(np.atleast_1d(self.x))
         if x.ndim != 1 or not np.isfinite(x).all():
             raise ValidationError("x must be a finite 1-d array")
-        if not (math.isfinite(self.t) and self.t >= 0.0):
-            raise ValidationError("t must be a finite real >= 0")
         object.__setattr__(self, "x", x)
-        object.__setattr__(self, "t", float(self.t))
+        object.__setattr__(self, "t", real(self.t, "t", low=0.0))
 
 
 @dataclass(frozen=True)
@@ -166,12 +160,9 @@ class BoundaryFunction:
     name: str = "external"
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise ValidationError("boundary dim must be >= 1")
-        if self.growth_alpha < 1.0:
-            raise ValidationError("growth_alpha must be >= 1")
-        if self.growth_const <= 0.0:
-            raise ValidationError("growth_const must be > 0")
+        count(self.dim, "dim")
+        real(self.growth_alpha, "growth_alpha", low=1.0)
+        real(self.growth_const, "growth_const", low=0.0, above=True)
         if self.ridge is not None and self.ridge.direction.shape != (self.dim,):
             raise ValidationError("ridge direction length must equal boundary dim")
         if self.ridge is not None and (self.ridge.d2 is None) != (self.hessian is None):
@@ -190,7 +181,7 @@ def ridge_boundary(direction, profile, d1, d2=None, *, growth_alpha=1.0,
     d = a.shape[0]
 
     def value(pts):
-        return profile(np.asarray(pts)[..., :] @ a)
+        return profile(np.asarray(pts) @ a)
 
     def gradient(pts):
         s = np.asarray(pts) @ a
@@ -247,8 +238,7 @@ def quartic_boundary() -> BoundaryFunction:
 
 def sine_boundary(dim: int) -> BoundaryFunction:
     """f(x) = sin(x_1 + ... + x_d); all derivative norms stay bounded by d."""
-    if dim < 1:
-        raise ValidationError("dim must be >= 1")
+    dim = count(dim, "dim")
     return ridge_boundary(
         np.ones(dim),
         profile=np.sin,
@@ -336,8 +326,7 @@ def generate_normalized_model(dim: int, seed: int, horizon: float = 1.0) -> Base
     Redraws (up to _MAX_REDRAWS times) until the volatility is comfortably
     invertible: lambda_min > 1e-12 * ||vol||_F.
     """
-    if dim < 1:
-        raise ValidationError("dim must be >= 1")
+    dim, seed = count(dim, "dim"), count(seed, "seed", low=0)
     rng = np.random.default_rng(seed)
     for _ in range(_MAX_REDRAWS):
         b_raw = rng.uniform(0.0, 1.0, dim)

@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, count, real
 from .model import BaselineModel
 
 Array = np.ndarray
@@ -61,19 +61,14 @@ class TimeGrid:
 
 def build_time_grid(t_start: float, t_end: float, n_steps: int) -> TimeGrid:
     """Build the uniform time grid used by the estimators."""
-    if not (np.isfinite(t_start) and np.isfinite(t_end)):
-        raise ValidationError("grid endpoints must be finite")
-    if not t_start < t_end:
-        raise ValidationError(f"need t_start < t_end, got [{t_start}, {t_end}]")
-    if int(n_steps) != n_steps or n_steps < 1:
-        raise ValidationError(f"n_steps must be a positive integer, got {n_steps}")
-    n_steps = int(n_steps)
+    t_start = real(t_start, "t_start")
+    t_end = real(t_end, "t_end", low=t_start, above=True)
+    n_steps = count(n_steps, "n_steps")
     dt = (t_end - t_start) / n_steps
     elapsed = dt * np.arange(n_steps + 1)
     elapsed[-1] = t_end - t_start
     elapsed.setflags(write=False)
-    return TimeGrid(t_start=float(t_start), t_end=float(t_end), n_steps=n_steps,
-                    dt=dt, elapsed=elapsed)
+    return TimeGrid(t_start=t_start, t_end=t_end, n_steps=n_steps, dt=dt, elapsed=elapsed)
 
 
 def _sub_block(d: int) -> int:
@@ -160,10 +155,10 @@ class SampleGrid:
 
     def _check_rows(self, i: int, start: int, stop: int | None) -> int:
         """The checked row range's stop, for node i and rows [start, stop)."""
-        if not 0 <= i <= self.grid.n_steps:
+        if count(i, "node index i", low=0) > self.grid.n_steps:
             raise ValidationError(f"node index {i} outside 0..{self.grid.n_steps}")
-        stop = self.m0 if stop is None else stop
-        if not 0 <= start <= stop <= self.m0:
+        stop = self.m0 if stop is None else count(stop, "row range stop", low=0)
+        if not count(start, "row range start", low=0) <= stop <= self.m0:
             raise ValidationError(f"row range [{start}, {stop}) outside [0, {self.m0}]")
         return stop
 
@@ -187,11 +182,13 @@ class SampleGrid:
         """
         self._check_rows(i, 0, None)
         buf = _buffer(self.model.dim, self.m0)
-        return lambda start, stop: self._tiles(i, start, stop, buf)
+        return lambda start, stop: self._tiles(i, start, self._check_rows(i, start, stop), buf)
 
     def _tiles(self, i: int, start: int, stop: int, buf: Array):
-        """The tiles of rows [start, stop) at node i (see `tiles`), read through buf."""
-        stop = self._check_rows(i, start, stop)
+        """The tiles of rows [start, stop) at node i (see `tiles`), read through buf.
+
+        The caller has checked the range with `_check_rows`.
+        """
         tile, tau = _sub_block(self.model.dim), self.grid.elapsed[i]
         streamed = _read(self.seed, min(max(start, self.m1), stop), stop, buf)
         lo = start
@@ -272,14 +269,11 @@ def draw_samples(model: BaselineModel, grid: TimeGrid, m0: int, m1: int,
     m0, m1 : outer/inner sample counts, m0 >= m1 >= 1.
     seed : nonnegative master seed (the Philox key).
     """
-    if int(m0) != m0 or int(m1) != m1 or m1 < 1 or m0 < m1:
-        raise ValidationError(f"need integer m0 >= m1 >= 1, got m0={m0}, m1={m1}")
-    if int(seed) != seed or seed < 0:
-        raise ValidationError(f"seed must be a nonnegative integer, got {seed}")
+    m1 = count(m1, "m1")
+    m0, seed = count(m0, "m0", low=m1), count(seed, "seed", low=0)
     if grid.t_end != model.horizon:
         raise ValidationError(f"sample grid ends at {grid.t_end}, "
                               f"not at the model horizon {model.horizon}")
-    m0, m1, seed = int(m0), int(m1), int(seed)
     w = np.empty((m1, model.dim))
     for j, rows in _read(seed, 0, m1, _buffer(model.dim, m1)):
         w[j:j + len(rows)] = rows

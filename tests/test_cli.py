@@ -236,6 +236,25 @@ def test_dim_sweep_json_format(tmp_path):
         assert set(row) == set(DIM_SWEEP_HEADER.split(","))
 
 
+def test_dim_sweep_reads_no_model_dim(tmp_path):
+    # dim-sweep builds one model per entry of dims: model.dim may be left out and
+    # is not hashed, and the origin point may have any length
+    with open(_dim_sweep_config(tmp_path), encoding="utf-8") as fh:
+        base = json.load(fh)
+    del base["model"]["dim"]
+    docs = []
+    for model, point in (({}, {}), ({"dim": 1}, {}), ({"dim": 3}, {}),
+                         ({}, {"x": [0.0, 0.0, 0.0]})):
+        doc = {**base, "model": {**base["model"], **model}, "point": point}
+        code, out = _run_json(tmp_path, _write_config(tmp_path, doc), "dim-sweep")
+        assert code == 0
+        docs.append(out)
+    rows = [[{k: v for k, v in row.items() if k != "runtime_mean_seconds"}
+             for row in doc["rows"]] for doc in docs]
+    assert rows[0] == rows[1] == rows[2] == rows[3]
+    assert docs[0]["config_hash"] == docs[1]["config_hash"] == docs[2]["config_hash"]
+
+
 def test_statistics_are_those_of_the_per_seed_reports(tmp_path):
     cfg = _write_config(tmp_path, _quartic_config(seed=7))
     code, doc = _run_json(tmp_path, cfg, "sensitivity", "--runs", "3")

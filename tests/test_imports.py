@@ -1,9 +1,10 @@
-"""Every name a kolsens module imports is used in that module, and every
-private top-level name of the package is read somewhere in it.
+"""Every name a kolsens module imports is used in that module, every private
+top-level name of the package is read somewhere in it, and scalar arguments
+are checked only through `errors.count` and `errors.real`.
 
 No linter ships with the test environment, so these stdlib `ast` checks stand
-in for unused-import and dead-code rules. `__init__` is exempt from the first:
-it imports to re-export.
+in for unused-import, dead-code and no-hand-written-check rules. `__init__` is
+exempt from the first: it imports to re-export.
 """
 
 import ast
@@ -79,3 +80,40 @@ def test_the_check_sees_an_unread_private_name():
                             "class _C:\n    pass\n"),
              "b": ast.parse("import a\nfrom a import _C\nx = _C(), a._B\n_y = 3\n")}
     assert _unread_private_names(trees) == [("a", 3, "_f"), ("b", 4, "_y")]
+
+
+def _hand_written_scalar_checks(tree: ast.Module) -> list:
+    """(line, code) of each `isinstance(..., bool)` call and `int(x) == x` or
+    `int(x) != x` comparison: the hand-written checks `count` and `real` replace."""
+    found = []
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "isinstance" and len(node.args) == 2
+                and any(isinstance(n, ast.Name) and n.id == "bool"
+                        for n in ast.walk(node.args[1]))):
+            found.append((node.lineno, ast.unparse(node)))
+        elif isinstance(node, ast.Compare) and any(isinstance(op, (ast.Eq, ast.NotEq))
+                                                   for op in node.ops):
+            sides = [node.left, *node.comparators]
+            casts = {ast.dump(s.args[0]) for s in sides
+                     if isinstance(s, ast.Call) and isinstance(s.func, ast.Name)
+                     and s.func.id == "int" and len(s.args) == 1}
+            if casts & {ast.dump(s) for s in sides}:
+                found.append((node.lineno, ast.unparse(node)))
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "errors.py"],
+                         ids=lambda p: p.stem)
+def test_scalar_arguments_are_checked_through_errors(path):
+    found = _hand_written_scalar_checks(ast.parse(path.read_text(encoding="utf-8")))
+    assert not found, f"{path.name}: use errors.count/real in place of " + ", ".join(
+        f"{code} (line {line})" for line, code in found)
+
+
+def test_the_check_sees_a_hand_written_scalar_check():
+    tree = ast.parse("isinstance(v, bool)\nisinstance(v, (bool, int))\nint(n) != n\n"
+                     "m == int(m)\nisinstance(v, float)\nint(a) != b\nint(c) < c\n")
+    assert _hand_written_scalar_checks(tree) == [
+        (1, "isinstance(v, bool)"), (2, "isinstance(v, (bool, int))"),
+        (3, "int(n) != n"), (4, "m == int(m)")]
