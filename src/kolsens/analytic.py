@@ -51,7 +51,12 @@ def gauss_abs_expectation(func, zeros, mean: float, std: float, order: int) -> f
     integrated with an `order`-point Gauss-Legendre rule against the normal
     density. A zero `std` collapses to the point mass |func(mean)|.
     """
-    mean, std, order = real(mean, "mean"), real(std, "std", low=0.0), count(order, "order")
+    return _abs_expectation(func, zeros, real(mean, "mean"), real(std, "std", low=0.0),
+                            count(order, "order"))
+
+
+def _abs_expectation(func, zeros, mean: float, std: float, order: int) -> float:
+    """gauss_abs_expectation on arguments already checked, as the quadratures pass them."""
     if std == 0.0:
         return abs(float(func(np.asarray([mean]))[0]))
     lo = mean - _TAIL_SIGMAS * std
@@ -128,7 +133,7 @@ def quartic_sensitivity_quadrature(kind: str, t: float = 0.0, x: float = 0.0,
             return 4.0 * a * (a * a + 3.0 * vol * vol * rem)
         def zeros(lo, hi):
             return [0.0] if lo < 0.0 < hi else []
-        return gauss_abs_expectation(g, zeros, mu0, abs(vol) * math.sqrt(u), _GAUSS_ORDER)
+        return _abs_expectation(g, zeros, mu0, abs(vol) * math.sqrt(u), _GAUSS_ORDER)
 
     return _time_integral(integrand, theta)
 
@@ -169,7 +174,7 @@ def sine_sensitivity_quadrature(horizon: float, dim: int, kind: str) -> float:
     def integrand(u: float) -> float:
         def zeros(lo, hi):
             return _lattice_points(offset, math.pi, lo, hi)
-        expect = gauss_abs_expectation(g, zeros, horizon, math.sqrt(u), _GAUSS_ORDER)
+        expect = _abs_expectation(g, zeros, horizon, math.sqrt(u), _GAUSS_ORDER)
         return math.exp(-0.5 * (horizon - u)) * expect
 
     return math.sqrt(dim) * _time_integral(integrand, horizon)

@@ -2,15 +2,18 @@
 
 One config file describes the experiment (model, boundary, evaluation point,
 uncertainty weights, estimator and FD parameters); the command selects what
-to compute. Every artifact embeds the package version, a hash of the
-semantically meaningful configuration, and the base seed, so a result file
-can always be traced back to an exact, re-runnable setup. Reruns with the
-same config and seed produce byte-identical output except for the wall-clock
-runtime fields.
+to compute. `main` checks the output arguments, builds the context from the
+config, runs the command's entry of `COMMANDS` and writes its document: JSON,
+or for a sweep with --format csv, its table as CSV with a JSON summary beside
+it. Every artifact embeds the package version, a hash of the semantically
+meaningful configuration, and the base seed; reruns with the same config and
+seed produce byte-identical output except for the wall-clock runtime fields.
 
-Exit codes: 0 success; 2 configuration or validation problem (including FD
-stability refusals); 3 numerical failure (NaN/Inf mid-computation); 4
-expansion regime violated with --strict.
+Exit codes: 0 success; 2 configuration, output-argument or validation problem
+(including FD stability refusals and external boundaries that fail to load or
+probe), with the output arguments and the config checked before any estimate;
+3 numerical failure (NaN/Inf mid-computation); 4 expansion regime violated
+with --strict.
 """
 
 import argparse
@@ -20,7 +23,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import asdict, replace
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -35,9 +38,6 @@ from .fd1d import epsilon_sweep, fd_problem_from_model, plan_epsilon_sweep, solv
 from .model import (BaselineModel, BoundaryFunction, EvalPoint, UncertaintySpec,
                     check_boundary, generate_normalized_model, lambda_min, quartic_boundary,
                     sine_boundary, validate_expansion_regime)
-
-COMMANDS = ("value", "sensitivity", "approx", "eps-sweep", "dim-sweep",
-            "fd-solve", "complexity")
 
 EPS_SWEEP_HEADER = "epsilon,v_fd,approx,abs_error"
 DIM_SWEEP_HEADER = ("d,v0_mean,v0_std,sens_drift_mean,sens_drift_std,"
@@ -62,12 +62,10 @@ def load_config(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
-    except FileNotFoundError:
-        raise ValidationError(f"config file not found: {path}") from None
-    except json.JSONDecodeError as exc:
+    except OSError as exc:    # missing, a directory, unreadable
+        raise ValidationError(f"cannot read config file {path}: {exc.strerror or exc}") from None
+    except ValueError as exc:    # invalid UTF-8 or invalid JSON
         raise ValidationError(f"config file {path} is not valid JSON: {exc}") from None
-    if not isinstance(raw, dict):
-        raise ValidationError("config root must be a JSON object")
     _expect_keys(raw, _TOP_KEYS, "config root")
     return raw
 
@@ -86,7 +84,8 @@ def _array(v, name: str) -> np.ndarray:
 
 
 def _build_model(raw: dict, command: str):
-    """The config's model and its kind; dim-sweep builds its own normalized models."""
+    """The config's model and its kind. For dim-sweep a normalized model is the
+    factory d -> the d-dimensional model of generator seed model.seed + d."""
     spec = raw.get("model")
     if not isinstance(spec, dict):
         raise ValidationError(f"config needs a 'model' object, got {spec!r}")
@@ -105,8 +104,10 @@ def _build_model(raw: dict, command: str):
         if "dim" not in spec and command != "dim-sweep":
             raise ValidationError("normalized model needs 'dim'")
         dim = _count(spec.get("dim", 1), "model.dim")
-        model = None if command == "dim-sweep" else generate_normalized_model(
-            dim, _count(spec.get("seed", 0), "model.seed", low=0), horizon=horizon)
+        seed = _count(spec.get("seed", 0), "model.seed", low=0)
+        if command == "dim-sweep":
+            return (lambda d: generate_normalized_model(d, seed + d, horizon=horizon)), kind
+        model = generate_normalized_model(dim, seed, horizon=horizon)
     return model, kind
 
 
@@ -114,15 +115,16 @@ def _external_boundary(ref: str, dim: int) -> BoundaryFunction:
     module_name, _, attr = ref.partition(":")
     if not module_name or not attr:
         raise ValidationError(f"external boundary ref must look like 'module:attr', got {ref!r}")
-    try:
+    try:    # the module's own code: whatever it raises is a fault of the boundary
         obj = getattr(importlib.import_module(module_name), attr)
-    except (ImportError, AttributeError) as exc:
-        raise ValidationError(f"cannot load external boundary {ref!r}: {exc}") from None
-    if callable(obj) and not isinstance(obj, BoundaryFunction):
-        obj = obj(dim)
-    if not isinstance(obj, BoundaryFunction):
+        if callable(obj) and not isinstance(obj, BoundaryFunction):
+            obj = obj(dim)
+        probe = check_boundary(obj) if isinstance(obj, BoundaryFunction) else None
+    except Exception as exc:
+        raise ValidationError(f"cannot load external boundary {ref!r}: "
+                              f"{type(exc).__name__}: {exc}") from None
+    if probe is None:
         raise ValidationError(f"external boundary {ref!r} is not a BoundaryFunction")
-    probe = check_boundary(obj)
     if not probe.ok:
         raise ValidationError(
             f"external boundary {ref!r} failed consistency probes: "
@@ -176,43 +178,30 @@ def _build_unc(raw: dict) -> UncertaintySpec:
 
 
 def _build_mc(raw: dict, seed: int) -> McConfig:
-    """The estimator config; McConfig sets the m1 default and checks every value."""
+    """The estimator config. The mc keys are McConfig's fields but seed; a key
+    left out, or h: null, takes McConfig's default, and McConfig checks every
+    value after the counts and h are read as JSON numbers."""
     spec = raw.get("mc", {})
-    _expect_keys(spec, {"n_steps", "m0", "m1", "h", "kernel"}, "mc")
-    h = spec.get("h")
-    return McConfig(
-        n_steps=_count(spec.get("n_steps", 100), "mc.n_steps"),
-        m0=_count(spec.get("m0", 3_000_000), "mc.m0"),
-        m1=_count(spec["m1"], "mc.m1") if "m1" in spec else None,
-        h=None if h is None else real(h, "mc.h"),
-        seed=seed,
-        kernel=spec.get("kernel", "auto"))
+    _expect_keys(spec, {f.name for f in fields(McConfig)} - {"seed"}, "mc")
+    read = {"n_steps": _count, "m0": _count, "m1": _count, "h": real}
+    return McConfig(**{k: read[k](v, f"mc.{k}") if k in read else v
+                       for k, v in spec.items() if not (k == "h" and v is None)}, seed=seed)
 
 
 def _fd_params(raw: dict) -> dict:
     spec = raw.get("fd", {})
     _expect_keys(spec, {"half_width", "nx", "nt"}, "fd")
-    out = {}
-    if spec.get("half_width") is not None:
-        out["half_width"] = real(spec["half_width"], "fd.half_width")
-    if "nx" in spec:
-        out["nx"] = _count(spec["nx"], "fd.nx")
-    if spec.get("nt") is not None:
-        out["nt"] = _count(spec["nt"], "fd.nt")
-    return out
+    read = {"half_width": real, "nx": _count, "nt": _count}    # null: the default, but for nx
+    return {k: read[k](v, f"fd.{k}") for k, v in spec.items() if v is not None or k == "nx"}
 
 
-def config_hash(raw: dict, command: str, seed: int, runs: int, mc: McConfig) -> str:
-    """Hash of everything that can change a result; seed and runs enter only
-    as the values in effect, whether the config or a flag gave them."""
+def config_hash(raw: dict, command: str, runs: int, mc: McConfig) -> str:
+    """Hash of everything that can change a result; the seed (mc.seed) and runs
+    enter only as the values in effect, whether the config or a flag gave them."""
     semantic = {k: v for k, v in raw.items() if k not in ("seed", "runs")}
     if command == "dim-sweep":    # its models are built at the entries of dims, not model.dim
         semantic["model"] = {k: v for k, v in raw["model"].items() if k != "dim"}
-    semantic["_effective"] = {
-        "command": command, "seed": seed, "runs": runs,
-        "h": mc.h, "kernel": mc.kernel,
-        "n_steps": mc.n_steps, "m0": mc.m0, "m1": mc.m1,
-    }
+    semantic["_effective"] = {**asdict(mc), "command": command, "runs": runs}
     blob = json.dumps(semantic, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
@@ -221,50 +210,65 @@ def config_hash(raw: dict, command: str, seed: int, runs: int, mc: McConfig) -> 
 # per-command runners
 # --------------------------------------------------------------------------
 
-def _report_stats(reports: list) -> dict:
-    return {name: EstimatorStats.of([getattr(r, name) for r in reports])
-            for name in ("v0", "sens_drift", "sens_vol")}
+def _repeat(ctx, model, boundary, point, mc: McConfig, unc: UncertaintySpec) -> tuple:
+    """compute_report at the seeds seed..seed+runs-1: the reports, and the
+    EstimatorStats of their v0, sens_drift and sens_vol."""
+    reports = seeded_runs(
+        lambda seed: compute_report(model, boundary, point, replace(mc, seed=seed), unc=unc),
+        ctx["runs"], ctx["seed"])
+    return reports, {name: EstimatorStats.of([getattr(r, name) for r in reports])
+                     for name in ("v0", "sens_drift", "sens_vol")}
+
+
+def _normalized_at_origin(ctx, what: str) -> None:
+    """Refuse a model that is not normalized or a point that is not (t, x) = (0, 0)."""
+    if ctx["model_kind"] != "normalized":
+        raise ValidationError(f"{what} a normalized model, got model.kind {ctx['model_kind']!r}")
+    if ctx["point"].t != 0.0 or np.any(ctx["point"].x != 0.0):
+        raise ValidationError(f"{what} the point (t, x) = (0, 0); drop the point section")
+
+
+def _fd_problem(ctx, command: str):
+    """The config's 1-D FD problem, which eps-sweep and fd-solve solve at t = 0."""
+    if ctx["point"].t != 0.0:
+        raise ValidationError(f"{command} evaluates at t = 0; set point.t to 0")
+    return fd_problem_from_model(ctx["model"], ctx["boundary"], ctx["unc"],
+                                 x_center=float(ctx["point"].x[0]), **ctx["fd"])
 
 
 def _run_value(ctx) -> dict:
     """v0 alone through compute_report (zero weights, m1 = 1), which picks the kernel."""
     t0 = time.perf_counter()
-    v0_only = UncertaintySpec(gamma=0.0, eta=0.0, epsilon=0.0)
-    reports = seeded_runs(
-        lambda seed: compute_report(ctx["model"], ctx["boundary"], ctx["point"],
-                                    replace(ctx["mc"], m1=1, seed=seed), unc=v0_only),
-        ctx["runs"], ctx["seed"])
-    stats = EstimatorStats.of([r.v0 for r in reports])
+    _, stats = _repeat(ctx, ctx["model"], ctx["boundary"], ctx["point"],
+                       replace(ctx["mc"], m1=1), UncertaintySpec(0.0, 0.0, 0.0))
     return {"seed": ctx["seed"], "d": ctx["model"].dim, "N": ctx["mc"].n_steps,
             "M0": ctx["mc"].m0,
-            "stats": asdict(stats),
+            "stats": asdict(stats["v0"]),
             "runtime_seconds": time.perf_counter() - t0}
 
 
-def _run_sensitivity(ctx, with_regime: bool) -> dict:
-    model, unc = ctx["model"], ctx["unc"]
-    reports = seeded_runs(
-        lambda seed: compute_report(model, ctx["boundary"], ctx["point"],
-                                    replace(ctx["mc"], seed=seed), unc=unc),
-        ctx["runs"], ctx["seed"])
-    stats = _report_stats(reports)
+def _run_sensitivity(ctx) -> dict:
+    unc = ctx["unc"]
+    reports, stats = _repeat(ctx, ctx["model"], ctx["boundary"], ctx["point"], ctx["mc"], unc)
     stats["approx"] = EstimatorStats.of([r.approx(unc.gamma, unc.eta, unc.epsilon)
                                          for r in reports])
     mean = replace(reports[0], v0=stats["v0"].mean, sens_drift=stats["sens_drift"].mean,
                    sens_vol=stats["sens_vol"].mean,
                    runtime_seconds=math.fsum(r.runtime_seconds for r in reports),
                    seed=ctx["seed"])
-    doc = {"report": mean.to_document(unc),
-           "stats": {name: asdict(st) for name, st in stats.items()}}
-    if with_regime:
-        regime = validate_expansion_regime(model, unc)
-        doc["regime"] = {"ok": regime.ok, "epsilon": regime.epsilon,
-                         "bound": regime.bound}
-        if not regime.ok:
-            print(f"warning: epsilon={unc.epsilon} is not below the expansion "
-                  f"bound {regime.bound:.6g}", file=sys.stderr)
-            if ctx["strict"]:
-                doc["_strict_violation"] = True
+    return {"report": mean.to_document(unc),
+            "stats": {name: asdict(st) for name, st in stats.items()}}
+
+
+def _run_approx(ctx) -> dict:
+    """sensitivity plus the expansion-regime check, whose failure --strict makes exit 4."""
+    doc = _run_sensitivity(ctx)
+    unc = ctx["unc"]
+    regime = validate_expansion_regime(ctx["model"], unc)
+    doc["regime"] = {"ok": regime.ok, "epsilon": regime.epsilon, "bound": regime.bound}
+    if not regime.ok:
+        print(f"warning: epsilon={unc.epsilon} is not below the expansion "
+              f"bound {regime.bound:.6g}", file=sys.stderr)
     return doc
 
 
@@ -279,11 +283,7 @@ def _analytic_first_order(ctx) -> tuple:
         sd = quartic_sensitivity_quadrature("drift", t, x, b0, s0, T)
         sv = quartic_sensitivity_quadrature("vol", t, x, b0, s0, T)
     elif kind == "sine":
-        if ctx["model_kind"] != "normalized":
-            raise ValidationError("analytic sine values assume a normalized model; "
-                                  "use approx_source='engine' instead")
-        if ctx["point"].t != 0.0 or np.any(ctx["point"].x != 0.0):
-            raise ValidationError("analytic sine values assume the point (t, x) = (0, 0)")
+        _normalized_at_origin(ctx, "analytic sine values assume")
         d = model.dim
         v0 = sine_v0(T)
         sd = sine_sensitivity_quadrature(T, d, "drift")
@@ -295,8 +295,7 @@ def _analytic_first_order(ctx) -> tuple:
 
 
 def _run_eps_sweep(ctx) -> dict:
-    raw = ctx["raw"]
-    spec = raw.get("sweep", {})
+    spec = ctx["raw"].get("sweep", {})
     _expect_keys(spec, {"epsilons", "approx_source", "anchor"}, "sweep")
     if not isinstance(spec.get("epsilons"), list):
         raise ValidationError("eps-sweep needs a sweep.epsilons list in the config")
@@ -305,12 +304,8 @@ def _run_eps_sweep(ctx) -> dict:
     source = spec.get("approx_source",
                       "analytic" if ctx["boundary_kind"] in ("quartic", "sine")
                       else "engine")
-    if ctx["point"].t != 0.0:
-        raise ValidationError("eps-sweep evaluates at t = 0; set point.t to 0")
-    template = fd_problem_from_model(ctx["model"], ctx["boundary"], ctx["unc"],
-                                     x_center=float(ctx["point"].x[0]), **ctx["fd"])
     # a bad sweep section or an unstable fd.nt exits here, before any estimate
-    plan = plan_epsilon_sweep(template, epsilons, anchor)
+    plan = plan_epsilon_sweep(_fd_problem(ctx, "eps-sweep"), epsilons, anchor)
     if source == "analytic":
         v0, total = _analytic_first_order(ctx)
     elif source == "engine":
@@ -331,34 +326,23 @@ def _run_eps_sweep(ctx) -> dict:
 
 
 def _run_dim_sweep(ctx) -> dict:
-    raw = ctx["raw"]
-    dims = raw.get("dims")
+    dims = ctx["raw"].get("dims")
     if not (isinstance(dims, list) and dims):
         raise ValidationError("dim-sweep needs a nonempty 'dims' list in the config")
     dims = [_count(d, "dims") for d in dims]
     if ctx["boundary_kind"] == "quartic":
         raise ValidationError("dim-sweep needs a dimension-parametric boundary "
                               "(sine or external factory)")
-    if ctx["model_kind"] != "normalized":
-        raise ValidationError("dim-sweep generates a normalized model per entry of 'dims'; "
-                              f"model.kind must be 'normalized', got {ctx['model_kind']!r}")
-    if ctx["point"].t != 0.0 or np.any(ctx["point"].x != 0.0):
-        raise ValidationError("dim-sweep evaluates every dimension at (t, x) = (0, 0); "
-                              "drop the point section or set point.t and point.x to 0")
-    model_spec = raw.get("model", {})
-    model_seed = _count(model_spec.get("seed", 0), "model.seed", low=0)
-    horizon = real(model_spec.get("horizon", 1.0), "model.horizon")
+    _normalized_at_origin(ctx, "dim-sweep assumes")
+    # every boundary is built, and an external one probed, before the first estimate
+    boundaries = {d: _make_boundary(ctx["boundary_kind"], ctx["boundary_ref"], d) for d in dims}
     rows = []
     for d in dims:
-        model = generate_normalized_model(d, model_seed + d, horizon=horizon)
-        boundary = _make_boundary(ctx["boundary_kind"], ctx["boundary_ref"], d)
-        point = EvalPoint(t=0.0, x=np.zeros(d))
-        reports = seeded_runs(
-            lambda seed: compute_report(model, boundary, point,
-                                        replace(ctx["mc"], seed=seed), unc=ctx["unc"]),
-            ctx["runs"], ctx["seed"])
+        model = ctx["model"](d)
+        reports, stats = _repeat(ctx, model, boundaries[d], EvalPoint(t=0.0, x=np.zeros(d)),
+                                 ctx["mc"], ctx["unc"])
         row = {"d": d, "lambda_min": lambda_min(model)}
-        for name, st in _report_stats(reports).items():
+        for name, st in stats.items():
             row[f"{name}_mean"], row[f"{name}_std"] = st.mean, st.std_dev
         row["runtime_mean_seconds"] = EstimatorStats.of([r.runtime_seconds
                                                          for r in reports]).mean
@@ -367,10 +351,7 @@ def _run_dim_sweep(ctx) -> dict:
 
 
 def _run_fd_solve(ctx) -> dict:
-    if ctx["point"].t != 0.0:
-        raise ValidationError("fd-solve evaluates at t = 0; set point.t to 0")
-    problem = fd_problem_from_model(ctx["model"], ctx["boundary"], ctx["unc"],
-                                    x_center=float(ctx["point"].x[0]), **ctx["fd"])
+    problem = _fd_problem(ctx, "fd-solve")
     solution = solve(problem)
     return {"seed": ctx["seed"], "v_fd": solution.at(problem.x_center),
             "x": problem.x_center, "half_width": problem.resolved_half_width(),
@@ -384,18 +365,51 @@ def _run_complexity(ctx) -> dict:
             "d": d, "N": mc.n_steps, "M0": mc.m0, "M1": mc.m1}
 
 
+# command -> (runner, CSV (header, key) or None); with --format csv, doc[key]
+# goes to the CSV and the rest of the document to a JSON summary beside it
+COMMANDS = {
+    "value": (_run_value, None),
+    "sensitivity": (_run_sensitivity, None),
+    "approx": (_run_approx, None),
+    "eps-sweep": (_run_eps_sweep, (EPS_SWEEP_HEADER, "table")),
+    "dim-sweep": (_run_dim_sweep, (DIM_SWEEP_HEADER, "rows")),
+    "fd-solve": (_run_fd_solve, None),
+    "complexity": (_run_complexity, None),
+}
+
+
 # --------------------------------------------------------------------------
-# output formatting
+# output
 # --------------------------------------------------------------------------
+
+def _check_output(args, csv) -> None:
+    """Refuse every fault of the output arguments before the config is read: CSV
+    for a command without a table, a CSV without --out, and a file to write
+    that is the config, lies in a missing directory or is a directory."""
+    if args.format == "csv" and csv is None:
+        raise ValidationError(f"--format csv is not supported for '{args.command}'")
+    if args.out is None:
+        if args.format == "csv":
+            raise ValidationError("--format csv needs --out for sweep commands")
+        return
+    targets = [Path(args.out)]
+    if args.format == "csv":
+        targets.append(targets[0].with_suffix(".json"))
+    for target in targets:
+        if target.resolve() == Path(args.config).resolve():
+            raise ValidationError(f"output path {target} would overwrite the "
+                                  f"config file; choose a different --out")
+        if not target.parent.is_dir():
+            raise ValidationError(f"output directory {target.parent} does not exist")
+        if target.is_dir():
+            raise ValidationError(f"output path {target} is a directory")
+
 
 def _emit(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
     else:
-        Path(out).write_text(text if text.endswith("\n") else text + "\n",
-                             encoding="utf-8")
+        Path(out).write_text(text, encoding="utf-8")
 
 
 def _json_text(doc: dict) -> str:
@@ -404,30 +418,7 @@ def _json_text(doc: dict) -> str:
 
 def _csv_text(header: str, rows: list) -> str:
     cols = header.split(",")
-    lines = [header]
-    for row in rows:
-        lines.append(",".join(repr(row[c]) if isinstance(row[c], float)
-                              else str(row[c]) for c in cols))
-    return "\n".join(lines) + "\n"
-
-
-def _guard_output_path(target: Path, config_path: str) -> None:
-    if target.resolve() == Path(config_path).resolve():
-        raise ValidationError(f"output path {target} would overwrite the "
-                              f"config file; choose a different --out")
-
-
-def _write_sweep_csv(doc: dict, header: str, key: str, out: str | None,
-                     config_path: str) -> None:
-    """doc[key] goes to the CSV, the rest of doc to a JSON summary beside it."""
-    if out is None:
-        raise ValidationError("--format csv needs --out for sweep commands")
-    summary_path = Path(out).with_suffix(".json")
-    _guard_output_path(Path(out), config_path)
-    _guard_output_path(summary_path, config_path)
-    _emit(_csv_text(header, doc[key]), out)
-    summary = {k: v for k, v in doc.items() if k != key}
-    _emit(_json_text(summary), str(summary_path))
+    return "\n".join([header] + [",".join(str(row[c]) for c in cols) for row in rows]) + "\n"
 
 
 # --------------------------------------------------------------------------
@@ -468,44 +459,26 @@ def _build_context(args) -> dict:
             "boundary": boundary, "boundary_kind": boundary_kind,
             "boundary_ref": boundary_ref, "point": point,
             "unc": _build_unc(raw), "mc": mc, "fd": _fd_params(raw),
-            "seed": seed, "runs": runs, "strict": args.strict}
+            "seed": seed, "runs": runs}
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    run, csv = COMMANDS[args.command]
     try:
+        _check_output(args, csv)
         ctx = _build_context(args)
-        runner = {
-            "value": lambda: _run_value(ctx),
-            "sensitivity": lambda: _run_sensitivity(ctx, with_regime=False),
-            "approx": lambda: _run_sensitivity(ctx, with_regime=True),
-            "eps-sweep": lambda: _run_eps_sweep(ctx),
-            "dim-sweep": lambda: _run_dim_sweep(ctx),
-            "fd-solve": lambda: _run_fd_solve(ctx),
-            "complexity": lambda: _run_complexity(ctx),
-        }[args.command]
-        payload = runner()
-        strict_violation = payload.pop("_strict_violation", False)
         doc = {"version": __version__,
-               "config_hash": config_hash(ctx["raw"], args.command, ctx["seed"],
-                                          ctx["runs"], ctx["mc"]),
-               "command": args.command}
-        doc.update(payload)
+               "config_hash": config_hash(ctx["raw"], args.command, ctx["runs"], ctx["mc"]),
+               "command": args.command, **run(ctx)}
         if args.format == "csv":
-            if args.command == "eps-sweep":
-                _write_sweep_csv(doc, EPS_SWEEP_HEADER, "table", args.out, args.config)
-            elif args.command == "dim-sweep":
-                _write_sweep_csv(doc, DIM_SWEEP_HEADER, "rows", args.out, args.config)
-            else:
-                raise ValidationError(f"--format csv is not supported for "
-                                      f"'{args.command}'")
+            header, key = csv
+            _emit(_csv_text(header, doc[key]), args.out)
+            _emit(_json_text({k: v for k, v in doc.items() if k != key}),
+                  str(Path(args.out).with_suffix(".json")))
         else:
-            if args.out is not None:
-                _guard_output_path(Path(args.out), args.config)
             _emit(_json_text(doc), args.out)
-        if strict_violation:
-            return 4
-        return 0
+        return 4 if args.strict and not doc.get("regime", {"ok": True})["ok"] else 0
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -593,3 +593,80 @@ def test_numeric_failure_exit_code(tmp_path, monkeypatch, capsys):
     with np.errstate(over="ignore", invalid="ignore"):
         assert main(["--config", cfg, "--command", "fd-solve"]) == 3
     assert capsys.readouterr().err.startswith("numerical failure:")
+
+
+@pytest.mark.parametrize("command, flags, key", [
+    ("dim-sweep", ["--format", "csv"], "needs --out"),
+    ("value", ["--format", "csv", "--out", "{tmp}/v.csv"], "not supported"),
+    ("sensitivity", ["--out", "{config}"], "overwrite"),
+    ("dim-sweep", ["--format", "csv", "--out", "{tmp}/dims.csv"], "overwrite"),
+    ("sensitivity", ["--out", "{tmp}/missing/out.json"], "does not exist"),
+    ("eps-sweep", ["--format", "csv", "--out", "{tmp}/missing/sweep.csv"], "does not exist"),
+    ("sensitivity", ["--out", "{tmp}"], "is a directory"),
+    ("eps-sweep", ["--format", "csv", "--out", "{tmp}/taken/x.csv"], "is a directory")])
+def test_output_faults_exit_2_before_the_config_is_read(tmp_path, monkeypatch, capsys,
+                                                        command, flags, key):
+    # dims.json is the config, so dims.csv's sibling summary would overwrite it;
+    # taken/x.json is a directory, so the summary beside taken/x.csv cannot be written
+    cfg = _write_config(tmp_path, _quartic_config(
+        boundary="sine", model={"kind": "normalized", "dim": 1}, dims=[1, 2],
+        sweep=_SWEEP, fd={"nx": 201}), name="dims.json")
+    (tmp_path / "taken" / "x.json").mkdir(parents=True)
+    monkeypatch.setattr(cli, "load_config", _fail_if_called("load_config"))
+    monkeypatch.setattr(cli, "compute_report", _fail_if_called("compute_report"))
+    monkeypatch.setattr(cli, "_analytic_first_order", _fail_if_called("quadrature"))
+    flags = [f.format(tmp=tmp_path, config=cfg) for f in flags]
+    assert main(["--config", cfg, "--command", command, *flags]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and key in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["dims.json", "taken"]
+
+
+@pytest.mark.parametrize("make", [lambda p: p.mkdir(),
+                                  lambda p: p.write_bytes(b'{"model": "\xff\xfe"}')],
+                         ids=["directory", "invalid-utf8"])
+def test_unreadable_config_exits_2_naming_it(tmp_path, capsys, make):
+    path = tmp_path / "run.json"
+    make(path)
+    assert main(["--config", str(path), "--command", "value"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(path) in err
+
+
+@pytest.mark.parametrize("module, body, raised", [
+    ("raising_factory", "raise TypeError('no dims here')", "TypeError: no dims here"),
+    ("raising_probe",
+     "return BoundaryFunction(dim=dim, value=lambda p: np.sum(p, axis=-1),\n"
+     "                            gradient=lambda p: 1 / 0, growth_alpha=1.0)",
+     "ZeroDivisionError: division by zero")], ids=["factory", "probe"])
+def test_external_boundary_that_raises_exits_2(tmp_path, monkeypatch, capsys, module, body,
+                                               raised):
+    (tmp_path / f"{module}.py").write_text(
+        "import numpy as np\nfrom kolsens import BoundaryFunction\n\n"
+        f"def broken(dim):\n    {body}\n", encoding="utf-8")
+    monkeypatch.syspath_prepend(str(tmp_path))
+    cfg = _write_config(tmp_path, _quartic_config(
+        boundary={"kind": "external", "ref": f"{module}:broken"}))
+    assert main(["--config", cfg, "--command", "value"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and f"{module}:broken" in err and raised in err
+
+
+def test_dim_sweep_probes_every_boundary_before_the_first_estimate(tmp_path, monkeypatch,
+                                                                   capsys):
+    (tmp_path / "capped_bnd.py").write_text(textwrap.dedent("""
+        from kolsens import sine_boundary
+
+        def capped(dim):
+            if dim > 1:
+                raise ValueError(f"no dimension {dim}")
+            return sine_boundary(dim)
+    """), encoding="utf-8")
+    monkeypatch.syspath_prepend(str(tmp_path))
+    monkeypatch.setattr(cli, "compute_report", _fail_if_called("compute_report"))
+    cfg = _write_config(tmp_path, _quartic_config(
+        boundary={"kind": "external", "ref": "capped_bnd:capped"},
+        model={"kind": "normalized"}, dims=[1, 2]))
+    assert main(["--config", cfg, "--command", "dim-sweep"]) == 2
+    err = capsys.readouterr().err
+    assert "capped_bnd:capped" in err and "ValueError: no dimension 2" in err
