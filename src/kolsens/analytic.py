@@ -22,7 +22,7 @@ from functools import lru_cache
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .errors import ValidationError, count, real
+from .errors import choice, count, real
 
 _TAIL_SIGMAS = 13.0
 _PANEL_ORDER = 8     # Gauss-Legendre order inside each time panel
@@ -122,10 +122,8 @@ def quartic_sensitivity_quadrature(kind: str, t: float = 0.0, x: float = 0.0,
                         ((t, "t"), (x, "x"), (drift, "drift"), (vol, "vol")))
     theta = real(horizon, "horizon", low=t, above=True) - t
     mu0 = x + drift * theta
-    if kind == "vol":
+    if choice(kind, "kind", ("drift", "vol")) == "vol":
         return 12.0 * abs(vol) * theta * (mu0 ** 2 + vol ** 2 * theta)
-    if kind != "drift":
-        raise ValidationError(f"kind must be 'drift' or 'vol', got {kind!r}")
 
     def integrand(u: float) -> float:
         rem = theta - u
@@ -164,12 +162,10 @@ def sine_sensitivity_quadrature(horizon: float, dim: int, kind: str) -> float:
     the sqrt(dim) factor multiplies the same scalar integral bit-for-bit.
     """
     horizon, dim = real(horizon, "horizon", low=0.0, above=True), count(dim, "dim")
-    if kind == "drift":
+    if choice(kind, "kind", ("drift", "vol")) == "drift":
         g, offset = np.cos, 0.5 * math.pi
-    elif kind == "vol":
-        g, offset = np.sin, 0.0
     else:
-        raise ValidationError(f"kind must be 'drift' or 'vol', got {kind!r}")
+        g, offset = np.sin, 0.0
 
     def integrand(u: float) -> float:
         def zeros(lo, hi):

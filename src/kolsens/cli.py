@@ -33,7 +33,7 @@ from .analytic import (quartic_sensitivity_quadrature, quartic_v0, sine_sensitiv
                        sine_v0)
 from .engine import (EstimatorStats, McConfig, compute_report, predicted_complexity,
                      seeded_runs)
-from .errors import NumericError, ValidationError, count, real
+from .errors import NumericError, ValidationError, array, choice, count, real
 from .fd1d import epsilon_sweep, fd_problem_from_model, plan_epsilon_sweep, solve
 from .model import (BaselineModel, BoundaryFunction, EvalPoint, UncertaintySpec,
                     check_boundary, generate_normalized_model, lambda_min, quartic_boundary,
@@ -75,31 +75,21 @@ def _count(v, name: str, low: int = 1) -> int:
     return count(int(v) if isinstance(v, float) and v.is_integer() else v, name, low)
 
 
-def _array(v, name: str) -> np.ndarray:
-    """A (nested) list of numbers as a float array."""
-    try:
-        return np.asarray(v, dtype=float)
-    except (TypeError, ValueError):
-        raise ValidationError(f"{name} must be an array of numbers, got {v!r}") from None
-
-
 def _build_model(raw: dict, command: str):
     """The config's model and its kind. For dim-sweep a normalized model is the
     factory d -> the d-dimensional model of generator seed model.seed + d."""
     spec = raw.get("model")
     if not isinstance(spec, dict):
         raise ValidationError(f"config needs a 'model' object, got {spec!r}")
-    kind = spec.get("kind", "normalized" if "dim" in spec else "explicit")
-    if kind not in ("explicit", "normalized"):
-        raise ValidationError(f"model kind must be 'explicit' or 'normalized', got {kind!r}")
+    kind = choice(spec.get("kind", "normalized" if "dim" in spec else "explicit"),
+                  "model.kind", tuple(_MODEL_KEYS))
     _expect_keys(spec, _MODEL_KEYS[kind], f"{kind} model")
     horizon = real(spec.get("horizon", 1.0), "model.horizon")
     if kind == "explicit":
         for key in ("drift", "vol"):
             if key not in spec:
                 raise ValidationError(f"explicit model needs '{key}'")
-        model = BaselineModel(drift=_array(spec["drift"], "model.drift"),
-                              vol=_array(spec["vol"], "model.vol"), horizon=horizon)
+        model = BaselineModel(drift=spec["drift"], vol=spec["vol"], horizon=horizon)
     else:
         if "dim" not in spec and command != "dim-sweep":
             raise ValidationError("normalized model needs 'dim'")
@@ -140,9 +130,7 @@ def _boundary_spec(raw: dict):
     if isinstance(spec, str):
         spec = {"kind": spec}
     _expect_keys(spec, {"kind", "ref"}, "boundary")
-    kind = spec.get("kind")
-    if kind not in ("quartic", "sine", "external"):
-        raise ValidationError(f"boundary kind must be quartic/sine/external, got {kind!r}")
+    kind = choice(spec.get("kind"), "boundary.kind", ("quartic", "sine", "external"))
     if kind == "external" and "ref" not in spec:
         raise ValidationError("external boundary needs a 'ref' of the form 'module:attr'")
     return kind, spec.get("ref")
@@ -162,10 +150,8 @@ def _build_point(raw: dict, dim: int | None) -> EvalPoint:
     """The evaluation point; with dim None (dim-sweep) x may have any length."""
     spec = raw.get("point", {})
     _expect_keys(spec, {"t", "x"}, "point")
-    x = np.atleast_1d(_array(spec.get("x", np.zeros(dim or 1)), "point.x"))
-    if dim is not None and x.shape != (dim,):
-        raise ValidationError(f"point.x must be a list of {dim} numbers (the model dim), "
-                              f"got {spec['x']!r}")
+    x = spec.get("x", [0.0] * (dim or 1))
+    x = array([x] if isinstance(x, (int, float)) else x, "point.x", (dim,))  # a number is promoted
     return EvalPoint(t=real(spec.get("t", 0.0), "point.t"), x=x)
 
 
@@ -297,24 +283,20 @@ def _analytic_first_order(ctx) -> tuple:
 def _run_eps_sweep(ctx) -> dict:
     spec = ctx["raw"].get("sweep", {})
     _expect_keys(spec, {"epsilons", "approx_source", "anchor"}, "sweep")
-    if not isinstance(spec.get("epsilons"), list):
-        raise ValidationError("eps-sweep needs a sweep.epsilons list in the config")
-    epsilons = [real(e, "sweep.epsilons") for e in spec["epsilons"]]
+    epsilons = array(spec.get("epsilons"), "sweep.epsilons", (None,))
     anchor = spec.get("anchor", "fd")
-    source = spec.get("approx_source",
-                      "analytic" if ctx["boundary_kind"] in ("quartic", "sine")
-                      else "engine")
+    default = "analytic" if ctx["boundary_kind"] in ("quartic", "sine") else "engine"
+    source = choice(spec.get("approx_source", default), "sweep.approx_source",
+                    ("analytic", "engine"))
     # a bad sweep section or an unstable fd.nt exits here, before any estimate
     plan = plan_epsilon_sweep(_fd_problem(ctx, "eps-sweep"), epsilons, anchor)
     if source == "analytic":
         v0, total = _analytic_first_order(ctx)
-    elif source == "engine":
+    else:
         report = compute_report(ctx["model"], ctx["boundary"], ctx["point"],
                                 ctx["mc"], unc=ctx["unc"])
         v0 = report.v0
         total = report.sens_total(ctx["unc"].gamma, ctx["unc"].eta)
-    else:
-        raise ValidationError(f"approx_source must be 'analytic' or 'engine', got {source!r}")
     result = epsilon_sweep(plan, v0=float(v0), sensitivity=float(total))
     return {"seed": ctx["seed"], "approx_source": source, "anchor": anchor,
             "anchor_value": float(result.anchor_value), "slope": result.slope,
@@ -326,10 +308,7 @@ def _run_eps_sweep(ctx) -> dict:
 
 
 def _run_dim_sweep(ctx) -> dict:
-    dims = ctx["raw"].get("dims")
-    if not (isinstance(dims, list) and dims):
-        raise ValidationError("dim-sweep needs a nonempty 'dims' list in the config")
-    dims = [_count(d, "dims") for d in dims]
+    dims = [_count(d, "dims") for d in array(ctx["raw"].get("dims"), "dims", (None,)).tolist()]
     if ctx["boundary_kind"] == "quartic":
         raise ValidationError("dim-sweep needs a dimension-parametric boundary "
                               "(sine or external factory)")

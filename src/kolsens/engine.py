@@ -64,7 +64,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import NumericError, ValidationError, count, real
+from .errors import NumericError, ValidationError, array, choice, count, real
 from .model import (BaselineModel, BoundaryFunction, EvalPoint, UncertaintySpec,
                     validate_expansion_regime)
 from .sampling import TILE, SampleGrid, build_time_grid, draw_samples
@@ -99,7 +99,7 @@ def resolve_workers(workers: int | None) -> int:
 
 def default_bump(point: EvalPoint) -> float:
     """Default FD bump for the Jacobian branch: 1e-3 * max(1, |x|_inf)."""
-    return 1e-3 * max(1.0, float(np.max(np.abs(point.x))) if point.x.size else 1.0)
+    return 1e-3 * max(1.0, float(np.max(np.abs(point.x))))
 
 
 def predicted_complexity(d: int, n_steps: int, m0: int, m1: int) -> int:
@@ -421,7 +421,7 @@ class EstimatorStats:
     @classmethod
     def of(cls, values) -> "EstimatorStats":
         """Statistics of per-run values; std_dev uses ddof=1 and is NaN for one run."""
-        arr = np.asarray(values, dtype=float)
+        arr = array(values, "values", (None,))
         std = float(np.std(arr, ddof=1)) if arr.size > 1 else float("nan")
         return cls(runs=int(arr.size), mean=float(np.mean(arr)), std_dev=std)
 
@@ -463,9 +463,7 @@ class McConfig:
         count(self.m0, "m0", low=count(self.m1, "m1"))
         if self.h is not None:
             real(self.h, "h", low=0.0, above=True)
-        if self.kernel not in ("auto", "generic"):
-            raise ValidationError(f"kernel must be one of ('auto', 'generic'), "
-                                  f"got {self.kernel!r}")
+        choice(self.kernel, "kernel", ("auto", "generic"))
 
 
 def compute_report(model: BaselineModel, boundary: BoundaryFunction, point: EvalPoint,

@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import NumericError, StabilityError, ValidationError, count, real
+from .errors import NumericError, StabilityError, ValidationError, array, choice, count, real
 from .model import BaselineModel, BoundaryFunction, UncertaintySpec
 
 Array = np.ndarray
@@ -121,6 +121,7 @@ class FdSolution1d:
         if self.values.ndim != 1:
             raise ValidationError(f"at(x) reads a single solve; this solution holds "
                                   f"{len(self.values)} rows, interpolate one with np.interp")
+        x = real(x, "x")
         if not (self.grid_x[0] <= x <= self.grid_x[-1]):
             raise ValidationError(f"x={x} outside the grid [{self.grid_x[0]}, {self.grid_x[-1]}]")
         return float(np.interp(x, self.grid_x, self.values))
@@ -146,10 +147,8 @@ def _terminal_row(problem: FdProblem1d, grid_x: Array) -> Array:
 
 def _discretize(problem: FdProblem1d, epsilons) -> tuple:
     """Rows, grid, dx and the nt any row needs, or problem.nt if every row is stable."""
-    rows = ([problem] if epsilons is None
-            else [replace(problem, epsilon=float(e)) for e in epsilons])
-    if not rows:
-        raise ValidationError("epsilons must not be empty")
+    rows = ([problem] if epsilons is None else
+            [replace(problem, epsilon=e) for e in array(epsilons, "epsilons", (None,)).tolist()])
     half = problem.resolved_half_width()
     grid_x = np.linspace(problem.x_center - half, problem.x_center + half, problem.nx)
     dx = float(grid_x[1] - grid_x[0])
@@ -220,7 +219,8 @@ def solve(problem: FdProblem1d, epsilons=None) -> FdSolution1d:
 
 def fit_loglog_slope(xs, ys) -> float:
     """Least-squares slope of log(ys) against log(xs); NaN under 3 usable points."""
-    xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
+    xs = array(xs, "xs", (None,))
+    ys = array(ys, "ys", xs.shape)
     keep = (xs > 0) & (ys > 0)
     if int(np.sum(keep)) < 3:
         return float("nan")
@@ -260,7 +260,7 @@ def plan_epsilon_sweep(problem: FdProblem1d, epsilons, anchor: str = "fd") -> Sw
     anchor="value" keeps v0. Needs >= 3 strictly increasing positive
     epsilons below min(1, vol), the expansion regime.
     """
-    eps = tuple(real(e, "epsilons") for e in epsilons)
+    eps = tuple(array(epsilons, "epsilons", (None,)).tolist())
     if len(eps) < 3:
         raise ValidationError(f"need at least 3 epsilons, got {len(eps)}")
     if any(e <= 0 for e in eps) or any(b <= a for a, b in zip(eps, eps[1:])):
@@ -268,8 +268,7 @@ def plan_epsilon_sweep(problem: FdProblem1d, epsilons, anchor: str = "fd") -> Sw
     bound = min(1.0, problem.vol)
     if eps[-1] >= bound:
         raise ValidationError(f"epsilon {eps[-1]} is outside the expansion regime (< {bound})")
-    if anchor not in ("fd", "value"):
-        raise ValidationError(f"anchor must be 'fd' or 'value', got {anchor!r}")
+    choice(anchor, "anchor", ("fd", "value"))
     grid = replace(problem, half_width=replace(problem, epsilon=eps[-1]).resolved_half_width())
     rows = ((0.0,) if anchor == "fd" else ()) + eps
     _, grid_x, _, nt = _discretize(grid, rows)

@@ -20,15 +20,9 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import GenerationError, ValidationError, count, real
+from .errors import GenerationError, ValidationError, array, count, real
 
 Array = np.ndarray
-
-
-def _as_readonly(a, dtype=np.float64) -> Array:
-    out = np.array(a, dtype=dtype)
-    out.setflags(write=False)
-    return out
 
 
 @dataclass(frozen=True)
@@ -40,15 +34,8 @@ class BaselineModel:
     horizon: float = 1.0
 
     def __post_init__(self):
-        drift = _as_readonly(self.drift)
-        vol = _as_readonly(self.vol)
-        if drift.ndim != 1:
-            raise ValidationError("drift must be a 1-d array")
-        d = drift.shape[0]
-        if vol.shape != (d, d):
-            raise ValidationError(f"vol must have shape ({d}, {d}), got {vol.shape}")
-        if not (np.isfinite(drift).all() and np.isfinite(vol).all()):
-            raise ValidationError("model coefficients must be finite")
+        drift = array(self.drift, "drift", (None,))
+        vol = array(self.vol, "vol", (len(drift), len(drift)))
         horizon = real(self.horizon, "horizon", low=0.0, above=True)
         if np.linalg.svd(vol, compute_uv=False)[-1] <= 0.0:
             raise ValidationError("vol must be invertible (singular matrix given)")
@@ -88,10 +75,9 @@ class EvalPoint:
     x: Array
 
     def __post_init__(self):
-        x = _as_readonly(np.atleast_1d(self.x))
-        if x.ndim != 1 or not np.isfinite(x).all():
-            raise ValidationError("x must be a finite 1-d array")
-        object.__setattr__(self, "x", x)
+        # a scalar is promoted; np.atleast_1d would coerce a list's mixed elements
+        x = self.x if isinstance(self.x, (list, tuple)) else np.atleast_1d(self.x)
+        object.__setattr__(self, "x", array(x, "x", (None,)))
         object.__setattr__(self, "t", real(self.t, "t", low=0.0))
 
 
@@ -131,10 +117,7 @@ class RidgeProfile:
     d2: Callable[[Array], Array] | None = None
 
     def __post_init__(self):
-        a = _as_readonly(np.atleast_1d(self.direction))
-        if a.ndim != 1 or not np.isfinite(a).all():
-            raise ValidationError("ridge direction must be a finite 1-d array")
-        object.__setattr__(self, "direction", a)
+        object.__setattr__(self, "direction", array(self.direction, "direction", (None,)))
 
 
 @dataclass(frozen=True)

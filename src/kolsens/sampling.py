@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ValidationError, count, real
+from .errors import ValidationError, array, count, real
 from .model import BaselineModel
 
 Array = np.ndarray
@@ -162,13 +162,6 @@ class SampleGrid:
             raise ValidationError(f"row range [{start}, {stop}) outside [0, {self.m0}]")
         return stop
 
-    def _vector(self, v, name: str) -> Array:
-        v = np.asarray(v, dtype=float)
-        if v.shape != (self.model.dim,) or not np.isfinite(v).all():
-            raise ValidationError(f"{name} must be a finite vector of length "
-                                  f"{self.model.dim}, got shape {v.shape}")
-        return v
-
     def tiles(self, i: int):
         """The reader `read(start, stop)` of node i's displacement samples, one tile at a time.
 
@@ -233,12 +226,13 @@ class SampleGrid:
         `direction` and `x` must be finite vectors of length d.
         """
         self._check_rows(i, 0, None)
-        a, x = self._vector(direction, "direction"), self._vector(x, "x")
+        d = self.model.dim
+        a, x = array(direction, "direction", (d,)), array(x, "x", (d,))
         tau = self.grid.elapsed[i]
         sig_a = np.einsum("lk,l->k", self.model.vol, a, optimize=False)
         shift_b = tau * np.einsum("k,k->", a, self.model.drift, optimize=False)
         shift_x = np.einsum("k,k->", a, x, optimize=False)
-        buf = _buffer(len(a), self.m0)
+        buf = _buffer(d, self.m0)
         out = np.empty(len(buf))
 
         def project(start: int, stop: int):

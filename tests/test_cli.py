@@ -447,7 +447,13 @@ def test_external_ridge_that_disagrees_with_its_evaluators_exits_2(tmp_path, mon
     {"model": {"kind": "normalized", "dim": 1, "vol": [[1.0]]}},
     {"model": {"kind": "explicit", "drift": [1.0], "vol": [[1.0]], "dim": 1}},
     {"model": {"kind": "explicit", "drift": [1.0], "vol": [[1.0]], "seed": 3}},
-    ({"fd": {"half_width": float("nan")}}, "fd-solve")])
+    ({"fd": {"half_width": float("nan")}}, "fd-solve"),
+    {"model": {"vol": [[1.0]], "drift": [True]}}, {"model": {"drift": [1.0], "vol": [["2"]]}},
+    {"point": {"x": [False]}}, {"point": {"x": "0.5"}},
+    {"model": {"drift": [1.0], "vol": [[1.0]], "kind": True}}, {"boundary": "bogus"},
+    ({"boundary": "sine", "model": {"kind": "normalized", "dim": 1}, "dims": [1, True]},
+     "dim-sweep"),
+    ({"sweep": {"epsilons": [0.02, [0.04], 0.06]}}, "eps-sweep")])
 def test_invalid_mc_section_exits_2(tmp_path, capsys, mc):
     # mc: a malformed value patched into sections or the root of the config,
     # optionally paired with the command to run (default: sensitivity); the
@@ -490,7 +496,9 @@ _SWEEP = {"epsilons": [0.02, 0.04, 0.06]}
     ("eps-sweep", {"boundary": "sine", "model": {"kind": "normalized", "dim": 1},
                    "sweep": _SWEEP}, "not convex"),
     ("dim-sweep", {"boundary": "sine", "dims": [3, 0],
-                   "model": {"kind": "normalized", "dim": 1}}, "dims")])
+                   "model": {"kind": "normalized", "dim": 1}}, "dims"),
+    ("eps-sweep", {"sweep": {**_SWEEP, "approx_source": "bogus"}, "fd": {"nt": 3}},
+     "approx_source")])
 def test_config_faults_exit_2_before_the_monte_carlo_stage(tmp_path, monkeypatch, capsys,
                                                            command, patch, key):
     monkeypatch.setattr(cli, "compute_report", _fail_if_called("compute_report"))

@@ -1,6 +1,7 @@
 """Every name a kolsens module imports is used in that module, every private
-top-level name of the package is read somewhere in it, and scalar arguments
-are checked only through `errors.count` and `errors.real`.
+top-level name of the package is read somewhere in it, scalar arguments are
+checked only through `errors.count` and `errors.real`, and arrays and names
+only through `errors.array` and `errors.choice`.
 
 No linter ships with the test environment, so these stdlib `ast` checks stand
 in for unused-import, dead-code and no-hand-written-check rules. `__init__` is
@@ -117,3 +118,54 @@ def test_the_check_sees_a_hand_written_scalar_check():
     assert _hand_written_scalar_checks(tree) == [
         (1, "isinstance(v, bool)"), (2, "isinstance(v, (bool, int))"),
         (3, "int(n) != n"), (4, "m == int(m)")]
+
+
+def _raises_validation_error(body: list) -> bool:
+    """Whether `body` raises ValidationError, called or bare, at any depth."""
+    raised = [getattr(n.exc, "func", n.exc) for stmt in body for n in ast.walk(stmt)
+              if isinstance(n, ast.Raise) and n.exc is not None]
+    return any(isinstance(e, ast.Name) and e.id == "ValidationError" for e in raised)
+
+
+def _hand_written_array_and_name_checks(tree: ast.Module) -> list:
+    """(line, test) of each `if` whose body raises ValidationError and whose test
+    calls `isfinite` or is `v not in (two or more constants)`: the checks
+    `array` and `choice` replace."""
+    found = []
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.If) and _raises_validation_error(node.body)):
+            continue
+        for part in ast.walk(node.test):
+            finite = (isinstance(part, ast.Call) and "isfinite" in
+                      (getattr(part.func, "id", None), getattr(part.func, "attr", None)))
+            among = (isinstance(part, ast.Compare)
+                     and any(isinstance(op, ast.NotIn) for op in part.ops)
+                     and any(isinstance(c, (ast.Tuple, ast.List, ast.Set)) and len(c.elts) > 1
+                             and all(isinstance(e, ast.Constant) for e in c.elts)
+                             for c in part.comparators))
+            if finite or among:
+                found.append((node.lineno, ast.unparse(node.test)))
+                break
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "errors.py"],
+                         ids=lambda p: p.stem)
+def test_array_and_name_arguments_are_checked_through_errors(path):
+    found = _hand_written_array_and_name_checks(ast.parse(path.read_text(encoding="utf-8")))
+    assert not found, f"{path.name}: use errors.array/choice in place of " + ", ".join(
+        f"{code} (line {line})" for line, code in found)
+
+
+def test_the_check_sees_a_hand_written_array_or_name_check():
+    tree = ast.parse(
+        "if not np.isfinite(x).all():\n    raise ValidationError('x')\n"
+        "if k not in ('a', 'b'):\n    raise ValidationError('k')\n"
+        "if not math.isfinite(v):\n    raise NumericError('v')\n"
+        "if k not in ('a',):\n    raise ValidationError('k')\n"
+        "if k not in options:\n    raise ValidationError('k')\n"
+        "if n > 0 and isfinite(v):\n    if v:\n        raise ValidationError\n"
+        "if k in ('a', 'b'):\n    raise ValidationError('k')\n")
+    assert _hand_written_array_and_name_checks(tree) == [
+        (1, "not np.isfinite(x).all()"), (3, "k not in ('a', 'b')"),
+        (11, "n > 0 and isfinite(v)")]

@@ -1,8 +1,12 @@
-"""Every scalar argument of the public API refuses a malformed value by name.
+"""Every argument of the public API refuses a malformed value by name.
 
-Each parameter gets a bool, a NaN, an infinity and a string; a count also
-gets 2.5 and the integral float 2.0 (only the CLI maps JSON's 2.0 to 2).
-Each must raise ValidationError whose message names the parameter.
+Each scalar parameter gets a bool, a NaN, an infinity and a string; a count
+also gets 2.5 and the integral float 2.0 (only the CLI maps JSON's 2.0 to 2).
+Each array parameter gets a valid value with a bool among its numbers, all
+bools, or a string, None, a complex, a NaN or an infinity in place of one
+number, and an empty, a ragged and a wrongly shaped list. Each parameter that
+names one of a few options gets an unknown name, a bool and None. Each must
+raise ValidationError whose message names the parameter.
 """
 
 import math
@@ -12,16 +16,33 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from kolsens import (BaselineModel, BoundaryFunction, EvalPoint, FdProblem1d, McConfig,
-                     UncertaintySpec, ValidationError, build_time_grid, draw_samples,
-                     epsilon_sweep, gauss_abs_expectation, generate_normalized_model,
-                     plan_epsilon_sweep, predicted_complexity, quartic_boundary,
-                     quartic_sensitivity_quadrature, quartic_v0, seeded_runs,
-                     sensitivity_mc, sine_boundary, sine_sensitivity_quadrature, sine_v0)
+from kolsens import (BaselineModel, BoundaryFunction, EstimatorStats, EvalPoint, FdProblem1d,
+                     McConfig, UncertaintySpec, ValidationError, build_time_grid, draw_samples,
+                     epsilon_sweep, fit_loglog_slope, gauss_abs_expectation,
+                     generate_normalized_model, plan_epsilon_sweep, predicted_complexity,
+                     quartic_boundary, quartic_sensitivity_quadrature, quartic_v0,
+                     ridge_boundary, seeded_runs, sensitivity_mc, sine_boundary,
+                     sine_sensitivity_quadrature, sine_v0, solve)
 from kolsens.engine import resolve_workers
 
 REAL = (True, math.nan, math.inf, "3")
 COUNT = REAL + (2.5, 2.0)
+CHOICE = ("bogus", True, None)
+
+
+def _malformed(good: list) -> tuple:
+    """Malformed variants of `good`, a valid nested list of two or more numbers:
+    True in place of its last number and of every number; a string, None, a
+    complex, a NaN and an infinity in place of its last number; an empty list,
+    a ragged one and `good` nested once more."""
+    def put(leaf, where=-1):
+        a = np.array(good, dtype=object)
+        a.flat[where] = leaf
+        return a.tolist()
+    return (put(True), put(True, slice(None)),
+            *(put(leaf) for leaf in ("1", None, 1j, math.nan, math.inf)),
+            [], [good, good[:-1]], [good])
+
 
 MODEL = BaselineModel(drift=np.array([1.0]), vol=np.array([[1.0]]))
 SAMPLES = draw_samples(MODEL, build_time_grid(0.0, 1.0, 2), 20, 5, 0)
@@ -31,6 +52,9 @@ ORIGIN = EvalPoint(t=0.0, x=np.zeros(1))
 FD = {"drift": 1.0, "vol": 1.0, "gamma": 1.0, "eta": 1.0, "epsilon": 0.05,
       "boundary": QUARTIC, "nx": 101}
 PLAN = plan_epsilon_sweep(FdProblem1d(**FD), [0.01, 0.02, 0.03])
+SOLUTION = solve(FdProblem1d(**FD))
+VECTOR, MATRIX = [1.0, 1.0], [[1.0, 0.0], [0.0, 1.0]]
+SAMPLES2 = draw_samples(BaselineModel(VECTOR, MATRIX), build_time_grid(0.0, 1.0, 2), 20, 5, 0)
 
 
 def _boundary(**kw):
@@ -101,6 +125,34 @@ CASES = {
     "epsilon_sweep.v0": (lambda v: epsilon_sweep(PLAN, v0=v, sensitivity=1.0), "v0", REAL),
     "epsilon_sweep.sensitivity": (lambda v: epsilon_sweep(PLAN, v0=1.0, sensitivity=v),
                                   "sensitivity", REAL),
+    "solve.epsilons": (lambda v: solve(PLAN.problem, epsilons=[v, 0.02, 0.03]), "epsilons",
+                       REAL),
+    "FdSolution1d.at.x": (SOLUTION.at, "x", REAL),
+    # arrays
+    "BaselineModel.drift": (lambda v: BaselineModel(v, MATRIX), "drift", _malformed(VECTOR)),
+    "BaselineModel.vol": (lambda v: BaselineModel(VECTOR, v), "vol", _malformed(MATRIX)),
+    "EvalPoint.x": (lambda v: EvalPoint(t=0.0, x=v), "x",
+                    _malformed(VECTOR) + ("0.5", True, None)),
+    "ridge_boundary.direction": (lambda v: ridge_boundary(v, np.sin, np.cos), "direction",
+                                 _malformed(VECTOR)),
+    "SampleGrid.projection.direction": (lambda v: SAMPLES2.projection(1, v, VECTOR),
+                                        "direction", _malformed(VECTOR)),
+    "SampleGrid.projection.x": (lambda v: SAMPLES2.projection(1, VECTOR, v), "x",
+                                _malformed(VECTOR)),
+    "solve.epsilons.array": (lambda v: solve(PLAN.problem, epsilons=v), "epsilons",
+                             _malformed([0.01, 0.02])),
+    "plan_epsilon_sweep.epsilons.array": (lambda v: plan_epsilon_sweep(PLAN.problem, v),
+                                          "epsilons", _malformed([0.01, 0.02, 0.03])),
+    "fit_loglog_slope.xs": (lambda v: fit_loglog_slope(v, VECTOR), "xs", _malformed(VECTOR)),
+    "fit_loglog_slope.ys": (lambda v: fit_loglog_slope(VECTOR, v), "ys", _malformed(VECTOR)),
+    "EstimatorStats.of.values": (EstimatorStats.of, "values", _malformed(VECTOR)),
+    # names
+    "McConfig.kernel": (lambda v: McConfig(m0=100, m1=10, kernel=v), "kernel", CHOICE),
+    "plan_epsilon_sweep.anchor": (
+        lambda v: plan_epsilon_sweep(PLAN.problem, [0.01, 0.02, 0.03], v), "anchor", CHOICE),
+    "quartic_sensitivity_quadrature.kind": (quartic_sensitivity_quadrature, "kind", CHOICE),
+    "sine_sensitivity_quadrature.kind": (lambda v: sine_sensitivity_quadrature(1.0, 1, v),
+                                         "kind", CHOICE),
 }
 
 
