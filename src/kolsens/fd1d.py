@@ -3,15 +3,17 @@
 Solves the fully nonlinear problem that the first-order expansion
 approximates, in the only setting where a grid method is practical (d = 1):
 
-    dv/dt + (1/2) (vol + eta*eps)^2 v_xx + drift v_x + gamma*eps |v_x| = 0,
+    dv/dt + sup_{|s - vol| <= eta*eps} (1/2) s^2 v_xx + drift v_x + gamma*eps |v_x| = 0,
     v(T, .) = boundary,
 
 on [center - L, center + L] with Dirichlet data frozen at the endpoints.
-The worst-case drift term is the maximum over the two extreme advection
-velocities, differenced centrally where diffusion dominates (cmax*dx <=
-sigma_eff^2, true for every shipped benchmark) and sign-upwinded otherwise.
-With central second differences and explicit Euler steps in reverse time
-both are monotone under the step bound, which the solver refuses to exceed.
+Each node takes the supremum by the sign of its second difference: s = vol +
+eta*eps where it is positive, s = max(vol - eta*eps, 0) where negative. So
+any boundary is accepted. The drift term is the larger over the two extreme
+velocities, central where the lowest diffusion dominates (cmax*dx <=
+sigma_low^2, true for every shipped benchmark) and sign-upwinded otherwise.
+Each candidate scheme, so also their maximum, is monotone under the step
+bound, which the solver refuses to exceed.
 
 An epsilon sweep is planned first (checks, grid, nt, terminal row), then
 marched once as the k columns of a node-major (nx, k) state, allocation-free
@@ -29,7 +31,6 @@ from .model import BaselineModel, BoundaryFunction, UncertaintySpec
 
 Array = np.ndarray
 
-_CONVEXITY_TOL = 1e-9
 _SAFETY = 0.9     # every step is at most _SAFETY times the stable bound
 
 
@@ -75,6 +76,10 @@ class FdProblem1d:
         return self.vol + self.eta * self.epsilon
 
     @property
+    def sigma_low(self) -> float:
+        return max(self.vol - self.eta * self.epsilon, 0.0)
+
+    @property
     def cmax(self) -> float:
         return abs(self.drift) + self.gamma * self.epsilon
 
@@ -85,8 +90,8 @@ class FdProblem1d:
                 + self.cmax * self.horizon)
 
     def uses_central_advection(self, dx: float) -> bool:
-        """Central advection is monotone only when diffusion dominates."""
-        return self.cmax * dx <= self.sigma_eff ** 2
+        """Every candidate scheme must be monotone, so even sigma_low's diffusion must dominate."""
+        return self.cmax * dx <= self.sigma_low ** 2
 
     def max_stable_dt(self, dx: float) -> float:
         if self.uses_central_advection(dx):
@@ -133,15 +138,6 @@ def _terminal_row(problem: FdProblem1d, grid_x: Array) -> Array:
         raise ValidationError("boundary.value must return one value per grid node")
     if not np.isfinite(terminal).all():
         raise NumericError("boundary values non-finite on the FD grid")
-    second = terminal[2:] - 2.0 * terminal[1:-1] + terminal[:-2]
-    tol = _CONVEXITY_TOL * max(1.0, float(np.max(np.abs(terminal))))
-    worst = float(np.min(second))
-    if worst < -tol:
-        j = int(np.argmin(second)) + 1
-        raise ValidationError(
-            f"boundary is not convex on the grid (second difference {worst:.3e} "
-            f"at node {j}); the FD reference is only valid for convex boundaries, "
-            "where its volatility vol + eta*eps is the worst case")
     return terminal
 
 
@@ -178,25 +174,28 @@ def solve(problem: FdProblem1d, epsilons=None) -> FdSolution1d:
     # march the central rows first, as columns [:nc], and the upwind ones after them
     order = sorted(range(len(rows)), key=lambda i: not rows[i].uses_central_advection(dx))
     k, nc, m = len(rows), sum(r.uses_central_advection(dx) for r in rows), problem.nx - 2
-    diff, c_hi, c_lo = (np.tile(c, (m, 1)) for c in np.array(   # length-k broadcasts are slow
-        [(0.5 * r.sigma_eff ** 2, r.drift + r.gamma * r.epsilon, r.drift - r.gamma * r.epsilon)
-         for r in (rows[i] for i in order)]).T)
+    # one (m, k) array per coefficient, since length-k broadcasts are slow
+    diff_hi, diff_lo, c_hi, c_lo = (np.tile(c, (m, 1)) for c in np.array(
+        [(0.5 * r.sigma_eff ** 2, 0.5 * r.sigma_low ** 2, r.drift + r.gamma * r.epsilon,
+          r.drift - r.gamma * r.epsilon) for r in (rows[i] for i in order)]).T)
     u, new = np.tile(_terminal_row(problem, grid_x)[:, None], (2, 1, k))   # frozen edges
     d, (lap, ham, tmp, a, b) = np.empty((m + 1, k)), np.empty((5, m, k))
     d_plus, d_minus = d[1:], d[:-1]
     up, um, ut = (x[:, nc:] for x in (d_plus, d_minus, tmp))   # the upwind columns
     upwind = [(np.where(c < 0, 0.0, c)[:, nc:], np.where(c > 0, 0.0, c)[:, nc:], o[:, nc:])
               for c, o in ((c_hi, a), (c_lo, b)) if nc < k]
+    c_hi, c_lo = 0.5 * c_hi, 0.5 * c_lo   # exact, so (c/2)*s rounds as c*(s/2)
     with np.errstate(over="ignore"):   # an overflow surfaces as the NumericError below
         for step in range(nt - 1, -1, -1):
             np.subtract(u[1:], u[:-1], out=d)
             d /= dx
             np.subtract(d_plus, d_minus, out=lap)
             lap /= dx
-            lap *= diff
+            np.multiply(lap, diff_lo, out=tmp)
+            lap *= diff_hi
+            np.maximum(lap, tmp, out=lap)   # the worst case over the volatility interval
             if nc:   # candidates c * (d_plus + d_minus) / 2; upwind columns are overwritten
                 np.add(d_plus, d_minus, out=tmp)
-                tmp *= 0.5
                 np.multiply(c_hi, tmp, out=a)
                 np.multiply(c_lo, tmp, out=b)
             for c_plus, c_minus, cand in upwind:   # max(c, 0) * d_plus + min(c, 0) * d_minus
@@ -255,7 +254,7 @@ def plan_epsilon_sweep(problem: FdProblem1d, epsilons, anchor: str = "fd") -> Sw
 
     The rows of template `problem` share one grid, sized for the largest
     epsilon, and one nt all can take; the terminal row is checked on that grid
-    (shape, finiteness, convexity). anchor="fd" adds an epsilon = 0 row whose
+    (shape, finiteness). anchor="fd" adds an epsilon = 0 row whose
     value replaces v0, cancelling the discretization offset all rows share;
     anchor="value" keeps v0. Needs >= 3 strictly increasing positive
     epsilons below min(1, vol), the expansion regime.

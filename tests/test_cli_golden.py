@@ -1,7 +1,8 @@
 """Every CLI document is pinned byte for byte against recorded golden files.
 
-Two tiny configs, a 1-D quartic and a normalized sine for `dim-sweep`, run
-every command. A JSON document is compared as written, with only the value
+Tiny configs run every command: a 1-D quartic, a 1-D normalized sine for
+`eps-sweep` (a non-convex boundary on the FD reference) and a normalized sine
+for `dim-sweep`. A JSON document is compared as written, with only the value
 of each wall-clock field (`runtime_seconds`, `runtime_mean_seconds`) masked;
 a CSV is compared with its wall-clock column dropped. `config_hash` is part
 of each JSON document, so every hash is pinned too.
@@ -36,6 +37,11 @@ SINE = {"model": {"kind": "normalized", "seed": 100},
         "uncertainty": {"gamma": 1.0, "eta": 0.5, "epsilon": 0.05},
         "mc": {"n_steps": 4, "m0": 400, "m1": 100},
         "dims": [1, 2], "seed": 3, "runs": 2}
+SINE_1D = {"model": {"kind": "normalized", "dim": 1, "seed": 100},
+           "boundary": "sine",
+           "uncertainty": {"gamma": 1.0, "eta": 0.5, "epsilon": 0.05},
+           "fd": {"nx": 201},
+           "sweep": _SWEEP}
 # (golden stem, config, command, format)
 CASES = [(f"quartic_{c}", QUARTIC, c, "json")
          for c in ("value", "sensitivity", "approx", "eps-sweep", "fd-solve", "complexity")]
@@ -43,6 +49,7 @@ CASES += [("quartic_eps-sweep-engine",
            {**QUARTIC, "sweep": {**_SWEEP, "approx_source": "engine", "anchor": "value"}},
            "eps-sweep", "json"),
           ("quartic_eps-sweep", QUARTIC, "eps-sweep", "csv"),
+          ("sine_eps-sweep", SINE_1D, "eps-sweep", "json"),
           ("sine_dim-sweep", SINE, "dim-sweep", "json"),
           ("sine_dim-sweep", SINE, "dim-sweep", "csv")]
 _RUNTIME = re.compile(r'("runtime(?:_mean)?_seconds": )[^,\n]+')

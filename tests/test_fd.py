@@ -8,7 +8,8 @@ import pytest
 from kolsens import (BaselineModel, BoundaryFunction, EpsSweepResult, FdProblem1d,
                      NumericError, StabilityError, SweepPlan, UncertaintySpec,
                      ValidationError, epsilon_sweep, fd_problem_from_model, fit_loglog_slope,
-                     plan_epsilon_sweep, quartic_boundary, quartic_v0, sine_boundary, solve)
+                     generate_normalized_model, plan_epsilon_sweep, quartic_boundary, quartic_v0,
+                     sine_boundary, sine_sensitivity_quadrature, solve)
 
 
 def _quartic_problem(**overrides):
@@ -60,7 +61,7 @@ def test_problem_validation():
 
 def test_derived_discretization_quantities():
     p = _quartic_problem(epsilon=0.1, x_center=-0.5)
-    assert p.sigma_eff == 1.1
+    assert p.sigma_eff == 1.1 and p.sigma_low == pytest.approx(0.9)
     assert p.cmax == 1.1
     assert p.resolved_half_width() == pytest.approx(0.5 + 8 * 1.1 + 1.1)
     assert p.uses_central_advection(0.01)
@@ -117,14 +118,39 @@ def test_stability_guard():
     solve(_quartic_problem(nt=safe_nt, nx=401))
 
 
-def test_convexity_gate():
+def test_sine_boundary_marches_the_volatility_supremum():
+    # a non-convex boundary solves: each node takes the larger of the diffusions at
+    # vol - eta*eps and vol + eta*eps, which is the maximum over the whole interval
     wavy = _quartic_problem(boundary=sine_boundary(1), nx=201)
-    with pytest.raises(ValidationError, match="not convex"):
-        solve(wavy)
-    solve(_quartic_problem(nx=201, half_width=3.0))   # convex passes silently
-    # a sweep plan checks the terminal row on its own grid, before any march
-    with pytest.raises(ValidationError, match="not convex"):
-        plan_epsilon_sweep(wavy, [0.01, 0.02, 0.05])
+    plan = plan_epsilon_sweep(wavy, [0.01, 0.02, 0.05])
+    sweep = solve(plan.problem, epsilons=plan.rows)
+    for e, row in zip(plan.rows, sweep.values):
+        assert np.array_equal(row, _plain_march(replace(plan.problem, epsilon=e), vols=5))
+    # the worst case grows with the ball at every node
+    assert (np.diff(sweep.values, axis=0) >= 0).all()
+    single = solve(wavy)
+    assert np.array_equal(single.values, _plain_march(replace(wavy, nt=single.nt), vols=5))
+
+
+def test_rows_beyond_the_expansion_regime_march_upwind():
+    # eta*eps >= vol puts 0 in the volatility interval: the low diffusion clamps to 0,
+    # so no central advection is monotone, and every row is upwinded; the drift interval
+    # stays positive, where the two sign-upwinded candidates bound the whole interval
+    p = FdProblem1d(drift=1.0, vol=0.5, gamma=0.5, eta=1.0, epsilon=1.0,
+                    boundary=sine_boundary(1), nx=201)
+    eps = [0.25, 0.5, 0.75, 1.0]
+    assert [replace(p, epsilon=e).sigma_low for e in eps] == [0.25, 0.0, 0.0, 0.0]
+    assert _central_flags(p, eps) == [False] * 4
+    sol = solve(p, epsilons=eps)
+    assert np.isfinite(sol.values).all()
+    edges = p.boundary.value(sol.grid_x[[0, -1], None])
+    assert (sol.values[:, [0, -1]] == edges).all()
+    assert (np.diff(sol.values, axis=0) >= 0).all()   # nondecreasing in epsilon at every node
+    assert sol.values[-1, 100] > sol.values[0, 100]
+    half = p.resolved_half_width()
+    for e, row in zip(eps, sol.values):
+        assert np.array_equal(row, _plain_march(replace(p, epsilon=e, half_width=half,
+                                                        nt=sol.nt)))
 
 
 def test_nonfinite_terminal_is_rejected():
@@ -211,6 +237,21 @@ def test_constant_shift_identity():
     assert v_lift == pytest.approx(v_base + 3.25, rel=1e-9)
 
 
+@pytest.mark.parametrize("gamma, eta", [(0.0, 1.0), (1.0, 0.0), (1.0, 1.0)])
+def test_sine_first_order_term_matches_the_quadrature(gamma, eta):
+    # the expansion v_eps = v0 + eps * (gamma*S_b + eta*S_s) + O(eps^2) on the 1-D
+    # normalized sine, which is not convex: dv/deps at eps = 0 from a quadratic fit
+    model = generate_normalized_model(1, 7)
+    eps = [0.0, 0.005, 0.01, 0.02, 0.04]
+    p = fd_problem_from_model(model, sine_boundary(1), UncertaintySpec(gamma, eta, eps[-1]),
+                              nx=401)
+    sol = solve(p, epsilons=eps)
+    slope = np.polyfit(eps, [np.interp(0.0, sol.grid_x, row) for row in sol.values], 2)[1]
+    want = (gamma * sine_sensitivity_quadrature(1.0, 1, "drift")
+            + eta * sine_sensitivity_quadrature(1.0, 1, "vol"))
+    assert slope == pytest.approx(want, rel=2e-3)
+
+
 # --------------------------------------------------------------------------
 # interpolation queries
 # --------------------------------------------------------------------------
@@ -285,27 +326,32 @@ def test_epsilon_sweep_table_consistency():
 # batched march: one (k, nx) march equals k single solves bit for bit
 # --------------------------------------------------------------------------
 
-def _plain_march(problem):
-    """The scheme written out for one problem, with scalar coefficients."""
+def _plain_march(problem, vols=2):
+    """The scheme written out for one problem, with scalar coefficients: the
+    diffusion is the largest over `vols` volatilities spread evenly over
+    [max(vol - eta*eps, 0), vol + eta*eps], the drift over its two extremes."""
     half = problem.resolved_half_width()
     x = np.linspace(problem.x_center - half, problem.x_center + half, problem.nx)
     dx = float(x[1] - x[0])
     dt = problem.horizon / problem.nt
     u = problem.boundary.value(x[:, None])
-    diff = 0.5 * problem.sigma_eff ** 2
+    ee = problem.eta * problem.epsilon
+    low = max(problem.vol - ee, 0.0)
+    sigmas = np.linspace(low, problem.vol + ee, vols).tolist()
     ge = problem.gamma * problem.epsilon
     c_hi, c_lo = problem.drift + ge, problem.drift - ge
     for _ in range(problem.nt):
         d_plus = (u[2:] - u[1:-1]) / dx
         d_minus = (u[1:-1] - u[:-2]) / dx
         lap = (d_plus - d_minus) / dx
-        if problem.uses_central_advection(dx):
+        diffusion = np.max([0.5 * s ** 2 * lap for s in sigmas], axis=0)
+        if max(abs(c_hi), abs(c_lo)) * dx <= low ** 2:   # central is monotone at every vol
             d_ctr = 0.5 * (d_plus + d_minus)
             hamil = np.maximum(c_hi * d_ctr, c_lo * d_ctr)
         else:
             hamil = np.maximum(max(c_hi, 0.0) * d_plus + min(c_hi, 0.0) * d_minus,
                                max(c_lo, 0.0) * d_plus + min(c_lo, 0.0) * d_minus)
-        u = np.concatenate([u[:1], u[1:-1] + dt * (diff * lap + hamil), u[-1:]])
+        u = np.concatenate([u[:1], u[1:-1] + dt * (diffusion + hamil), u[-1:]])
     return u
 
 
@@ -319,10 +365,11 @@ def _central_flags(problem, epsilons):
 _BATCHES = {
     # every row central: the quartic benchmark shape on a small grid
     "central": (_quartic_problem(epsilon=0.1, nx=201), [0.0, 0.02, 0.05, 0.1]),
-    # volatility grows with epsilon: upwind rows first, then central ones
-    "upwind-to-central": (FdProblem1d(drift=0.5, vol=0.1, gamma=0.0, eta=1.0, epsilon=0.09,
+    # the lowest volatility shrinks with epsilon, so a row is central up to some
+    # epsilon and upwind beyond it; descending epsilons put the upwind rows first
+    "upwind-to-central": (FdProblem1d(drift=0.5, vol=0.3, gamma=0.0, eta=1.0, epsilon=0.25,
                                       boundary=_poly_boundary(1.0), nx=101, half_width=2.5),
-                          [0.0, 0.02, 0.05, 0.09]),
+                          [0.25, 0.2, 0.1, 0.0]),
     # the drift interval grows with epsilon: central rows first, then upwind
     "central-to-upwind": (FdProblem1d(drift=0.1, vol=0.1, gamma=1.0, eta=0.0, epsilon=0.2,
                                       boundary=_poly_boundary(1.0), nx=101, half_width=2.5),
@@ -391,18 +438,20 @@ def test_user_nt_must_be_stable_for_every_row():
 
 
 def test_anchor_row_takes_part_in_the_step_count():
-    # the eps = 0 row is upwind and needs more steps than every central sweep row
-    p = FdProblem1d(drift=0.5, vol=0.1, gamma=0.0, eta=1.0, epsilon=0.08,
+    # the eps = 0 row has the least drift and volatility, so it needs no more steps than
+    # any sweep row; it is still marched with the plan's nt, the maximum over every row
+    p = FdProblem1d(drift=0.5, vol=0.3, gamma=0.0, eta=1.0, epsilon=0.2,
                     boundary=_poly_boundary(1.0), nx=101, half_width=2.5)
-    eps = [0.06, 0.07, 0.08]
-    assert _central_flags(p, [0.0] + eps) == [False, True, True, True]
+    eps = [0.1, 0.15, 0.2]
+    assert _central_flags(p, [0.0] + eps) == [True, True, False, False]
     need = [solve(replace(p, epsilon=e)).nt for e in [0.0] + eps]
-    assert need[0] > max(need[1:])
+    assert need[0] <= min(need[1:])
     plan = plan_epsilon_sweep(p, eps)
-    assert plan.problem.nt == need[0]
+    assert plan.problem.nt == max(need) > need[0]
     res = epsilon_sweep(plan, v0=0.0, sensitivity=1.0)
-    assert res.anchor_value == solve(replace(p, epsilon=0.0)).at(0.0)
-    assert plan_epsilon_sweep(p, eps, anchor="value").problem.nt == max(need[1:])
+    assert res.anchor_value == solve(replace(p, epsilon=0.0, nt=plan.problem.nt)).at(0.0)
+    assert plan_epsilon_sweep(p, eps, anchor="value").problem.nt == max(need)
+
 
 def test_batched_overflow_names_the_first_bad_row_and_its_step():
     scale = 9e306
@@ -410,9 +459,9 @@ def test_batched_overflow_names_the_first_bad_row_and_its_step():
                              value=lambda p: scale * np.maximum(np.asarray(p)[..., 0], 0.0),
                              gradient=lambda p: np.where(np.asarray(p) > 0, scale, 0.0))
     # row 0 is upwind, rows 1 and 2 central, so the march runs them as (1, 2, 0)
-    p = FdProblem1d(drift=0.5, vol=0.1, gamma=0.0, eta=1.0, epsilon=0.09, boundary=steep,
+    p = FdProblem1d(drift=0.5, vol=0.3, gamma=0.0, eta=1.0, epsilon=0.25, boundary=steep,
                     nx=601, half_width=9.0, nt=400)
-    eps = [0.0, 0.05, 0.09]
+    eps = [0.25, 0.0, 0.1]
     assert _central_flags(p, eps) == [False, True, True]
     steps = []
     with np.errstate(over="ignore", invalid="ignore"):
@@ -428,19 +477,19 @@ def test_batched_overflow_names_the_first_bad_row_and_its_step():
 
 
 # the eps-sweep-fd smoke shape; per row, the t = 0 value at x = 0, then at nodes
-# 1, 120, 230 and 399, recorded before the march went node-major
+# 1, 120, 230 and 399, recorded when the march took the volatility supremum per node
 _GOLDEN_NODES = (1, 120, 230, 399)
 _GOLDEN = {
     0.0: ("0x1.3ed1f4a1218d5p+3", "0x1.1c2e949924f15p+13", "0x1.0885b91edca66p+7",
           "0x1.384b389fdeba8p+6", "0x1.2b65388604635p+13"),
     0.01: ("0x1.4be18e2f5df3bp+3", "0x1.1c88dc717e88cp+13", "0x1.0db1dd6a55fffp+7",
-           "0x1.3f6ee9af3b066p+6", "0x1.2b65ae23a9d6dp+13"),
+           "0x1.3f6ee9af3b07dp+6", "0x1.2b6d8d1ee32d8p+13"),
     0.02: ("0x1.5957e624ad05ep+3", "0x1.1ce03a4e86f72p+13", "0x1.12f2b916e2cbdp+7",
-           "0x1.46b334578a15ap+6", "0x1.2b6622fae157bp+13"),
+           "0x1.46b334578a1aap+6", "0x1.2b75c0683d33fp+13"),
     0.05: ("0x1.8438ebf91a53bp+3", "0x1.1dd5fbb024067p+13", "0x1.2333cedb84ca8p+7",
-           "0x1.5d47a2f7f958fp+6", "0x1.2b677d061c715p+13"),
-    0.1: ("0x1.d4837353cab99p+3", "0x1.1f3f2f6fe05bep+13", "0x1.3ffe1d1e188d0p+7",
-          "0x1.859b0044ca2d3p+6", "0x1.2b69afc717e86p+13"),
+           "0x1.5d47a2f7f9a2bp+6", "0x1.2b8d86539cb24p+13"),
+    0.1: ("0x1.d4837353cab9ep+3", "0x1.1f3f2f6fe05bep+13", "0x1.3ffe1d1e188d0p+7",
+          "0x1.859b0044d242fp+6", "0x1.2bb21ac7902eep+13"),
 }
 
 
