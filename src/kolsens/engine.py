@@ -235,7 +235,7 @@ def _pair_kernel(boundary, point, samples, h):
         shifts = None if h is None else np.eye(dim) * h
 
         def points(i):
-            return x + samples.displacement(i, stop=m1), samples.displacement(n - i, stop=m1)
+            return x + samples.displacement(i), samples.displacement(n - i)
     else:
         # f = phi(a.x) sees x only through s = a.x: w = phi'(s) a and J = a c^T,
         # where c = phi''(s) a, or c_l is the FD slope along a_l. So |w| = |a|
@@ -254,8 +254,7 @@ def _pair_kernel(boundary, point, samples, h):
         xa = float(x @ a)
 
         def project(i):
-            return np.einsum("jd,d->j", samples.displacement(i, stop=m1), a,
-                             optimize=False)[:, None]
+            return np.einsum("jd,d->j", samples.displacement(i), a, optimize=False)[:, None]
 
         def points(i):
             return xa + project(i), project(n - i)

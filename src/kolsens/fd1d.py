@@ -9,9 +9,11 @@ approximates, in the only setting where a grid method is practical (d = 1):
 on [center - L, center + L] with Dirichlet data frozen at the endpoints.
 Each node takes the supremum by the sign of its second difference: s = vol +
 eta*eps where it is positive, s = max(vol - eta*eps, 0) where negative. So
-any boundary is accepted. The drift term is the larger over the two extreme
-velocities, central where the lowest diffusion dominates (cmax*dx <=
-sigma_low^2, true for every shipped benchmark) and sign-upwinded otherwise.
+any boundary is accepted. The drift term is the supremum over c in [drift -
+gamma*eps, drift + gamma*eps], taken at both ends and, where the interval
+straddles 0, at c = 0; it is central where the lowest diffusion dominates
+(cmax*dx <= sigma_low^2, true for every shipped benchmark) and
+sign-upwinded otherwise.
 Each candidate scheme, so also their maximum, is monotone under the step
 bound, which the solver refuses to exceed.
 
@@ -184,6 +186,10 @@ def solve(problem: FdProblem1d, epsilons=None) -> FdSolution1d:
     up, um, ut = (x[:, nc:] for x in (d_plus, d_minus, tmp))   # the upwind columns
     upwind = [(np.where(c < 0, 0.0, c)[:, nc:], np.where(c > 0, 0.0, c)[:, nc:], o[:, nc:])
               for c, o in ((c_hi, a), (c_lo, b)) if nc < k]
+    # where c_lo < 0 < c_hi the upwind supremum may be at c = 0, whose candidate is 0;
+    # the floor costs a pass per step, so it is skipped when no column straddles 0
+    straddle = (c_lo < 0) & (c_hi > 0)
+    floor = np.where(straddle, 0.0, -np.inf) if straddle.any() else None
     c_hi, c_lo = 0.5 * c_hi, 0.5 * c_lo   # exact, so (c/2)*s rounds as c*(s/2)
     with np.errstate(over="ignore"):   # an overflow surfaces as the NumericError below
         for step in range(nt - 1, -1, -1):
@@ -202,7 +208,9 @@ def solve(problem: FdProblem1d, epsilons=None) -> FdSolution1d:
                 np.multiply(c_plus, up, out=cand)
                 np.multiply(c_minus, um, out=ut)
                 cand += ut
-            np.maximum(a, b, out=ham)   # the worst case over c in (c_hi, c_lo)
+            np.maximum(a, b, out=ham)   # the worst case over c in [c_lo, c_hi]
+            if floor is not None:
+                np.maximum(ham, floor, out=ham)
             ham += lap
             ham *= dt
             np.add(u[1:-1], ham, out=new[1:-1])

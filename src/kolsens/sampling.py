@@ -14,25 +14,25 @@ estimators rely on:
 Each sample j owns a single standard normal vector W(j), and its
 displacement at elapsed time tau is b*tau + sqrt(tau) * sigma W(j): all time
 points are comonotone, as in the estimator's derivation. A grid holds only
-the nested estimator's m1 inner rows, as one (m1, d) array: the drawn W(j),
-overwritten in place with sigma W(j) when the grid is built. Rows past m1
-are never held: they are drawn from their own Philox blocks and mixed when
-read, so memory stays bounded however large m0 gets. Held and streamed rows
-go through the same draw and the same per-row mix, so every row has the same
-bits whichever way it is read.
+the nested estimator's m1 inner rows, reused at every time node, as one
+(m1, d) array: the drawn W(j), overwritten in place with sigma W(j) when the
+grid is built. `SampleGrid.displacement` scales and shifts it into node i's
+inner pool. Every other read draws its rows again, held ones included, so
+memory stays bounded however large m0 gets.
 
 All rows are drawn by one reader, `_read`. It opens each Philox block once
 and draws it from its start in sub-blocks of at most TILE doubles into one
 reused buffer; rows before the first one asked for are drawn a sub-block at
 a time and dropped. `SampleGrid.tiles` reads displacements through it a
-sub-block at a time, mixing in that buffer, and `displacement` copies those
-tiles into one array. `SampleGrid.projection` reads a ridge's scalar
-projection a.(x + displacement) = a.x + tau a.b + sqrt(tau) W(j).(sigma^T a)
-the same way, without building any sigma W(j): one dot product per row of
-each sub-block, into one reused buffer of at most a sub-block's values.
-So no read holds more than a few TILE-sized arrays, whatever d and m0 are:
-at d = 100 a value stage peaks at about 1.4 MB of arrays with a ridge and
-2.2 MB without one.
+sub-block at a time, mixing in that buffer, and `_mix` gives a row the bits
+of a whole-array mix whatever rows it is mixed with, so every row read
+there has the bits of the same held row. `SampleGrid.projection` reads a
+ridge's scalar projection a.(x + displacement) = a.x + tau a.b + sqrt(tau)
+W(j).(sigma^T a) the same way, without building any sigma W(j): one dot
+product per row of each sub-block, into one reused buffer of at most a
+sub-block's values. So no read but the inner pool holds more than a few
+TILE-sized arrays, whatever d and m0 are: at d = 100 a value stage peaks at
+about 1.4 MB of arrays with a ridge and 2.2 MB without one.
 """
 
 from dataclasses import dataclass, field
@@ -130,10 +130,9 @@ class SampleGrid:
     """The m1 inner sample rows plus the model/grid that turn samples into displacements.
 
     `_w` holds sigma W(j) of rows [0, m1), mixed in place when the grid is
-    built; rows [m1, m0) are drawn and mixed only when they are read. Read
-    the samples through `displacement` or `tiles`, or through `projection`
-    for a ridge. Every read keeps its buffers to itself, so `_w` is the
-    only array a grid holds.
+    built; `displacement` reads it as a node's inner pool. `tiles` and, for a
+    ridge, `projection` draw any rows of the m0 again. Every read keeps its
+    buffers to itself, so `_w` is the only array a grid holds.
     """
 
     model: BaselineModel
@@ -165,51 +164,40 @@ class SampleGrid:
     def tiles(self, i: int):
         """The reader `read(start, stop)` of node i's displacement samples, one tile at a time.
 
-        `read` yields (j, rows) in order, rows holding the samples [j, j +
-        len(rows)) of [start, stop), 0 <= start <= stop <= m0, in tiles of at
-        most _sub_block(d) rows (at most TILE doubles) that start at
-        multiples of it. `rows` is a view of one buffer, reused by every
-        step and every call. Rows below m1 come from the held array; the
-        rest are read through `_read` and mixed in the buffer, with the same
+        `read` yields (j, rows) in order, as `projection` does: rows holds
+        the samples [j, j + len(rows)) of [start, stop), 0 <= start <= stop
+        <= m0. The tiles are `_read`'s sub-blocks, of at most _sub_block(d)
+        rows (at most TILE doubles), and rows is a view of one buffer,
+        reused by every step and every call. Every row, held ones included,
+        is drawn again through `_read` and mixed, scaled and shifted in that
+        buffer by the ops that made `displacement`'s rows, so it has their
         bits.
         """
         self._check_rows(i, 0, None)
+        tau = self.grid.elapsed[i]
         buf = _buffer(self.model.dim, self.m0)
-        return lambda start, stop: self._tiles(i, start, self._check_rows(i, start, stop), buf)
 
-    def _tiles(self, i: int, start: int, stop: int, buf: Array):
-        """The tiles of rows [start, stop) at node i (see `tiles`), read through buf.
+        def read(start: int, stop: int):
+            stop = self._check_rows(i, start, stop)
+            for j, rows in _read(self.seed, start, stop, buf):
+                _mix(rows, self.model.vol)
+                rows *= np.sqrt(tau)
+                rows += tau * self.model.drift      # the bits of tau*b + sqrt(tau)*row
+                yield j, rows
 
-        The caller has checked the range with `_check_rows`.
+        return read
+
+    def displacement(self, i: int) -> Array:
+        """The inner pool at grid node i: b*tau_i + sqrt(tau_i) sigma W(j) for rows [0, m1).
+
+        One fresh (m1, d) array, scaled and shifted from the held rows with
+        the ops of `tiles`, so it has the bits of rows [0, m1) of
+        `tiles(i)`, through which any range of the m0 rows is read.
         """
-        tile, tau = _sub_block(self.model.dim), self.grid.elapsed[i]
-        streamed = _read(self.seed, min(max(start, self.m1), stop), stop, buf)
-        lo = start
-        while lo < stop:
-            hi = min(lo - lo % tile + tile, stop)
-            held = min(max(lo, self.m1), hi)
-            if held < hi:
-                # `_read` draws the whole tile into buf: before the held rows go in
-                _mix(next(streamed)[1], self.model.vol)
-            rows = buf[lo % tile:lo % tile + hi - lo]
-            rows[:held - lo] = self._w[lo:held]
-            rows *= np.sqrt(tau)
-            rows += tau * self.model.drift      # the bits of tau*b + sqrt(tau)*row
-            yield lo, rows
-            lo = hi
-
-    def displacement(self, i: int, *, start: int = 0, stop: int | None = None) -> Array:
-        """Displacement samples b*tau_i + sqrt(tau_i) sigma W at grid node i.
-
-        Rows [start, stop) of the m0 samples, 0 <= start <= stop <= m0, as
-        one fresh array, copied from the tiles that `tiles` reads, through a
-        buffer of at most stop rows. The nested estimator's inner samples
-        are rows [0, m1).
-        """
-        stop = self._check_rows(i, start, stop)
-        out = np.empty((stop - start, self.model.dim))
-        for j, rows in self._tiles(i, start, stop, _buffer(self.model.dim, stop)):
-            out[j - start:j - start + len(rows)] = rows
+        self._check_rows(i, 0, None)
+        tau = self.grid.elapsed[i]
+        out = self._w * np.sqrt(tau)
+        out += tau * self.model.drift
         return out
 
     def projection(self, i: int, direction: Array, x: Array):
@@ -217,8 +205,8 @@ class SampleGrid:
 
         `project` yields (j, p) in order, as `tiles` does: p holds rows [j, j
         + len(p)) of [start, stop) of ((sqrt(tau_i) q) + tau_i a.b) + a.x,
-        q = W(j).(sigma^T a), the order of `displacement` + x, whose bits it
-        has for d = 1 and a = 1. The tiles are `_read`'s sub-blocks, and p is
+        q = W(j).(sigma^T a), the order of `tiles` + x, whose bits it has
+        for d = 1 and a = 1. The tiles are `_read`'s sub-blocks, and p is
         a view of one buffer of at most _sub_block(d) values, reused by
         every step and every call. Every row, held ones included, is drawn
         again through `_read` and never mixed. All products are einsums off
@@ -252,11 +240,12 @@ def draw_samples(model: BaselineModel, grid: TimeGrid, m0: int, m1: int,
     """Draw a reproducible sample grid for the nested estimators.
 
     One standard normal d-vector per sample; only the inner estimator's
-    first m1 rows are drawn here and held, in a single (m1, d) array.
-    `SampleGrid.displacement` streams rows [m1, m0) from their Philox blocks,
-    so the grid's memory does not grow with m0. The grid only fixes the
-    elapsed times at which `displacement` scales a sample; it must end at
-    model.horizon, so its terminal displacements have the law of X_T.
+    first m1 rows are drawn here and held, in a single (m1, d) array, which
+    `SampleGrid.displacement` reads. `SampleGrid.tiles` draws every row it
+    reads from its Philox block, so the grid's memory does not grow with m0.
+    The grid only fixes the elapsed times at which a read scales a sample; it
+    must end at model.horizon, so its terminal displacements have the law of
+    X_T.
 
     Parameters
     ----------

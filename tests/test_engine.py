@@ -14,7 +14,7 @@ from kolsens import (BaselineModel, BoundaryFunction, EstimatorStats, EvalPoint,
 from kolsens.engine import WORKERS_ENV
 from kolsens.model import generate_normalized_model
 from kolsens.sampling import BLOCK
-from test_sampling import _philox_normals, _projected
+from test_sampling import _philox_normals, _projected, _tiled
 
 
 @pytest.fixture
@@ -107,7 +107,7 @@ def test_v0_statistical_accuracy(quartic_setup):
 def test_v0_matches_direct_average(quartic_setup):
     model, bnd, pt = quartic_setup
     s = _samples(model, 3, 70_000, 5, seed=2)
-    direct = float(np.mean(bnd.value(pt.x + s.displacement(3))))
+    direct = float(np.mean(bnd.value(pt.x + _tiled(s, 3))))
     assert v0_mc(bnd, pt, s) == pytest.approx(direct, rel=1e-13)
 
 
@@ -197,12 +197,37 @@ def test_ridge_v0_mixes_only_the_held_rows(monkeypatch):
     real_mix = smp._mix
     monkeypatch.setattr(smp, "_mix", counting_mix)
     model, bnd = generate_normalized_model(4, 3), sine_boundary(4)
-    s = _samples(model, 2, 2 * BLOCK + 9, 300, seed=1)
-    v0_mc(bnd, EvalPoint(t=0.0, x=np.zeros(4)), s)
-    assert sum(mixed) == 300
-    # the generic path mixes every row it streams past the held ones
-    v0_mc(replace(bnd, ridge=None), EvalPoint(t=0.0, x=np.zeros(4)), s)
-    assert sum(mixed) == 2 * BLOCK + 9
+    m0, pt = 2 * BLOCK + 9, EvalPoint(t=0.0, x=np.zeros(4))
+    s = _samples(model, 2, m0, 300, seed=1)
+    assert sum(mixed) == 300        # the build mixes the held rows
+    v0_mc(bnd, pt, s)
+    assert sum(mixed) == 300        # the ridge projects every row unmixed
+    # the generic path draws every row again, held ones included, and mixes each once
+    v0_mc(replace(bnd, ridge=None), pt, s)
+    assert sum(mixed) == 300 + m0
+
+
+@pytest.mark.parametrize("case", ["quartic", "generic sine"])
+def test_sensitivity_stage_draws_no_row(monkeypatch, case):
+    # the nested estimator's inner pools come from the held rows alone
+    import kolsens.sampling as smp
+    if case == "quartic":
+        model, bnd, pt = (BaselineModel(drift=np.array([1.0]), vol=np.array([[1.0]])),
+                          quartic_boundary(), EvalPoint(t=0.0, x=np.array([0.3])))
+    else:
+        model, bnd = generate_normalized_model(3, 5), replace(sine_boundary(3), ridge=None)
+        pt = EvalPoint(t=0.0, x=np.array([0.1, -0.2, 0.3]))
+    s = _samples(model, 4, 3000, 40, seed=2)
+    reads = []
+
+    def counting_read(*args):
+        reads.append(args[1:3])
+        return real_read(*args)
+
+    real_read = smp._read
+    monkeypatch.setattr(smp, "_read", counting_read)
+    sensitivity_mc(bnd, pt, s)
+    assert reads == []
 
 
 def _v0_peak(kind, d, m0):
@@ -375,9 +400,8 @@ def _factored_ridge_sums(bnd, pt, s, h=None):
     drift, vol_terms = [], []
     for k in range(n):
         i = n - k if 0 < n - k < k else k
-        y = float(pt.x @ a) + np.einsum("jd,d->j", s.displacement(i, stop=m1), a,
-                                        optimize=False)
-        z = np.einsum("jd,d->j", s.displacement(n - i, stop=m1), a, optimize=False)
+        y = float(pt.x @ a) + np.einsum("jd,d->j", _tiled(s, i, 0, m1), a, optimize=False)
+        z = np.einsum("jd,d->j", _tiled(s, n - i, 0, m1), a, optimize=False)
         p = y[:, None] + z[None, :]
 
         def mean(v):

@@ -153,6 +153,23 @@ def test_rows_beyond_the_expansion_regime_march_upwind():
                                                         nt=sol.nt)))
 
 
+def test_a_drift_interval_straddling_zero_takes_its_supremum_at_zero_too():
+    # with drift - gamma*eps < 0 < drift + gamma*eps the upwind drift term is
+    # largest at c = 0 where d_minus > 0 > d_plus; taking that candidate too
+    # makes every row nondecreasing in epsilon at every node
+    p = FdProblem1d(drift=0.3, vol=0.5, gamma=1.0, eta=1.0, epsilon=1.0,
+                    boundary=sine_boundary(1), nx=201)
+    eps = [0.25, 0.5, 0.75, 1.0]
+    assert [e > 0.3 for e in eps] == [False, True, True, True]     # these rows straddle 0
+    assert _central_flags(p, eps) == [False] * 4
+    sol = solve(p, epsilons=eps)
+    assert (np.diff(sol.values, axis=0) >= 0).all()
+    half = p.resolved_half_width()
+    for e, row in zip(eps, sol.values):
+        assert np.array_equal(row, _plain_march(replace(p, epsilon=e, half_width=half,
+                                                        nt=sol.nt)))
+
+
 def test_nonfinite_terminal_is_rejected():
     patchy = BoundaryFunction(
         dim=1,
@@ -329,7 +346,8 @@ def test_epsilon_sweep_table_consistency():
 def _plain_march(problem, vols=2):
     """The scheme written out for one problem, with scalar coefficients: the
     diffusion is the largest over `vols` volatilities spread evenly over
-    [max(vol - eta*eps, 0), vol + eta*eps], the drift over its two extremes."""
+    [max(vol - eta*eps, 0), vol + eta*eps], the drift over its two extremes
+    and, upwinded, the point of the drift interval nearest 0."""
     half = problem.resolved_half_width()
     x = np.linspace(problem.x_center - half, problem.x_center + half, problem.nx)
     dx = float(x[1] - x[0])
@@ -349,8 +367,8 @@ def _plain_march(problem, vols=2):
             d_ctr = 0.5 * (d_plus + d_minus)
             hamil = np.maximum(c_hi * d_ctr, c_lo * d_ctr)
         else:
-            hamil = np.maximum(max(c_hi, 0.0) * d_plus + min(c_hi, 0.0) * d_minus,
-                               max(c_lo, 0.0) * d_plus + min(c_lo, 0.0) * d_minus)
+            hamil = np.max([max(c, 0.0) * d_plus + min(c, 0.0) * d_minus
+                            for c in (c_hi, c_lo, min(max(0.0, c_lo), c_hi))], axis=0)
         u = np.concatenate([u[:1], u[1:-1] + dt * (diffusion + hamil), u[-1:]])
     return u
 

@@ -1,7 +1,8 @@
 """Every name a kolsens module imports is used in that module, every private
 top-level name of the package is read somewhere in it, scalar arguments are
-checked only through `errors.count` and `errors.real`, and arrays and names
-only through `errors.array` and `errors.choice`.
+checked only through `errors.count` and `errors.real`, arrays and names
+only through `errors.array` and `errors.choice`, and only `sampling` draws
+or mixes a sample row.
 
 No linter ships with the test environment, so these stdlib `ast` checks stand
 in for unused-import, dead-code and no-hand-written-check rules. `__init__` is
@@ -169,3 +170,33 @@ def test_the_check_sees_a_hand_written_array_or_name_check():
     assert _hand_written_array_and_name_checks(tree) == [
         (1, "not np.isfinite(x).all()"), (3, "k not in ('a', 'b')"),
         (11, "n > 0 and isfinite(v)")]
+
+
+_DRAWS = ("_read", "_mix", "Philox")
+
+
+def _draw_references(tree: ast.Module) -> list:
+    """(line, name) of each name, attribute or import of `_read`, `_mix` or
+    `Philox`: the sample grid's draw and mix, which only `sampling` may use."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [alias.name.rpartition(".")[2] for alias in node.names]
+        else:
+            names = [getattr(node, "id", None) or getattr(node, "attr", None)]
+        found += [(node.lineno, name) for name in names if name in _DRAWS]
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "sampling.py"],
+                         ids=lambda p: p.stem)
+def test_only_the_sample_grid_draws_or_mixes(path):
+    found = _draw_references(ast.parse(path.read_text(encoding="utf-8")))
+    assert not found, f"{path.name}: read samples through SampleGrid, not " + ", ".join(
+        f"{name} (line {line})" for line, name in found)
+
+
+def test_the_check_sees_a_draw_outside_the_sample_grid():
+    tree = ast.parse("from .sampling import _read, TILE\nimport numpy as np\n"
+                     "g = np.random.Philox(3)\nsampling._mix(w, v)\n_read_all = 1\n")
+    assert _draw_references(tree) == [(1, "_read"), (3, "Philox"), (4, "_mix")]

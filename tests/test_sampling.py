@@ -21,6 +21,15 @@ def _centered_model(d, seed):
     return BaselineModel(drift=np.zeros(d), vol=vol, horizon=1.0)
 
 
+def _tiled(s, i, start=0, stop=None):
+    """Rows [start, stop) of node i's `tiles` reader, copied in order into one array."""
+    parts = []
+    for j, rows in s.tiles(i)(start, stop):
+        assert j == start + sum(map(len, parts))
+        parts.append(rows.copy())
+    return np.concatenate(parts) if parts else np.empty((0, s.model.dim))
+
+
 @pytest.fixture
 def model2():
     return BaselineModel(drift=np.array([0.3, -0.2]),
@@ -61,8 +70,10 @@ def test_same_seed_reproduces_bitwise(model2):
     b = draw_samples(model2, g, 2048, 256, seed=9)
     for i in (1, 3, 5):
         assert np.array_equal(a.displacement(i), b.displacement(i))
+        assert np.array_equal(_tiled(a, i), _tiled(b, i))
     c = draw_samples(model2, g, 2048, 256, seed=10)
     assert not np.array_equal(a.displacement(5), c.displacement(5))
+    assert not np.array_equal(_tiled(a, 5)[256:], _tiled(c, 5)[256:])
 
 
 def test_prefix_property_across_sample_counts(model2):
@@ -71,14 +82,14 @@ def test_prefix_property_across_sample_counts(model2):
     small = draw_samples(model2, g, 1000, 100, seed=3)
     large = draw_samples(model2, g, 50_000, 100, seed=3)
     for i in (1, 2, 4):
-        assert np.array_equal(small.displacement(i), large.displacement(i, stop=1000))
+        assert np.array_equal(_tiled(small, i), _tiled(large, i, 0, 1000))
 
 
 def test_displacement_slices_match_full(model2):
     g = build_time_grid(0.0, 1.0, 4)
     s = draw_samples(model2, g, 5000, 500, seed=5)
-    full = s.displacement(3)
-    assert np.array_equal(s.displacement(3, start=1200, stop=3400), full[1200:3400])
+    full = _tiled(s, 3)
+    assert np.array_equal(_tiled(s, 3, 1200, 3400), full[1200:3400])
 
 
 def test_scaled_displacement_closed_form(model2):
@@ -88,8 +99,8 @@ def test_scaled_displacement_closed_form(model2):
     for i in (0, 1, 4):
         tau = g.elapsed[i]
         expect = tau * model2.drift + np.sqrt(tau) * mixed
-        assert np.allclose(s.displacement(i), expect, atol=1e-12)
-    assert np.array_equal(s.displacement(0), np.zeros((4000, 2)))
+        assert np.allclose(_tiled(s, i), expect, atol=1e-12)
+    assert np.array_equal(_tiled(s, 0), np.zeros((4000, 2)))
 
 
 def test_scaled_mode_is_comonotone_in_time(model2):
@@ -97,9 +108,10 @@ def test_scaled_mode_is_comonotone_in_time(model2):
     # perfectly rank-correlated along any fixed mixed direction
     g = build_time_grid(0.0, 1.0, 8)
     s = draw_samples(model2, g, 512, 64, seed=2)
-    a = (s.displacement(3) - g.elapsed[3] * model2.drift)[:, 0]
-    b = (s.displacement(7) - g.elapsed[7] * model2.drift)[:, 0]
-    assert np.array_equal(np.argsort(a), np.argsort(b))
+    for read in (s.displacement, lambda i: _tiled(s, i)):
+        a = (read(3) - g.elapsed[3] * model2.drift)[:, 0]
+        b = (read(7) - g.elapsed[7] * model2.drift)[:, 0]
+        assert np.array_equal(np.argsort(a), np.argsort(b))
 
 
 def test_displacement_moments(model2):
@@ -107,7 +119,7 @@ def test_displacement_moments(model2):
     s = draw_samples(model2, g, 400_000, 1, seed=8)
     for i in (1, 2):
         tau = g.elapsed[i]
-        disp = s.displacement(i)
+        disp = _tiled(s, i)
         assert np.allclose(disp.mean(axis=0), tau * model2.drift, atol=4e-3)
         cov = np.cov(disp.T)
         assert np.allclose(cov, tau * model2.vol @ model2.vol.T, atol=6e-3)
@@ -120,6 +132,8 @@ def test_node_index_bounds(model2):
         s.displacement(4)
     with pytest.raises(ValidationError):
         s.displacement(-1)
+    with pytest.raises(ValidationError):
+        s.tiles(4)
 
 
 def test_scheduling_independence_of_block_layout(model2):
@@ -129,7 +143,7 @@ def test_scheduling_independence_of_block_layout(model2):
     tiny = draw_samples(model2, g, 17, 3, seed=21)
     big = draw_samples(model2, g, BLOCK * 2 + 5, 3, seed=21)
     for i in (1, 2):
-        assert np.array_equal(tiny.displacement(i), big.displacement(i, stop=17))
+        assert np.array_equal(_tiled(tiny, i), _tiled(big, i, 0, 17))
 
 
 def test_grid_holds_one_sample_array():
@@ -138,6 +152,7 @@ def test_grid_holds_one_sample_array():
     s = draw_samples(_centered_model(d, 0), build_time_grid(0.0, 1.0, 3), m0, m1, seed=4)
     s.ensure_mixed()
     s.displacement(2)
+    _tiled(s, 2)
     held = sum(v.nbytes for v in vars(s).values() if isinstance(v, np.ndarray))
     assert held == m1 * d * 8
 
@@ -149,17 +164,17 @@ def test_grid_holds_one_sample_array():
 def test_displacement_refuses_bad_row_ranges(model2, rows):
     s = draw_samples(model2, build_time_grid(0.0, 1.0, 3), 100, 10, seed=0)
     with pytest.raises(ValidationError, match="row range"):
-        s.displacement(3, **rows)
+        _tiled(s, 3, **rows)
 
 
 def test_displacement_edge_row_ranges(model2):
     s = draw_samples(model2, build_time_grid(0.0, 1.0, 3), 100, 10, seed=0)
-    full = s.displacement(3)
+    full = _tiled(s, 3)
     assert full.shape == (100, 2)
-    assert s.displacement(3, start=100).shape == (0, 2)
-    assert s.displacement(3, start=4, stop=4).shape == (0, 2)
+    assert _tiled(s, 3, start=100).shape == (0, 2)
+    assert _tiled(s, 3, start=4, stop=4).shape == (0, 2)
     for start, stop in ((0, 10), (3, 10), (10, 100), (9, 11), (99, 100)):
-        assert np.array_equal(s.displacement(3, start=start, stop=stop), full[start:stop])
+        assert np.array_equal(_tiled(s, 3, start, stop), full[start:stop])
 
 
 def _projected(project, start, stop):
@@ -206,7 +221,7 @@ def test_projection_of_one_dimension_has_the_displacement_bits():
     x = np.array([0.25])
     for i in (1, 3):
         assert np.array_equal(_projected(s.projection(i, np.ones(1), x), 0, s.m0),
-                              (s.displacement(i) + x)[:, 0])
+                              (_tiled(s, i) + x)[:, 0])
 
 
 @pytest.mark.parametrize("direction, x", [
@@ -247,24 +262,24 @@ def test_reader_has_the_bits_of_whole_block_draws(d):
     sig_a = np.einsum("lk,l->k", model.vol, np.ones(d), optimize=False)
     project = s.projection(2, np.ones(d), np.zeros(d))
     for lo, hi in ranges + [(39, 41)]:
-        assert np.array_equal(s.displacement(2, start=lo, stop=hi), mixed[lo:hi])
+        assert np.array_equal(_tiled(s, 2, lo, hi), mixed[lo:hi])
         assert np.array_equal(_projected(project, lo, hi),
                               np.einsum("jk,k->j", want[lo:hi], sig_a, optimize=False))
 
 
 def test_displacement_past_a_block_start_holds_one_sub_block():
     # reading rows BLOCK - 1 and BLOCK draws the BLOCK - 1 rows before them
-    # one sub-block at a time: the read holds its buffer and the mix
+    # one sub-block at a time: the reader holds its buffer and the mix
     # temporary, at most TILE doubles each, not a (BLOCK - 1)-row prefix
     d = 50
     s = draw_samples(_centered_model(d, 0), build_time_grid(0.0, 1.0, 2), 2 * BLOCK, 1, seed=5)
     tracemalloc.start()
     try:
-        rows = s.displacement(2, start=BLOCK - 1, stop=BLOCK + 1)
+        rows = _tiled(s, 2, BLOCK - 1, BLOCK + 1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert np.array_equal(rows, s.displacement(2)[BLOCK - 1:BLOCK + 1])
+    assert np.array_equal(rows, _tiled(s, 2)[BLOCK - 1:BLOCK + 1])
     assert peak <= 3 * 8 * TILE < 8 * (BLOCK - 1) * d
 
 
@@ -278,16 +293,36 @@ def test_in_place_mix_equals_whole_array_einsum(d):
     s = draw_samples(model, g, m0, 10, seed=6)
     expect = np.einsum("jk,lk->jl", _philox_normals(6, m0, d), model.vol, optimize=False)
     assert g.elapsed[-1] == 1.0
-    assert (s.displacement(2) == expect).all()
+    assert (_tiled(s, 2) == expect).all()
+
+
+@pytest.mark.parametrize("d", [1, 3, 50])
+@pytest.mark.parametrize("m1", ["one", "past a sub-block", "m0"])
+def test_inner_pool_has_the_bits_of_the_tiles(d, m1):
+    # the held rows, scaled and shifted, equal the same rows drawn again and
+    # mixed in the reader's buffer: at m1 = 1, at an m1 that ends inside a
+    # sub-block and at m1 = m0
+    sub = _sub_block(d)
+    m0 = 2 * sub + 7
+    m1 = {"one": 1, "past a sub-block": sub + 3, "m0": m0}[m1]
+    vol = np.eye(d) + 0.3 * np.random.default_rng(d).standard_normal((d, d))
+    model = BaselineModel(drift=np.linspace(-0.3, 0.4, d), vol=vol, horizon=1.0)
+    s = draw_samples(model, build_time_grid(0.0, 1.0, 3), m0, m1, seed=7)
+    for i in (0, 1, 3):
+        pool = s.displacement(i)
+        assert pool.shape == (m1, d)
+        assert np.array_equal(pool, _tiled(s, i, 0, m1))
 
 
 def test_concurrent_first_use_mixes_once():
     # a grid is mixed when it is built, so threads racing into their first
     # displacement call read an already-mixed grid and all see the serial
-    # result: a second mix of any row would change its bits
+    # result: a second mix of any row would change its bits; each thread's
+    # tiles reader streams all m0 rows beside them and sees the serial rows
     model, g = _centered_model(10, 3), build_time_grid(0.0, 1.0, 4)
     m0, n_threads = BLOCK * 4, 8
-    serial = draw_samples(model, g, m0, 100, seed=12).displacement(3)
+    first = draw_samples(model, g, m0, 100, seed=12)
+    serial = first.displacement(3), _tiled(first, 3)
     for _ in range(3):
         s = draw_samples(model, g, m0, 100, seed=12)
         start = threading.Barrier(n_threads)
@@ -295,12 +330,13 @@ def test_concurrent_first_use_mixes_once():
 
         def first_use(k):
             start.wait()
-            got[k] = s.displacement(3)
+            got[k] = s.displacement(3), _tiled(s, 3)
 
         threads = [threading.Thread(target=first_use, args=(k,)) for k in range(n_threads)]
         for t in threads:
             t.start()
         for t in threads:
             t.join()
-        for out in got:
-            assert np.array_equal(out, serial)
+        for pool, rows in got:
+            assert np.array_equal(pool, serial[0])
+            assert np.array_equal(rows, serial[1])

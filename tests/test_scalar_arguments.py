@@ -84,8 +84,8 @@ CASES = {
     "draw_samples.m1": (lambda v: draw_samples(MODEL, SAMPLES.grid, 20, v, 0), "m1", COUNT),
     "draw_samples.seed": (lambda v: draw_samples(MODEL, SAMPLES.grid, 20, 5, v), "seed", COUNT),
     "SampleGrid.i": (lambda v: SAMPLES.displacement(v), "i", COUNT),
-    "SampleGrid.start": (lambda v: SAMPLES.displacement(1, start=v), "start", COUNT),
-    "SampleGrid.stop": (lambda v: SAMPLES.displacement(1, stop=v), "stop", COUNT),
+    "SampleGrid.start": (lambda v: list(SAMPLES.tiles(1)(v, None)), "start", COUNT),
+    "SampleGrid.stop": (lambda v: list(SAMPLES.tiles(1)(0, v)), "stop", COUNT),
     "BaselineModel.horizon": (lambda v: BaselineModel(MODEL.drift, MODEL.vol, horizon=v),
                               "horizon", REAL),
     **{f"UncertaintySpec.{name}": (
