@@ -24,16 +24,18 @@ The perturbation weights never enter the estimators; a SensitivityReport
 recombines the two factors linearly for any (gamma, eta, epsilon).
 
 Determinism contract: given a fixed seed, results are bit-identical for any
-worker count (KOLSENS_WORKERS or the `workers` argument). Per-node partial
-results are combined in index order with compensated summation, outer
-reductions use numpy's pairwise sums over fixed block shapes, and matrix
+worker count (KOLSENS_WORKERS or the `workers` argument). Per-node terms
+are combined in index order with compensated summation, a node's terms are
+one numpy pairwise sum over the norms of its M1 outer rows, and matrix
 mixes avoid BLAS (see sampling module). The inner means of node i (a row
 node, or a lone node) are numpy's means over its inner pool,
 computed in cache-sized row tiles; a row's inner mean depends on that row
 alone. The inner sums of its mirror node N-i add node i's values one outer
 row at a time in index order. Neither depends on the tile size, so the tile
 size never changes a bit. At x != 0 a mirror node reads node i's
-association (x + X_i(m)) + X_{N-i}(j) of its points.
+association (x + X_i(m)) + X_{N-i}(j) of its points. A unit holds both
+nodes' inner means for all M1 rows: M1 doubles per function for a ridge,
+about M1 * (d + d^2) doubles per node for the generic Hessian branch.
 
 `v0_mc` picks a tile reader and an evaluator once and loops over its m0
 samples one sub-block tile at a time (the grid holds only the m1 inner
@@ -69,16 +71,12 @@ from .model import (BaselineModel, BoundaryFunction, EvalPoint, UncertaintySpec,
                     validate_expansion_regime)
 from .sampling import TILE, SampleGrid, build_time_grid, draw_samples
 
-# Outer rows per reduction block: _PAIR_BUDGET // (doubles per row of the
-# largest pairwise temporary). The block grouping fixes the summation order,
-# so this constant is part of the determinism contract. The pairwise
-# temporaries that a tile holds at once add up to at most about _PAIR_TILE
-# doubles (1 MB) per thread, or one row when a row is larger, so together
-# they stay in a 2 MB L2 cache. It is the sampling sub-block's TILE, so
-# v0_mc's value and profile calls, one reader tile each, take at most that
-# many. The tile never changes a bit. _V0_BLOCK rows of values are summed
-# at a time, which fixes v0's summation order.
-_PAIR_BUDGET = 1 << 23
+# The pairwise temporaries that a tile holds at once add up to at most about
+# _PAIR_TILE doubles (1 MB) per thread, or one row when a row is larger, so
+# together they stay in a 2 MB L2 cache. It is the sampling sub-block's TILE,
+# so v0_mc's value and profile calls, one reader tile each, take at most that
+# many. The tile never changes a bit. _V0_BLOCK rows of values are summed at
+# a time, which fixes v0's summation order.
 _PAIR_TILE = TILE
 _V0_BLOCK = 1 << 16
 
@@ -162,58 +160,46 @@ def v0_mc(boundary: BoundaryFunction, point: EvalPoint, samples: SampleGrid) -> 
     return math.fsum(partials) / m0
 
 
-def _tiled_node_sums(out_pts, in_pts, row_elems, live, evaluators, reduce, mirror=False):
-    """Sum one node's (drift, vol) terms over the outer pool, inner means tiled.
+def _inner_means(out_pts, in_pts, tile, evaluators, mirror=False):
+    """Inner means of one node's functions for all of its outer rows.
 
     The node's points are out_pts[j] + in_pts[m], outer rows j on axis 0 and
-    inner samples m on axis 1. Outer rows are grouped in blocks of
-    _PAIR_BUDGET // row_elems rows, which fix the reduction order. Within a
-    block, the inner mean of every function of `evaluators(pts)` is
-    computed one tile of _PAIR_TILE // (live * row_elems) rows at a time, by
-    numpy's mean. `live` is how many arrays of row_elems doubles per outer
-    row a tile holds at once, so the arrays of one tile add up to about
-    _PAIR_TILE doubles. The tile's points go to the buffer pts, which this
-    call owns, as do any buffers that `evaluators` sizes like it.
-    `reduce(*means)` turns a block's means into its (drift, vol) sums.
+    inner samples m on axis 1. The inner mean of every function of
+    `evaluators(pts)` is numpy's mean over axis 1, computed `tile` outer rows
+    at a time into one array of all M1 rows. The tile's points go to the
+    buffer pts, which this call owns, as do any buffers that `evaluators`
+    sizes like it.
 
     With `mirror`, the same values also give the mirror node, whose points
     are in_pts[j] + out_pts[m]: its outer row j is this node's inner column
     j. Each tile's values are added into its inner sums one outer row at a
-    time, in index order, which no tile size changes; after the tile loop
-    its means go through the same blocks and `reduce`.
+    time, in index order, which no tile size changes; the sums are then
+    divided in place into the mirror's means.
 
-    Returns [(drift, vol)] of the node, followed by the mirror's with `mirror`.
+    Returns [means] of the node, followed by the mirror's with `mirror`;
+    means[k] holds function k's inner means, one per outer row.
     """
     m1 = len(out_pts)
-    block = max(1, _PAIR_BUDGET // row_elems)
-    tile = max(1, _PAIR_TILE // (live * row_elems))
-    pts = np.empty((min(tile, block, m1),) + in_pts.shape)
+    pts = np.empty((min(tile, m1),) + in_pts.shape)
     fns = evaluators(pts)
-    parts, sums = [], [None] * len(fns)
-    for lo in range(0, m1, block):
-        hi = min(lo + block, m1)
-        means = [None] * len(fns)
-        for t_lo in range(lo, hi, tile):
-            t_hi = min(t_lo + tile, hi)
-            p = np.add(out_pts[t_lo:t_hi, None, :], in_pts[None, :, :],
-                       out=pts[:t_hi - t_lo])
-            for k, fn in enumerate(fns):
-                v = fn(p)
-                if means[k] is None:
-                    means[k] = np.empty((hi - lo,) + v.shape[2:])
-                means[k][t_lo - lo:t_hi - lo] = v.mean(axis=1)
-                if mirror:
-                    acc = sums[k]
-                    if acc is None:
-                        acc = sums[k] = np.zeros(v.shape[1:])
-                    for row in v:
-                        acc += row
-        parts.append(reduce(*means))
-    nodes = [parts]
-    if mirror:
-        means = [acc / m1 for acc in sums]
-        nodes.append([reduce(*(v[lo:lo + block] for v in means)) for lo in range(0, m1, block)])
-    return [(math.fsum(dp for dp, _ in ps), math.fsum(vp for _, vp in ps)) for ps in nodes]
+    means, sums = [None] * len(fns), [None] * len(fns)
+    for lo in range(0, m1, tile):
+        hi = min(lo + tile, m1)
+        p = np.add(out_pts[lo:hi, None, :], in_pts[None, :, :], out=pts[:hi - lo])
+        for k, fn in enumerate(fns):
+            v = fn(p)
+            if means[k] is None:
+                means[k] = np.empty((m1,) + v.shape[2:])
+                sums[k] = np.zeros(v.shape[1:]) if mirror else None
+            means[k][lo:hi] = v.mean(axis=1)
+            if mirror:
+                for row in v:
+                    sums[k] += row
+    if not mirror:
+        return [means]
+    for acc in sums:
+        acc /= m1
+    return [means, sums]
 
 
 def _pair_kernel(boundary, point, samples, h):
@@ -225,7 +211,7 @@ def _pair_kernel(boundary, point, samples, h):
     scale * (sum_j |w_hat(j)|, sum_j ||J_hat(j) vol_rows||_F), w_hat(j) the
     inner mean of grad and J_hat(j) that of hess or, with h, the FD slopes
     (mean(grad(p + shifts[k])) - w_hat) / h as its columns. The branch is
-    decided once per call: the evaluators, tile sizes and `reduce`.
+    decided once per call: the evaluators, the tile and `reduce`.
     """
     n, m1 = samples.grid.n_steps, samples.m1
     x, vol, ridge = point.x, samples.model.vol, boundary.ridge
@@ -280,8 +266,12 @@ def _pair_kernel(boundary, point, samples, h):
         def reduce(w, *g):
             return sums(w, np.stack([(gk - w) / h for gk in g], axis=-1))
 
+    # outer rows per tile, so that its `live` arrays of row_elems doubles a row
+    # add up to about _PAIR_TILE doubles
+    tile = max(1, _PAIR_TILE // (live * row_elems))
+
     def unit(i, mirror):
-        return _tiled_node_sums(*points(i), row_elems, live, evaluators, reduce, mirror)
+        return [reduce(*means) for means in _inner_means(*points(i), tile, evaluators, mirror)]
 
     return unit
 
@@ -475,10 +465,12 @@ def compute_report(model: BaselineModel, boundary: BoundaryFunction, point: Eval
     0.0, used_hessian_path is False and `h` is None, as it is whenever no FD
     branch ran. The boundary picks the branch; cfg.kernel="generic" drops
     its ridge declaration before either estimator runs. The worker count is
-    resolved first, so a bad KOLSENS_WORKERS fails early.
+    resolved first, so a bad KOLSENS_WORKERS fails early, and then a point
+    at or past model.horizon is refused by name.
     """
     t0 = time.perf_counter()
     workers = resolve_workers(workers)
+    real(model.horizon, "model.horizon (the end of a run from point.t)", low=point.t, above=True)
     if cfg.kernel == "generic":
         boundary = replace(boundary, ridge=None)
     grid = build_time_grid(point.t, model.horizon, cfg.n_steps)

@@ -588,12 +588,13 @@ def test_negative_1d_volatility_runs_the_fd_oracle(tmp_path, command, extra):
     assert docs[0] == docs[1]
 
 
-@pytest.mark.parametrize("command", ["value", "sensitivity"])
+@pytest.mark.parametrize("command", ["value", "sensitivity", "approx"])
 def test_validation_inside_a_run_exits_2(tmp_path, capsys, command):
     # the point sits at the horizon; the run itself finds that out
     cfg = _write_config(tmp_path, _quartic_config(point={"t": 1.0, "x": [0.0]}))
     assert main(["--config", cfg, "--command", command]) == 2
-    assert capsys.readouterr().err.startswith("error:")
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "point.t" in err and "model.horizon" in err
 
 
 def test_numeric_failure_exit_code(tmp_path, monkeypatch, capsys):

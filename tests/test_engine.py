@@ -590,13 +590,9 @@ def _all_branches(model, bnd, pt, s):
     return out
 
 
-@pytest.mark.parametrize("budget", [None, 2000])
-def test_tile_size_never_changes_bits(monkeypatch, budget):
-    # m1 = 47 is prime, so no multi-row tile divides it; budget 2000 splits
-    # every kernel's outer pool into several blocks (ridge 42, generic 4/14 rows)
+def test_tile_size_never_changes_bits(monkeypatch):
+    # m1 = 47 is prime, so no multi-row tile divides it
     import kolsens.engine as eng
-    if budget is not None:
-        monkeypatch.setattr(eng, "_PAIR_BUDGET", budget)
     case = _tile_cases()
     results = []
     for tile in (1, 1000, 1 << 30):
@@ -703,6 +699,17 @@ _GOLDEN_ESTIMATES = {
 }
 
 
+# (S_b, S_s) of the generic kernel on configs whose nodes took several
+# reduction blocks before each node's terms became one sum: N = 4, seed 19,
+# the Hessian branch at d = 10, M1 = 300 (279 + 21 rows) and the FD branch
+# (h = 1e-3) at d = 1, M1 = 2900 (2892 + 8 rows). The blocked sums were 1 ulp
+# off these in S_b and S_s on the Hessian branch and in S_b on the FD branch.
+_GOLDEN_ONE_SUM = {
+    "hessian": ("0x1.91c8b6dd5292cp+0", "0x1.7b2fa3253c3d2p-1"),
+    "fd": ("0x1.64e64c7942743p-2", "0x1.527c0ad96d8dep-4"),
+}
+
+
 def _golden_cases():
     model3, bnd3, pt3, _ = _tile_cases()
     return {"ridge3": (model3, bnd3, pt3.x),
@@ -724,6 +731,70 @@ def test_estimator_bits_are_pinned():
                 sd, sv, _ = sensitivity_mc(kb, pt, s, h=1e-3 if fd else None, workers=2)
                 got["sens", name, kernel, "fd" if fd else "hessian"] = (sd.hex(), sv.hex())
     assert got == _GOLDEN_ESTIMATES
+
+
+def _einsum_boundary(d):
+    """f(x) = sin(a.x) + sum_l b_l x_l^2 / 2, not a ridge, whose evaluators use
+    einsum and no BLAS, so no batch shape changes a bit."""
+    a, b = np.linspace(0.3, 1.0, d), np.linspace(0.1, 0.5, d)
+    outer, diag = np.multiply.outer(a, a), np.diag(b)
+
+    def s(p):
+        return np.einsum("...d,d->...", p, a, optimize=False)
+
+    return BoundaryFunction(
+        dim=d, value=lambda p: np.sin(s(p)) + 0.5 * np.einsum("...d,d->...", p * p, b),
+        gradient=lambda p: np.cos(s(p))[..., None] * a + p * b,
+        hessian=lambda p: -np.sin(s(p))[..., None, None] * outer + diag,
+        growth_alpha=2.0, growth_const=float(1.0 + a @ a + b.sum()))
+
+
+def _one_sum_reference(bnd, pt, s, h):
+    """(S_b, S_s) with each node's terms one np.sum over its M1 row norms.
+
+    Node i's inner means are mean(axis=0) over each outer row's points; node
+    N-i of a pair (0 < i < N-i) sums node i's values over node i's outer rows
+    in index order."""
+    n, m1, vol, d = s.grid.n_steps, s.m1, s.model.vol, s.model.dim
+    fns = [bnd.gradient] + ([bnd.hessian] if h is None else
+                            [lambda p, e=e: bnd.gradient(p + e) for e in np.eye(d) * h])
+    means = {}
+    for i in range(n // 2 + 1):
+        out, inner = pt.x + s.displacement(i), s.displacement(n - i)
+        rows, sums = [[] for _ in fns], [0.0] * len(fns)
+        for j in range(m1):
+            for k, fn in enumerate(fns):
+                v = fn(out[j] + inner)
+                rows[k].append(v.mean(axis=0))
+                sums[k] = sums[k] + v
+        means[i] = [np.array(r) for r in rows]
+        if 0 < i < n - i:
+            means[n - i] = [acc / m1 for acc in sums]
+    drift, vol_terms = [], []
+    for k in range(n):
+        w, *g = means[k]
+        jac = g[0] if h is None else np.stack([(gk - w) / h for gk in g], axis=-1)
+        js = np.einsum("bkl,lm->bkm", jac, vol, optimize=False)
+        drift.append(float(np.sum(np.sqrt(np.sum(w * w, axis=1)))))
+        vol_terms.append(float(np.sum(np.sqrt(np.sum(js * js, axis=(1, 2))))))
+    dt = s.grid.dt
+    return dt * math.fsum(drift) / m1, dt * math.fsum(vol_terms) / m1
+
+
+@pytest.mark.parametrize("branch, d, m1", [("hessian", 10, 300), ("fd", 1, 2900)])
+def test_each_node_is_one_sum_over_its_rows(branch, d, m1):
+    # M1 * (doubles per outer row of the largest temporary) exceeds 2^23, the
+    # size past which a node's rows were once summed in separate blocks
+    bnd, h = _einsum_boundary(d), None
+    if branch == "fd":
+        bnd, h = _without_hessian(bnd), 1e-3
+    pt = EvalPoint(t=0.0, x=np.linspace(-0.3, 0.2, d))
+    s = _samples(generate_normalized_model(d, 4), 4, m1, m1, seed=19)
+    got = sensitivity_mc(bnd, pt, s, h=h, workers=1)[:2]
+    assert got == _one_sum_reference(bnd, pt, s, h)
+    for workers in (2, 3):
+        assert sensitivity_mc(bnd, pt, s, h=h, workers=workers)[:2] == got
+    assert tuple(v.hex() for v in got) == _GOLDEN_ONE_SUM[branch]
 
 
 def test_sine_sensitivities_near_quadrature_small_scale():
