@@ -392,7 +392,8 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _json_text(doc: dict) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    plain = json.loads(json.dumps(doc), parse_constant=lambda _: None)   # NaN, inf: null
+    return json.dumps(plain, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def _csv_text(header: str, rows: list) -> str:

@@ -12,10 +12,10 @@ eta*eps where it is positive, s = max(vol - eta*eps, 0) where negative. So
 any boundary is accepted. The drift term is the supremum over c in [drift -
 gamma*eps, drift + gamma*eps], taken at both ends and, where the interval
 straddles 0, at c = 0; it is central where the lowest diffusion dominates
-(cmax*dx <= sigma_low^2, true for every shipped benchmark) and
-sign-upwinded otherwise.
-Each candidate scheme, so also their maximum, is monotone under the step
-bound, which the solver refuses to exceed.
+(cmax*dx <= sigma_low^2, true for every shipped benchmark) and sign-upwinded
+otherwise. Each candidate scheme, so also their maximum, is monotone under
+the step bound, which the solver refuses to exceed. Coefficients hold dt,
+dx and 1/2 (s^2*dt/(2 dx^2); c*dt/dx, halved where central).
 
 An epsilon sweep is planned first (checks, grid, nt, terminal row), then
 marched once as the k columns of a node-major (nx, k) state, allocation-free
@@ -169,38 +169,38 @@ def solve(problem: FdProblem1d, epsilons=None) -> FdSolution1d:
     bit to the solve of replace(problem, epsilon=e) on them; values is the t = 0
     row, C-contiguous (k, nx) in the order of `epsilons`, or (nx,) without them.
     The march holds two node-major (nx, k) time rows, so every neighbour slice is
-    contiguous; a step whose new row has a non-finite sum gets the exact test.
+    contiguous, and coefficients with dt, dx and 1/2 folded in, so a step scales raw
+    differences of u; a step whose new row has a non-finite sum gets the exact test.
     """
     rows, grid_x, dx, nt = _discretize(problem, epsilons)
     dt = problem.horizon / nt
+    dt_2dx, dt_2dx2 = 0.5 * dt / dx, 0.5 * dt / dx / dx   # folded into every coefficient
     # march the central rows first, as columns [:nc], and the upwind ones after them
     order = sorted(range(len(rows)), key=lambda i: not rows[i].uses_central_advection(dx))
     k, nc, m = len(rows), sum(r.uses_central_advection(dx) for r in rows), problem.nx - 2
     # one (m, k) array per coefficient, since length-k broadcasts are slow
     diff_hi, diff_lo, c_hi, c_lo = (np.tile(c, (m, 1)) for c in np.array(
-        [(0.5 * r.sigma_eff ** 2, 0.5 * r.sigma_low ** 2, r.drift + r.gamma * r.epsilon,
-          r.drift - r.gamma * r.epsilon) for r in (rows[i] for i in order)]).T)
+        [(r.sigma_eff ** 2 * dt_2dx2, r.sigma_low ** 2 * dt_2dx2,
+          (r.drift + r.gamma * r.epsilon) * dt_2dx, (r.drift - r.gamma * r.epsilon) * dt_2dx)
+         for r in (rows[i] for i in order)]).T)
     u, new = np.tile(_terminal_row(problem, grid_x)[:, None], (2, 1, k))   # frozen edges
     d, (lap, ham, tmp, a, b) = np.empty((m + 1, k)), np.empty((5, m, k))
     d_plus, d_minus = d[1:], d[:-1]
     up, um, ut = (x[:, nc:] for x in (d_plus, d_minus, tmp))   # the upwind columns
-    upwind = [(np.where(c < 0, 0.0, c)[:, nc:], np.where(c > 0, 0.0, c)[:, nc:], o[:, nc:])
+    upwind = [(np.maximum(2 * c, 0.0)[:, nc:], np.minimum(2 * c, 0.0)[:, nc:], o[:, nc:])
               for c, o in ((c_hi, a), (c_lo, b)) if nc < k]
     # where c_lo < 0 < c_hi the upwind supremum may be at c = 0, whose candidate is 0;
     # the floor costs a pass per step, so it is skipped when no column straddles 0
     straddle = (c_lo < 0) & (c_hi > 0)
     floor = np.where(straddle, 0.0, -np.inf) if straddle.any() else None
-    c_hi, c_lo = 0.5 * c_hi, 0.5 * c_lo   # exact, so (c/2)*s rounds as c*(s/2)
     with np.errstate(over="ignore"):   # an overflow surfaces as the NumericError below
         for step in range(nt - 1, -1, -1):
             np.subtract(u[1:], u[:-1], out=d)
-            d /= dx
             np.subtract(d_plus, d_minus, out=lap)
-            lap /= dx
             np.multiply(lap, diff_lo, out=tmp)
             lap *= diff_hi
             np.maximum(lap, tmp, out=lap)   # the worst case over the volatility interval
-            if nc:   # candidates c * (d_plus + d_minus) / 2; upwind columns are overwritten
+            if nc:   # candidates c*dt/(2 dx) * (d_plus + d_minus); upwind ones are overwritten
                 np.add(d_plus, d_minus, out=tmp)
                 np.multiply(c_hi, tmp, out=a)
                 np.multiply(c_lo, tmp, out=b)
@@ -212,7 +212,6 @@ def solve(problem: FdProblem1d, epsilons=None) -> FdSolution1d:
             if floor is not None:
                 np.maximum(ham, floor, out=ham)
             ham += lap
-            ham *= dt
             np.add(u[1:-1], ham, out=new[1:-1])
             # a non-finite element makes the sum non-finite; a finite row may overflow it
             if not math.isfinite(np.add.reduce(new, axis=None)) and not np.isfinite(new).all():

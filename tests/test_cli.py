@@ -289,6 +289,50 @@ def test_statistics_are_those_of_the_per_seed_reports(tmp_path):
             assert (row[f"{name}_mean"], row[f"{name}_std"]) == (st.mean, st.std_dev)
 
 
+def _strict_json(text):
+    """json.loads refusing NaN and Infinity, which RFC 8259 JSON cannot hold."""
+    def refuse(name):
+        raise ValueError(f"{name} is not JSON")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+@pytest.mark.parametrize("command", ["value", "sensitivity"])
+def test_one_run_writes_a_null_std_dev(tmp_path, command):
+    cfg = _write_config(tmp_path, _quartic_config())
+    out = tmp_path / "out.json"
+    assert main(["--config", cfg, "--command", command, "--runs", "1", "--out", str(out)]) == 0
+    doc = _strict_json(out.read_text())
+    stats = [doc["stats"]] if command == "value" else list(doc["stats"].values())
+    assert stats and all(st["runs"] == 1 and st["std_dev"] is None for st in stats)
+
+
+def test_an_undefined_sweep_slope_is_written_as_null(tmp_path, monkeypatch):
+    # on a constant boundary the FD rows equal the linear prediction, so no error is
+    # positive and the slope, fitted over the positive errors, is undefined
+    helper = tmp_path / "flat_bnd.py"
+    helper.write_text(textwrap.dedent("""
+        import numpy as np
+        from kolsens import BoundaryFunction
+
+        def flat(dim):
+            return BoundaryFunction(
+                dim=dim,
+                value=lambda p: np.full(np.shape(p)[:-1], 3.0),
+                gradient=lambda p: np.zeros(np.shape(p)),
+                hessian=lambda p: np.zeros(np.shape(p) + np.shape(p)[-1:]))
+    """), encoding="utf-8")
+    monkeypatch.syspath_prepend(str(tmp_path))
+    cfg = _write_config(tmp_path, _quartic_config(
+        boundary={"kind": "external", "ref": "flat_bnd:flat"}, fd={"nx": 101},
+        sweep={"epsilons": [0.02, 0.04, 0.06]}))
+    out = tmp_path / "sweep.json"
+    assert main(["--config", cfg, "--command", "eps-sweep", "--out", str(out)]) == 0
+    doc = _strict_json(out.read_text())
+    assert doc["approx_source"] == "engine" and doc["slope"] is None
+    assert [row["abs_error"] for row in doc["table"]] == [0.0, 0.0, 0.0]
+
+
 # --------------------------------------------------------------------------
 # hashing and overrides
 # --------------------------------------------------------------------------
@@ -598,22 +642,22 @@ def test_validation_inside_a_run_exits_2(tmp_path, capsys, command):
 
 
 def test_numeric_failure_exit_code(tmp_path, monkeypatch, capsys):
-    # a convex hinge steep enough that a second-difference quotient overflows
+    # a jump at 0, between two grid nodes, so high that a first difference overflows
     helper = tmp_path / "steep_bnd.py"
     helper.write_text(textwrap.dedent("""
         import numpy as np
         from kolsens import BoundaryFunction
 
-        def hinge(dim):
+        def jump(dim):
             return BoundaryFunction(
                 dim=dim,
-                value=lambda p: 9e306 * np.maximum(np.asarray(p)[..., 0], 0.0),
-                gradient=lambda p: np.where(np.asarray(p) > 0, 9e306, 0.0),
-                growth_alpha=1.0, growth_const=9.1e306)
+                value=lambda p: 1.5e308 * np.sign(np.asarray(p)[..., 0]),
+                gradient=lambda p: np.zeros(np.shape(p)),
+                growth_const=1.5e308)
     """), encoding="utf-8")
     monkeypatch.syspath_prepend(str(tmp_path))
-    doc = _quartic_config(boundary={"kind": "external", "ref": "steep_bnd:hinge"},
-                          fd={"nx": 601, "half_width": 9.0})
+    doc = _quartic_config(boundary={"kind": "external", "ref": "steep_bnd:jump"},
+                          fd={"nx": 600, "half_width": 9.0})
     cfg = _write_config(tmp_path, doc)
     with np.errstate(over="ignore", invalid="ignore"):
         assert main(["--config", cfg, "--command", "fd-solve"]) == 3

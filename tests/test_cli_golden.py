@@ -12,11 +12,13 @@ restructured into one command table; re-record them only for a change that
 alters the documents on purpose:
 
     PYTHONPATH=src python3 tests/test_cli_golden.py
+
+which prints, per file, `rewrote` or `unchanged`, so a re-recording shows
+which documents moved.
 """
 
 import json
 import re
-import sys
 from pathlib import Path
 
 import pytest
@@ -90,5 +92,8 @@ if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         for case in CASES:
             for name, text in _documents(Path(tmp), *case).items():
-                (GOLDEN / name).write_bytes(text.encode("utf-8"))
-                print(f"wrote {GOLDEN / name}", file=sys.stderr)
+                path, data = GOLDEN / name, text.encode("utf-8")
+                same = path.is_file() and path.read_bytes() == data
+                if not same:
+                    path.write_bytes(data)
+                print(f"{'unchanged' if same else 'rewrote'} {path.relative_to(GOLDEN.parent)}")

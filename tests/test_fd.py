@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -183,17 +184,15 @@ def test_nonfinite_terminal_is_rejected():
 
 def test_march_overflow_is_detected():
     # monotone stepping obeys a discrete maximum principle, so smooth data
-    # cannot blow up; overflow needs a hinge so steep that the second
-    # difference quotient itself exceeds the float range
-    scale = 9e306
+    # cannot blow up; overflow needs a jump so high that a first difference
+    # itself exceeds the float range, here between the two nodes nearest 0
+    scale = 1.5e308
 
-    def hinge(p):
-        s = np.asarray(p)[..., 0]
-        return scale * np.maximum(s, 0.0)
+    def jump(p):
+        return scale * np.sign(np.asarray(p)[..., 0])
 
-    steep = BoundaryFunction(dim=1, value=hinge,
-                             gradient=lambda p: np.where(np.asarray(p) > 0, scale, 0.0))
-    p = _quartic_problem(boundary=steep, nx=601, half_width=9.0, epsilon=0.0)
+    steep = BoundaryFunction(dim=1, value=jump, gradient=lambda p: np.zeros(np.shape(p)))
+    p = _quartic_problem(boundary=steep, nx=600, half_width=9.0, epsilon=0.0)
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(NumericError, match="time step"):
             solve(p)
@@ -344,32 +343,36 @@ def test_epsilon_sweep_table_consistency():
 # --------------------------------------------------------------------------
 
 def _plain_march(problem, vols=2):
-    """The scheme written out for one problem, with scalar coefficients: the
-    diffusion is the largest over `vols` volatilities spread evenly over
-    [max(vol - eta*eps, 0), vol + eta*eps], the drift over its two extremes
-    and, upwinded, the point of the drift interval nearest 0."""
+    """The scheme written out for one problem, with scalar coefficients that hold
+    dt, dx and 1/2 as the march's do: the diffusion is the largest over `vols`
+    volatilities spread evenly over [max(vol - eta*eps, 0), vol + eta*eps], the
+    drift over its two extremes and, upwinded, the point of the drift interval
+    nearest 0."""
     half = problem.resolved_half_width()
     x = np.linspace(problem.x_center - half, problem.x_center + half, problem.nx)
     dx = float(x[1] - x[0])
     dt = problem.horizon / problem.nt
+    dt_2dx, dt_2dx2 = 0.5 * dt / dx, 0.5 * dt / dx / dx
     u = problem.boundary.value(x[:, None])
     ee = problem.eta * problem.epsilon
     low = max(problem.vol - ee, 0.0)
     sigmas = np.linspace(low, problem.vol + ee, vols).tolist()
     ge = problem.gamma * problem.epsilon
     c_hi, c_lo = problem.drift + ge, problem.drift - ge
+    central = max(abs(c_hi), abs(c_lo)) * dx <= low ** 2   # monotone at every vol
+    c_hi, c_lo = c_hi * dt_2dx, c_lo * dt_2dx
     for _ in range(problem.nt):
-        d_plus = (u[2:] - u[1:-1]) / dx
-        d_minus = (u[1:-1] - u[:-2]) / dx
-        lap = (d_plus - d_minus) / dx
-        diffusion = np.max([0.5 * s ** 2 * lap for s in sigmas], axis=0)
-        if max(abs(c_hi), abs(c_lo)) * dx <= low ** 2:   # central is monotone at every vol
-            d_ctr = 0.5 * (d_plus + d_minus)
+        d_plus = u[2:] - u[1:-1]
+        d_minus = u[1:-1] - u[:-2]
+        lap = d_plus - d_minus
+        diffusion = np.max([s ** 2 * dt_2dx2 * lap for s in sigmas], axis=0)
+        if central:
+            d_ctr = d_plus + d_minus
             hamil = np.maximum(c_hi * d_ctr, c_lo * d_ctr)
         else:
-            hamil = np.max([max(c, 0.0) * d_plus + min(c, 0.0) * d_minus
+            hamil = np.max([max(2 * c, 0.0) * d_plus + min(2 * c, 0.0) * d_minus
                             for c in (c_hi, c_lo, min(max(0.0, c_lo), c_hi))], axis=0)
-        u = np.concatenate([u[:1], u[1:-1] + dt * (diffusion + hamil), u[-1:]])
+        u = np.concatenate([u[:1], u[1:-1] + (diffusion + hamil), u[-1:]])
     return u
 
 
@@ -472,13 +475,11 @@ def test_anchor_row_takes_part_in_the_step_count():
 
 
 def test_batched_overflow_names_the_first_bad_row_and_its_step():
-    scale = 9e306
-    steep = BoundaryFunction(dim=1,
-                             value=lambda p: scale * np.maximum(np.asarray(p)[..., 0], 0.0),
-                             gradient=lambda p: np.where(np.asarray(p) > 0, scale, 0.0))
+    steep = BoundaryFunction(dim=1, value=lambda p: 1.5e308 * np.sign(np.asarray(p)[..., 0]),
+                             gradient=lambda p: np.zeros(np.shape(p)))
     # row 0 is upwind, rows 1 and 2 central, so the march runs them as (1, 2, 0)
     p = FdProblem1d(drift=0.5, vol=0.3, gamma=0.0, eta=1.0, epsilon=0.25, boundary=steep,
-                    nx=601, half_width=9.0, nt=400)
+                    nx=600, half_width=9.0, nt=400)
     eps = [0.25, 0.0, 0.1]
     assert _central_flags(p, eps) == [False, True, True]
     steps = []
@@ -495,19 +496,19 @@ def test_batched_overflow_names_the_first_bad_row_and_its_step():
 
 
 # the eps-sweep-fd smoke shape; per row, the t = 0 value at x = 0, then at nodes
-# 1, 120, 230 and 399, recorded when the march took the volatility supremum per node
+# 1, 120, 230 and 399, recorded when the march folded dx, dt and 1/2 into its coefficients
 _GOLDEN_NODES = (1, 120, 230, 399)
 _GOLDEN = {
-    0.0: ("0x1.3ed1f4a1218d5p+3", "0x1.1c2e949924f15p+13", "0x1.0885b91edca66p+7",
-          "0x1.384b389fdeba8p+6", "0x1.2b65388604635p+13"),
-    0.01: ("0x1.4be18e2f5df3bp+3", "0x1.1c88dc717e88cp+13", "0x1.0db1dd6a55fffp+7",
-           "0x1.3f6ee9af3b07dp+6", "0x1.2b6d8d1ee32d8p+13"),
-    0.02: ("0x1.5957e624ad05ep+3", "0x1.1ce03a4e86f72p+13", "0x1.12f2b916e2cbdp+7",
+    0.0: ("0x1.3ed1f4a1218d5p+3", "0x1.1c2e949924f15p+13", "0x1.0885b91edca65p+7",
+          "0x1.384b389fdeba9p+6", "0x1.2b65388604635p+13"),
+    0.01: ("0x1.4be18e2f5df3bp+3", "0x1.1c88dc717e88cp+13", "0x1.0db1dd6a56000p+7",
+           "0x1.3f6ee9af3b07ep+6", "0x1.2b6d8d1ee32d8p+13"),
+    0.02: ("0x1.5957e624ad05fp+3", "0x1.1ce03a4e86f72p+13", "0x1.12f2b916e2cbep+7",
            "0x1.46b334578a1aap+6", "0x1.2b75c0683d33fp+13"),
-    0.05: ("0x1.8438ebf91a53bp+3", "0x1.1dd5fbb024067p+13", "0x1.2333cedb84ca8p+7",
+    0.05: ("0x1.8438ebf91a53dp+3", "0x1.1dd5fbb024067p+13", "0x1.2333cedb84ca9p+7",
            "0x1.5d47a2f7f9a2bp+6", "0x1.2b8d86539cb24p+13"),
-    0.1: ("0x1.d4837353cab9ep+3", "0x1.1f3f2f6fe05bep+13", "0x1.3ffe1d1e188d0p+7",
-          "0x1.859b0044d242fp+6", "0x1.2bb21ac7902eep+13"),
+    0.1: ("0x1.d4837353cab9fp+3", "0x1.1f3f2f6fe05bep+13", "0x1.3ffe1d1e188d4p+7",
+          "0x1.859b0044d242dp+6", "0x1.2bb21ac7902eep+13"),
 }
 
 
@@ -536,6 +537,39 @@ def test_permuted_epsilons_permute_the_rows():
     mixed = solve(problem, epsilons=eps[::-1])
     assert mixed.values.flags.c_contiguous
     assert np.array_equal(mixed.values, solve(problem, epsilons=eps).values[::-1])
+
+
+@pytest.mark.parametrize("case", sorted(_BATCHES) + ["smoke"])
+def test_rows_obey_the_discrete_maximum_principle(case):
+    # under the step bound every candidate scheme makes the new value a convex
+    # combination of u at the node and its neighbours, and so does their maximum
+    if case == "smoke":
+        plan = _golden_plan()
+        problem, eps = plan.problem, plan.rows
+    else:
+        problem, eps = _BATCHES[case]
+    sol = solve(problem, epsilons=eps)
+    terminal = problem.boundary.value(sol.grid_x[:, None])
+    for row in sol.values:
+        assert terminal.min() <= row.min() and row.max() <= terminal.max()
+
+
+def test_march_memory_does_not_grow_with_nt():
+    # the march allocates its state once; a step that kept what it allocated would
+    # make the peak at 10 * nt exceed the peak at nt
+    problem, eps = _BATCHES["central"]
+    nt = solve(problem, epsilons=eps).nt
+
+    def peak(steps):
+        tracemalloc.start()
+        try:
+            solve(replace(problem, nt=steps), epsilons=eps)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    row_bytes = problem.nx * len(eps) * np.dtype(float).itemsize
+    assert abs(peak(10 * nt) - peak(nt)) < row_bytes
 
 
 def test_at_refuses_a_batched_solution():
