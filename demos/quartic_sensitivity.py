@@ -3,10 +3,11 @@ Sensitivity analysis of a quartic terminal payoff
 =================================================
 
 A one-dimensional diffusion with unit drift and unit volatility is paired
-with the quartic terminal condition f(x) = x**4 + 2 x**2 + 3.  For this
-benchmark the baseline value and both sensitivity factors have closed forms,
-so the script estimates everything by nested Monte Carlo and prints the
-estimates next to the exact numbers.
+with the quartic terminal condition f(x) = x**4, whose baseline value at the
+origin is v0 = E[(1 + W_1)**4] = 10.  For this benchmark the baseline value
+and both sensitivity factors have closed forms, so the script estimates
+everything by nested Monte Carlo and prints the estimates next to the exact
+numbers.
 """
 
 import numpy as np

@@ -18,7 +18,7 @@ from .analytic import (gauss_abs_expectation, quartic_sensitivity_quadrature, qu
 from .engine import (EstimatorStats, McConfig, SensitivityReport, compute_report,
                      default_bump, first_order_approx, predicted_complexity, seeded_runs,
                      sensitivity_mc, v0_mc)
-from .errors import GenerationError, NumericError, StabilityError, ValidationError
+from .errors import NumericError, ValidationError
 from .fd1d import (EpsSweepResult, FdProblem1d, FdSolution1d, SweepPlan, epsilon_sweep,
                    fd_problem_from_model, fit_loglog_slope, plan_epsilon_sweep, solve)
 from .model import (BaselineModel, BoundaryCheck, BoundaryFunction, EvalPoint, RegimeReport,
@@ -31,9 +31,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BaselineModel", "BoundaryCheck", "BoundaryFunction", "EpsSweepResult",
-    "EstimatorStats", "EvalPoint", "FdProblem1d", "FdSolution1d", "GenerationError",
-    "McConfig", "NumericError", "RegimeReport", "RidgeProfile", "SampleGrid",
-    "SensitivityReport", "StabilityError", "SweepPlan", "TimeGrid", "UncertaintySpec",
+    "EstimatorStats", "EvalPoint", "FdProblem1d", "FdSolution1d", "McConfig",
+    "NumericError", "RegimeReport", "RidgeProfile", "SampleGrid", "SensitivityReport",
+    "SweepPlan", "TimeGrid", "UncertaintySpec",
     "ValidationError", "build_time_grid", "check_boundary", "compute_report",
     "default_bump", "draw_samples", "epsilon_sweep", "fd_problem_from_model",
     "first_order_approx", "fit_loglog_slope", "gauss_abs_expectation",

@@ -12,8 +12,8 @@ seed produce byte-identical output except for the wall-clock runtime fields.
 Exit codes: 0 success; 2 configuration, output-argument or validation problem
 (including FD stability refusals and external boundaries that fail to load or
 probe), with the output arguments and the config checked before any estimate;
-3 numerical failure (NaN/Inf mid-computation); 4 expansion regime violated
-with --strict.
+3 numerical failure (NaN/Inf mid-computation, or a boundary that raises during
+a run); 4 expansion regime violated with --strict.
 """
 
 import argparse
@@ -292,9 +292,11 @@ def _run_eps_sweep(ctx) -> dict:
     plan = plan_epsilon_sweep(_fd_problem(ctx, "eps-sweep"), epsilons, anchor)
     if source == "analytic":
         v0, total = _analytic_first_order(ctx)
-    else:
-        report = compute_report(ctx["model"], ctx["boundary"], ctx["point"],
-                                ctx["mc"], unc=ctx["unc"])
+    else:   # one estimate at the base seed, on the path of every Monte Carlo command
+        (report,) = seeded_runs(
+            lambda seed: compute_report(ctx["model"], ctx["boundary"], ctx["point"],
+                                        replace(ctx["mc"], seed=seed), unc=ctx["unc"]),
+            1, ctx["seed"])
         v0 = report.v0
         total = report.sens_total(ctx["unc"].gamma, ctx["unc"].eta)
     result = epsilon_sweep(plan, v0=float(v0), sensitivity=float(total))

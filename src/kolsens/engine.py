@@ -313,13 +313,8 @@ def sensitivity_mc(boundary: BoundaryFunction, point: EvalPoint, samples: Sample
 
     n_workers = resolve_workers(workers)
     pool = ThreadPoolExecutor(max_workers=n_workers) if n_workers > 1 else None
-    try:
-        units = range(n // 2 + 1)
-        if pool is None:
-            results = map(per_unit, units)
-        else:
-            futures = [pool.submit(per_unit, i) for i in units]
-            results = (f.result() for f in futures)
+    try:   # both maps yield in unit order; the pool's cancels pending units when closed
+        results = (map if pool is None else pool.map)(per_unit, range(n // 2 + 1))
         done, node_vals = [], []
         for k in range(n):   # node k is in unit min(k, n - k), fetched in unit order
             i = min(k, n - k)

@@ -1,7 +1,10 @@
-"""Exception types shared across the package, and the checks of arguments.
+"""The package's two exception types, one per CLI exit code, and the checks of arguments.
 
-The CLI maps the exceptions onto distinct exit codes, so library code should
-raise the most specific one that applies rather than bare ValueError/RuntimeError.
+ValidationError (exit 2) is a fault of the input: a bad argument or config
+value, a violated precondition, an FD step beyond the stable bound, a
+boundary that fails to load or probe. NumericError (exit 3) is a fault
+during a run: a NaN or infinity, a boundary that raises on a run's points,
+a redraw budget used up. Either message says where the fault happened.
 
 Every argument of the public API goes through one of four functions, once
 per call or constructor: `count` (an integer such as d, N, M0, M1 or a seed),
@@ -22,27 +25,15 @@ import numpy as np
 
 
 class ValidationError(ValueError):
-    """Bad arguments, malformed configuration, or violated preconditions."""
+    """Bad arguments, malformed configuration, or violated preconditions (exit 2)."""
 
 
 class NumericError(RuntimeError):
-    """NaN/Inf or other numeric breakdown during a computation.
+    """NaN/Inf, a raising boundary or another breakdown during a computation (exit 3).
 
     The message should identify where the problem surfaced (sample block,
     time index, ...) so large runs can be triaged without rerunning.
     """
-
-
-class StabilityError(ValidationError):
-    """An explicit FD time step violates the monotonicity/CFL bound."""
-
-    def __init__(self, message: str, max_dt: float):
-        super().__init__(message)
-        self.max_dt = max_dt
-
-
-class GenerationError(RuntimeError):
-    """Random model generation exhausted its redraw budget."""
 
 
 def count(v, name: str, low: int = 1) -> int:

@@ -28,7 +28,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import NumericError, StabilityError, ValidationError, array, choice, count, real
+from .errors import NumericError, ValidationError, array, choice, count, real
 from .model import BaselineModel, BoundaryFunction, UncertaintySpec
 
 Array = np.ndarray
@@ -135,7 +135,13 @@ class FdSolution1d:
 
 
 def _terminal_row(problem: FdProblem1d, grid_x: Array) -> Array:
-    terminal = np.asarray(problem.boundary.value(grid_x[:, None]), dtype=float)
+    try:    # the boundary's own code: what it raises on the grid is a fault of the run
+        terminal = np.asarray(problem.boundary.value(grid_x[:, None]), dtype=float)
+    except ValidationError:
+        raise
+    except Exception as exc:
+        raise NumericError(f"boundary.value failed on the FD grid: "
+                           f"{type(exc).__name__}: {exc}") from exc
     if terminal.shape != grid_x.shape:
         raise ValidationError("boundary.value must return one value per grid node")
     if not np.isfinite(terminal).all():
@@ -156,9 +162,9 @@ def _discretize(problem: FdProblem1d, epsilons) -> tuple:
         return rows, grid_x, dx, max(1, *(math.ceil(T / (_SAFETY * m)) for m in max_dts))
     for r, m in zip(rows, max_dts):
         if T / nt > _SAFETY * m + 1e-15:
-            raise StabilityError(f"epsilon={r.epsilon:g}: dt={T / nt:.3e} exceeds the stable "
-                                 f"step {_SAFETY * m:.3e} (nt >= "
-                                 f"{math.ceil(T / (_SAFETY * m))} needed)", max_dt=m)
+            raise ValidationError(f"epsilon={r.epsilon:g}: dt={T / nt:.3e} exceeds the stable "
+                                  f"step {_SAFETY * m:.3e} (nt >= "
+                                  f"{math.ceil(T / (_SAFETY * m))} needed)")
     return rows, grid_x, dx, int(nt)
 
 

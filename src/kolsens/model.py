@@ -8,8 +8,8 @@ expansion in eps is trustworthy only while eps stays below
 min(1, lambda_min(sigma)), which `validate_expansion_regime` checks.
 
 Boundary (terminal) data is carried as a `BoundaryFunction` bundle: batched
-evaluators for the value, gradient and (optionally) Hessian, plus the
-polynomial growth envelope used by the standing assumptions. Boundaries of
+evaluators for the value, gradient and (optionally) Hessian, plus a declared
+polynomial growth envelope that no estimator or solver reads. Boundaries of
 ridge form f(x) = phi(a . x) can declare that structure, which the Monte
 Carlo engine exploits to make its pairwise work independent of dimension.
 """
@@ -20,7 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import GenerationError, ValidationError, array, count, real
+from .errors import NumericError, ValidationError, array, count, real
 
 Array = np.ndarray
 
@@ -128,7 +128,7 @@ class BoundaryFunction:
     gradient: (..., d) -> (..., d)
     hessian: (..., d) -> (..., d, d), or None if unavailable
     growth_alpha, growth_const: envelope |f| + |grad f| + ||hess f||_F
-        <= growth_const * (1 + |x|^growth_alpha), used by regime diagnostics.
+        <= growth_const * (1 + |x|^growth_alpha), as declared; only range-checked.
     ridge: optional structure declaration (see RidgeProfile); ridge.d2 is
         set exactly when `hessian` is. These declarations pick the engine path.
     """
@@ -324,5 +324,5 @@ def generate_normalized_model(dim: int, seed: int, horizon: float = 1.0) -> Base
         if lam <= 1e-12 * np.linalg.norm(vol):
             continue
         return BaselineModel(drift=b_raw / b_sum, vol=vol, horizon=horizon)
-    raise GenerationError(
+    raise NumericError(
         f"no invertible normalized volatility found in {_MAX_REDRAWS} draws (dim={dim}, seed={seed})")

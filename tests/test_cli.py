@@ -1,6 +1,8 @@
 import json
+import re
 import textwrap
 from dataclasses import asdict, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -108,6 +110,14 @@ def test_approx_reports_regime(tmp_path, capsys):
 
     code, _ = _run_json(tmp_path, cfg2, "approx", "--strict", name="out3.json")
     assert code == 4
+
+
+def test_readme_config_runs(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    (block,) = re.findall(r"```json\n(.*?)```", readme, flags=re.DOTALL)
+    cfg = _write_config(tmp_path, json.loads(block), name="readme.json")
+    code, doc = _run_json(tmp_path, cfg, "complexity")
+    assert code == 0 and doc["d"] == 1
 
 
 def test_complexity_command(tmp_path):
@@ -662,6 +672,50 @@ def test_numeric_failure_exit_code(tmp_path, monkeypatch, capsys):
     with np.errstate(over="ignore", invalid="ignore"):
         assert main(["--config", cfg, "--command", "fd-solve"]) == 3
     assert capsys.readouterr().err.startswith("numerical failure:")
+
+
+_GUARDED_RIDGES = textwrap.dedent("""
+    import numpy as np
+    from kolsens import ridge_boundary
+
+    def _guard(fn):    # the probes' points lie well inside |s| <= 6, a run's do not
+        def guarded(s):
+            if np.any(np.abs(s) > 6.0):
+                raise ValueError("argument beyond |s| = 6")
+            return fn(s)
+        return guarded
+
+    def quartic(dim, raising):
+        fns = {"profile": lambda s: s ** 4, "d1": lambda s: 4.0 * s ** 3,
+               "d2": lambda s: 12.0 * s ** 2}
+        fns[raising] = _guard(fns[raising])
+        return ridge_boundary(np.ones(dim), **fns)
+
+    def steep_d1(dim):
+        return quartic(dim, "d1")
+
+    def steep_value(dim):
+        return quartic(dim, "profile")
+""")
+
+
+@pytest.mark.parametrize("ref, command", [
+    ("steep_d1", "sensitivity"), ("steep_d1", "approx"), ("steep_d1", "eps-sweep"),
+    ("steep_value", "fd-solve"), ("steep_value", "eps-sweep")])
+def test_a_boundary_that_raises_mid_run_exits_3(tmp_path, monkeypatch, capsys, ref, command):
+    # both pass their load probes; at x = 5 the Monte Carlo points and the FD grid
+    # reach past |s| = 6, where the guarded function raises: d1 in the engine's
+    # sensitivity stage (eps-sweep's source is the engine), the value on the FD grid
+    (tmp_path / "guarded_ridges.py").write_text(_GUARDED_RIDGES, encoding="utf-8")
+    monkeypatch.syspath_prepend(str(tmp_path))
+    cfg = _write_config(tmp_path, _quartic_config(
+        boundary={"kind": "external", "ref": f"guarded_ridges:{ref}"},
+        point={"t": 0.0, "x": [5.0]}, fd={"nx": 101}, sweep=_SWEEP))
+    assert main(["--config", cfg, "--command", command]) == 3
+    err = capsys.readouterr().err
+    where = ("estimator run with seed 0 failed" if ref == "steep_d1" else
+             "boundary.value failed on the FD grid: ValueError")
+    assert err.startswith("numerical failure:") and where in err and "beyond |s| = 6" in err
 
 
 @pytest.mark.parametrize("command, flags, key", [

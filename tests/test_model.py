@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from kolsens import (BaselineModel, EvalPoint, GenerationError, UncertaintySpec,
+from kolsens import (BaselineModel, EvalPoint, NumericError, UncertaintySpec,
                      ValidationError, check_boundary, generate_normalized_model,
                      lambda_min, quartic_boundary, ridge_boundary, sine_boundary,
                      validate_expansion_regime)
@@ -226,5 +226,5 @@ def test_normalized_model_deterministic_per_seed():
 
 def test_normalized_model_zero_redraws_budget(monkeypatch):
     monkeypatch.setattr(model_module, "_MAX_REDRAWS", 0)
-    with pytest.raises(GenerationError):
+    with pytest.raises(NumericError):
         generate_normalized_model(3, seed=0)
